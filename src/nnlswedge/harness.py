@@ -11,10 +11,6 @@ Subcommands:
 * ``predict`` -- expanded wedge predictions over the configured ladder;
 * ``compare`` -- direct evolution against both prediction routes;
 * ``match``   -- straight-ray matching ladder report.
-
-Wedge rows are evaluated concurrently (the underlying quadrature caches are
-lock-protected or idempotent); the time evolution is the only sequential
-stage.
 """
 
 from __future__ import annotations
@@ -23,18 +19,21 @@ import argparse
 import cmath
 import configparser
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .pde import (
+    DEFAULT_DT_FACTOR,
     BoundaryDriftError,
+    EvolutionResult,
     FieldBlowUpError,
+    FieldSnapshot,
     evolve,
     interpolate_field,
     symmetric_grid,
+    write_snapshots_csv,
 )
 from .phases import EXPANSION_BAND
 from .profiles import InitialProfile, ProfileKind
@@ -76,8 +75,6 @@ DEFAULT_TOLERANCES = {
     # relative error allowed when the ledger regression re-extracts the
     # squared-log coefficient from generated phase values
     "psi_fit_rel": 0.05,
-    # slack added to the recorded decay exponent when fitting gap ladders
-    "gap_exponent_margin": 0.06,
 }
 
 _SYNTHETIC_KINDS = ("synthetic-case-i", "synthetic-case-ii")
@@ -499,9 +496,7 @@ def cmd_predict(cfg: ExperimentConfig, sd: SpectralData | None = None) -> Path:
     """Write the expanded-prediction table; returns the CSV path."""
     if sd is None:
         sd = spectral_data_for(cfg)
-    cells = _branch_rows(cfg)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        rows = list(pool.map(lambda cell: _predict_row(sd, cell), cells))
+    rows = [_predict_row(sd, cell) for cell in _branch_rows(cfg)]
     cfg.output.directory.mkdir(parents=True, exist_ok=True)
     path = cfg.output.directory / cfg.output.predictions
     with open(path, "w", encoding="ascii") as fh:
@@ -624,16 +619,17 @@ def cmd_compare(
     level = amplitude_Q(sd)
     w, p = cfg.wedge, cfg.pde
     grid = symmetric_grid(p.half_width, p.step)
-    ladder = list(w.t_ladder)
 
     # evolve segment by segment so an abort still yields earlier snapshots
-    snapshots: dict[float, np.ndarray] = {}
+    dt = p.dt if p.dt is not None else DEFAULT_DT_FACTOR * grid.step * grid.step
+    reached: list[FieldSnapshot] = []
+    steps = 0
     abort_reason = ""
     state = cfg.profile.sample(grid.x)
     t_now = 0.0
-    for target in ladder:
+    for target in w.t_ladder:
         try:
-            res = evolve(state, grid, target - t_now, dt=p.dt)
+            res = evolve(state, grid, target - t_now, dt=dt)
         except (FieldBlowUpError, BoundaryDriftError) as exc:
             # evolve() reports time relative to the segment start
             abort_reason = (
@@ -643,10 +639,9 @@ def cmd_compare(
             break
         state = res.final.q
         t_now = target
-        snapshots[target] = state.copy()
-
-    # evaluate both prediction routes concurrently
-    cells = _branch_rows(cfg)
+        steps += res.steps
+        reached.append(replace(res.final, t=target))
+    snapshots = {snap.t: snap.q for snap in reached}
 
     def build(cell) -> ComparisonRecord:
         alpha, s, t, side = cell
@@ -682,8 +677,7 @@ def cmd_compare(
             phase_residual=phase_residual,
         )
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        records = list(pool.map(build, cells))
+    records = [build(cell) for cell in _branch_rows(cfg)]
 
     cfg.output.directory.mkdir(parents=True, exist_ok=True)
     path = cfg.output.directory / cfg.output.comparison
@@ -751,19 +745,7 @@ def cmd_compare(
 
     # raw evolved fields, for reproducibility and plotting
     snap_path = cfg.output.directory / cfg.output.snapshots
-    with open(snap_path, "w", encoding="ascii") as fh:
-        fh.write("# schema: t,x,re_q,im_q\n")
-        fh.write(
-            f"# half_width={grid.half_width:.17g} step={grid.step:.17g}\n"
-        )
-        for target in ladder:
-            if target not in snapshots:
-                continue
-            q = snapshots[target]
-            for x, val in zip(grid.x, q):
-                fh.write(
-                    f"{target:.17g},{x:.17g},{val.real:.17g},{val.imag:.17g}\n"
-                )
+    write_snapshots_csv(EvolutionResult(grid, dt, steps, tuple(reached)), snap_path)
     return path, summary_path, snap_path
 
 

@@ -171,6 +171,10 @@ class PhaseTracker:
             raise RefinementRequiredError(
                 "regularized spectral product is not positive at k = 0"
             )
+        # Degenerate class: winding index at the origin, ln(a11 a21) / 2 pi.
+        self.nu_zero = (
+            None if sd.case is CaseTag.CASE_I else math.log(val0.real) / _TWO_PI
+        )
 
         allv = np.append(vals, val0)
         rotation = np.angle(allv[1:] * np.conj(allv[:-1]))
@@ -465,12 +469,9 @@ class PhaseTracker:
             saddle_const = chi0_s + 1j * math.pi / 6.0
             chi_saddle = chi_origin + 1j * math.pi / 6.0
         else:
-            prod0 = float((complex(self.sd.a11) * complex(self.sd.a21)).real)
-            nu = math.log(prod0) / _TWO_PI
+            nu = self.nu_zero
             chi0_s = self.origin_constant
-            chi_origin = (
-                1j * (1.0 - alpha) / (_TWO_PI * (alpha - 2.0)) * math.log(prod0) * ln_4st + chi0_s
-            )
+            chi_origin = 1j * (1.0 - alpha) / (alpha - 2.0) * nu * ln_4st + chi0_s
             saddle_const = chi0_s
             chi_saddle = chi_origin
         return PhaseFunctionalResult(
@@ -527,8 +528,7 @@ class PhaseTracker:
                 + self.chi_origin_const(xi)
             )
         else:
-            prod0 = float((complex(self.sd.a11) * complex(self.sd.a21)).real)
-            exponent = 1j / _TWO_PI * math.log(xi) * math.log(prod0) + self.origin_constant
+            exponent = 1j * math.log(xi) * self.nu_zero + self.origin_constant
         return cmath.exp(exponent)
 
 

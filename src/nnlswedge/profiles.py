@@ -26,7 +26,6 @@ __all__ = [
     "ProfileKind",
     "InitialProfile",
     "SolitonPoleError",
-    "sample_profile",
     "soliton_exact",
     "fingerprint",
 ]
@@ -144,11 +143,6 @@ class InitialProfile:
             "bump_center": float(self.bump_center),
             "bump_width": float(self.bump_width),
         }
-
-
-def sample_profile(profile: InitialProfile, x) -> np.ndarray:
-    """Evaluate ``profile`` on the grid ``x`` (complex array)."""
-    return profile.sample(x)
 
 
 def soliton_exact(amplitude: float, phase: float, x, t) -> np.ndarray:

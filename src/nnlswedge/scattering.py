@@ -593,16 +593,6 @@ class SpectralData:
             if self.a11 is None or self.a21 is None:
                 raise ValueError("case II requires a11 and a21")
 
-    # -- derived conveniences ----------------------------------------------
-
-    def mirrored(self, values: np.ndarray) -> np.ndarray:
-        """Values at ``-k`` for node arrays on the symmetric grid."""
-        return np.asarray(values)[::-1]
-
-    @property
-    def negative_mask(self) -> np.ndarray:
-        return self.k_grid < 0
-
 
 # ---------------------------------------------------------------------------
 # persistence

@@ -1,4 +1,4 @@
-"""Quadrature and special-function kernels for the asymptotic pipeline.
+"""Quadrature and root-finding kernels for the asymptotic pipeline.
 
 This module provides the low-level numerics the rest of the package is
 built on:
@@ -6,9 +6,6 @@ built on:
 * an adaptive complex-valued Gauss--Kronrod (G7/K15) integrator with
   explicit support for an integrable logarithmic singularity at the left
   endpoint and for semi-infinite domains ``(-inf, b]`` with ``b < 0``;
-* ``log_gamma`` -- log of the gamma function on the complex plane,
-  accurate to better than 1e-12 relative error on the strip
-  ``|Im z| <= 50`` used by the parametrix amplitudes;
 * ``find_imag_axis_zero`` -- a bracketed root finder for real-valued
   functions of a positive real parameter (used to locate the zero of the
   transmission coefficient on the positive imaginary axis).
@@ -34,8 +31,6 @@ __all__ = [
     "QuadratureError",
     "RootBracketError",
     "quad",
-    "log_gamma",
-    "gamma",
     "find_imag_axis_zero",
 ]
 
@@ -234,92 +229,6 @@ def quad(f, a: float, b: float, spec: QuadratureSpec | None = None) -> QuadResul
 
         return _adaptive(mapped, _LOG_LEFT_WMIN, 0.0, spec)
     return _adaptive(f, a, b, spec)
-
-
-# ---------------------------------------------------------------------------
-# log-gamma
-# ---------------------------------------------------------------------------
-
-_LANCZOS_G = 5.2421875  # rational shift 671/128 = (607/128) + 1/2
-_LANCZOS_C0 = 0.999999999999997092
-_LANCZOS_COF = np.array(
-    [
-        57.1562356658629235,
-        -59.5979603554754912,
-        14.1360979747417471,
-        -0.491913816097620199,
-        0.339946499848118887e-4,
-        0.465236289270485756e-4,
-        -0.983744753048795646e-4,
-        0.158088703224912494e-3,
-        -0.210264441724104883e-3,
-        0.217439618115212643e-3,
-        -0.164318106536763890e-3,
-        0.844182239838527433e-4,
-        -0.261908384015814087e-4,
-        0.368991826595316234e-5,
-    ]
-)
-_SQRT_TWO_PI = 2.5066282746310005
-_LN_PI = math.log(math.pi)
-
-# Stirling series coefficients: B_{2n} / (2n (2n-1)) for n = 1..8.
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    7.0 / 156.0,
-    -3617.0 / 122400.0,
-)
-
-
-def _log_gamma_lanczos(z: complex) -> complex:
-    ser = _LANCZOS_C0
-    for j, c in enumerate(_LANCZOS_COF, start=1):
-        ser += c / (z + j)
-    zg = z + _LANCZOS_G
-    return (z + 0.5) * np.log(zg) - zg + np.log(_SQRT_TWO_PI * ser / z)
-
-
-def _log_gamma_stirling(z: complex) -> complex:
-    inv = 1.0 / z
-    inv2 = inv * inv
-    series = 0.0 + 0.0j
-    power = inv
-    for c in _STIRLING:
-        series += c * power
-        power *= inv2
-    return (z - 0.5) * np.log(z) - z + 0.5 * math.log(2.0 * math.pi) + series
-
-
-def log_gamma(z: complex) -> complex:
-    """Log-gamma on the complex plane.
-
-    Uses the 15-term rational (Lanczos-type) approximation for moderate
-    arguments in the right half-plane, the Stirling series for large
-    ones, and the reflection formula for ``Re z < 1/2``.  Relative
-    accuracy is better than 1e-12 for ``|Im z| <= 50``.  The imaginary
-    part follows the principal determination on the right half-plane;
-    across the reflection the branch may differ from the continuous
-    continuation by a multiple of ``2 pi i``, which is immaterial once
-    exponentiated.
-    """
-    z = complex(z)
-    if z.real < 0.5:
-        if z.imag == 0.0 and z.real == math.floor(z.real):
-            raise ValueError(f"log_gamma pole at non-positive integer {z!r}")
-        return _LN_PI - np.log(np.sin(math.pi * z)) - log_gamma(1.0 - z)
-    if abs(z) >= 16.0:
-        return complex(_log_gamma_stirling(z))
-    return complex(_log_gamma_lanczos(z))
-
-
-def gamma(z: complex) -> complex:
-    """Gamma function via :func:`log_gamma`."""
-    return complex(np.exp(log_gamma(z)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import rgamma
 
 from .phases import ErrorOrder, EvaluationMethod, tracker_for
 from .scattering import CaseTag, SpectralData
-from .specfun import log_gamma
 
 __all__ = [
     "Side",
@@ -56,7 +56,6 @@ __all__ = [
     "DEGENERATE_REFLECTION",
 ]
 
-_TWO_PI = 2.0 * math.pi
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LN2 = math.log(2.0)
 
@@ -302,19 +301,13 @@ def phase_coefficients(sd: SpectralData, alpha: float, s: float) -> PhaseCoeffic
         )
         phi_ii = phi51 = phi52 = phi5_hat = 0.0
     else:
-        if sd.a11 is None or sd.a21 is None:
-            raise ValueError("degenerate-class coefficients need a11 and a21")
-        prod0 = float((complex(sd.a11) * complex(sd.a21)).real)
-        if not prod0 > 0.0:
-            raise ValueError("a11 * a21 must be a positive real number")
-        nu_zero = math.log(prod0) / _TWO_PI
+        nu_zero = tracker.nu_zero
         phi5_hat = -nu_zero * (1.0 - alpha) / (2.0 - alpha)
         phi_ii = 2.0 * phi5_hat
         phi51 = -nu_zero
         phi52 = nu_zero * (3.0 * alpha - 2.0) / (2.0 - alpha)
         main_constant = (
-            math.log(s) * math.log(prod0) / math.pi
-            + 2.0 * tracker.origin_constant.imag
+            2.0 * math.log(s) * nu_zero + 2.0 * tracker.origin_constant.imag
         )
         phi_i = phi4 = phi31 = phi32 = phi3_hat = 0.0
     return PhaseCoefficients(
@@ -371,23 +364,38 @@ def amplitude_Q(sd: SpectralData) -> float:
     return sd.amplitude * math.exp(2.0 * tracker_for(sd).plateau)
 
 
-def _inv_gamma(z: complex) -> complex:
-    """Reciprocal gamma, exactly zero at the poles."""
-    try:
-        return cmath.exp(-log_gamma(z))
-    except ValueError:
-        return 0.0
+def _parametrix_pair(nu: complex, r1: complex, r2: complex) -> tuple[complex, complex]:
+    """Parametrix connection pair (beta, gamma) for the winding index ``nu``
+    and reflection values ``r1``, ``r2``; ``beta * gamma == nu`` identically
+    when ``nu = -ln(1 + r1 r2) / (2 pi)``."""
+    beta = (
+        _SQRT_2PI
+        * cmath.exp(-0.5 * math.pi * nu - 0.75j * math.pi)
+        * complex(rgamma(-1j * nu))
+        / r1
+    )
+    gamma = (
+        _SQRT_2PI
+        * cmath.exp(-0.5 * math.pi * nu - 0.25j * math.pi)
+        * complex(rgamma(1j * nu))
+        / r2
+    )
+    return beta, gamma
 
 
-def _b_at_zero(sd: SpectralData) -> complex:
-    """Quadratic extrapolation of the forward coupling to k = 0.
-
-    Only meaningful for the degenerate class, where the coupling is regular
-    at the origin.
-    """
-    order = np.argsort(np.abs(sd.k_grid))[:10]
-    coeffs = np.polyfit(sd.k_grid[order], sd.b[order], 2)
-    return complex(coeffs[-1])
+def _dress(
+    beta: complex, gamma: complex, nu: complex, chi: complex, alpha: float, s: float
+) -> tuple[complex, complex]:
+    """Tilde pair ``(i beta, -i gamma) * exp(+-i nu ln(s/2) + common +- 2 chi)``:
+    the connection pair dressed by the phase functional ``chi``."""
+    common = (1.0 - alpha) / (2.0 - alpha) * math.log(s) + (alpha + 2.0) / (
+        2.0 * alpha - 4.0
+    ) * _LN2
+    rotation = 1j * nu * math.log(0.5 * s)
+    return (
+        1j * beta * cmath.exp(rotation + common + 2.0 * chi),
+        -1j * gamma * cmath.exp(-rotation + common - 2.0 * chi),
+    )
 
 
 @dataclass(frozen=True)
@@ -415,58 +423,32 @@ def _correction_constants(sd: SpectralData, pc: PhaseCoefficients) -> _Correctio
     alpha, s = pc.alpha, pc.s
     k1 = sd.k1
     level = sd.amplitude
-    common = (1.0 - alpha) / (2.0 - alpha) * math.log(s) + (alpha + 2.0) / (
-        2.0 * alpha - 4.0
-    ) * _LN2
     if sd.case is CaseTag.CASE_I:
-        chi_saddle = tracker.chi_saddle_const(s)
-        nu0 = pc.phi2
-        beta_const = (
-            1j
-            * level
-            * cmath.exp(1j * pc.phi4 * math.log(0.5 * s) + common + 2.0 * chi_saddle)
-            / (2.0 * k1 * cmath.exp((-1j * pc.phi4 - 0.5) * math.log(nu0)))
+        # the dressing at nu = phi4 of the frozen pair amplitudes
+        log_nu0 = math.log(pc.phi2)
+        beta_const, gamma_const = _dress(
+            level / (2.0 * k1 * cmath.exp((-1j * pc.phi4 - 0.5) * log_nu0)),
+            2.0 * k1 / (level * cmath.exp((1j * pc.phi4 - 0.5) * log_nu0)),
+            pc.phi4,
+            tracker.chi_saddle_const(s),
+            alpha,
+            s,
         )
-        gamma_const = (
-            -2j
-            * k1
-            * cmath.exp(-1j * pc.phi4 * math.log(0.5 * s) + common - 2.0 * chi_saddle)
-            / (level * cmath.exp((1j * pc.phi4 - 0.5) * math.log(nu0)))
-        )
-        degenerate = False
     else:
-        b_zero = _b_at_zero(sd)
+        b_zero = tracker.b_at_zero
         if abs(b_zero) < DEGENERATE_REFLECTION * max(1.0, level):
             zero = 0j
             return _CorrectionConstants(zero, zero, zero, zero, zero, True)
-        prod0 = float((complex(sd.a11) * complex(sd.a21)).real)
-        nu_zero = math.log(prod0) / _TWO_PI
-        chi_one = tracker.origin_constant
-        quarter = prod0**-0.25
-        beta_par = (
-            _SQRT_2PI
-            * quarter
-            * cmath.exp(-0.25j * math.pi)
-            * complex(sd.a11)
-            * _inv_gamma(-1j * nu_zero)
-            / (k1 * b_zero)
+        # the pair at nu = nu_zero with the k -> 0 limits of the dressed
+        # reflection values
+        beta_par, gamma_par = _parametrix_pair(
+            tracker.nu_zero,
+            -1j * k1 * b_zero / complex(sd.a11),
+            1j * b_zero.conjugate() / (k1 * complex(sd.a21)),
         )
-        gamma_par = (
-            _SQRT_2PI
-            * k1
-            * complex(sd.a21)
-            * quarter
-            * cmath.exp(-0.75j * math.pi)
-            * _inv_gamma(1j * nu_zero)
-            / b_zero.conjugate()
+        beta_const, gamma_const = _dress(
+            beta_par, gamma_par, tracker.nu_zero, tracker.origin_constant, alpha, s
         )
-        beta_const = 1j * beta_par * cmath.exp(
-            1j * nu_zero * math.log(0.5 * s) + common + 2.0 * chi_one
-        )
-        gamma_const = -1j * gamma_par * cmath.exp(
-            -1j * nu_zero * math.log(0.5 * s) + common - 2.0 * chi_one
-        )
-        degenerate = False
     plateau_q = amplitude_Q(sd)
     amp_forward = -(2.0 * k1 / s) * beta_const
     amp_backward = (
@@ -485,7 +467,7 @@ def _correction_constants(sd: SpectralData, pc: PhaseCoefficients) -> _Correctio
         / k1
     )
     return _CorrectionConstants(
-        beta_const, gamma_const, amp_forward, amp_backward, amp_mirror, degenerate
+        beta_const, gamma_const, amp_forward, amp_backward, amp_mirror, False
     )
 
 
@@ -549,25 +531,8 @@ def beta_gamma(
         result = tracker.expansion(alpha, s, None, ln_t=point.ln_t)
         nu = result.nu_hat
         chi_saddle = result.chi_at_saddle
-    beta = (
-        _SQRT_2PI
-        * cmath.exp(-0.5 * math.pi * nu - 0.75j * math.pi)
-        * _inv_gamma(-1j * nu)
-        / r1_dressed
-    )
-    gamma = (
-        _SQRT_2PI
-        * cmath.exp(-0.5 * math.pi * nu - 0.25j * math.pi)
-        * _inv_gamma(1j * nu)
-        / r2_dressed
-    )
-    common = (1.0 - alpha) / (2.0 - alpha) * math.log(s) + (alpha + 2.0) / (
-        2.0 * alpha - 4.0
-    ) * _LN2
-    beta_tilde = 1j * beta * cmath.exp(1j * nu * math.log(0.5 * s) + common + 2.0 * chi_saddle)
-    gamma_tilde = -1j * gamma * cmath.exp(
-        -1j * nu * math.log(0.5 * s) + common - 2.0 * chi_saddle
-    )
+    beta, gamma = _parametrix_pair(nu, r1_dressed, r2_dressed)
+    beta_tilde, gamma_tilde = _dress(beta, gamma, nu, chi_saddle, alpha, s)
     pc = phase_coefficients(sd, alpha, s)
     constants = _correction_constants(sd, pc)
     if pc.case is CaseTag.CASE_I:
@@ -728,27 +693,8 @@ def gen_as_predict(sd: SpectralData, point: WedgePoint) -> AsymptoticPrediction:
         forward_term = backward_term = 0j
     else:
         chi_saddle = tracker.chi_hat(-s, alpha, s, None, ln_t=point.ln_t)
-        beta = (
-            _SQRT_2PI
-            * cmath.exp(-0.5 * math.pi * nu - 0.75j * math.pi)
-            * _inv_gamma(-1j * nu)
-            / r1_dressed
-        )
-        gamma = (
-            _SQRT_2PI
-            * cmath.exp(-0.5 * math.pi * nu - 0.25j * math.pi)
-            * _inv_gamma(1j * nu)
-            / r2_dressed
-        )
-        common = (1.0 - alpha) / (2.0 - alpha) * math.log(s) + (alpha + 2.0) / (
-            2.0 * alpha - 4.0
-        ) * _LN2
-        beta_tilde = 1j * beta * cmath.exp(
-            1j * nu * math.log(0.5 * s) + common + 2.0 * chi_saddle
-        )
-        gamma_tilde = -1j * gamma * cmath.exp(
-            -1j * nu * math.log(0.5 * s) + common - 2.0 * chi_saddle
-        )
+        beta, gamma = _parametrix_pair(nu, r1_dressed, r2_dressed)
+        beta_tilde, gamma_tilde = _dress(beta, gamma, nu, chi_saddle, alpha, s)
         fast = alpha * point.ln_x
         if fast > 709.0:
             raise OverflowError("fast oscillation overflows at this ln_t")
@@ -927,11 +873,9 @@ def matching_check(
     osc_limit = 2.0 ** (2.0 * 1.0 / (2.0 - 1.0)) * s ** (2.0 / (2.0 - 1.0))
     ratio = None
     if not generic and last_constants is not None and not last_constants.degenerate:
-        prod0 = float((complex(sd.a11) * complex(sd.a21)).real)
-        nu_zero = math.log(prod0) / _TWO_PI
         ratio = (
             last_constants.amp_mirror
-            * cmath.exp(-1j * nu_zero * math.log(4.0 * s))
+            * cmath.exp(-1j * tracker.nu_zero * math.log(4.0 * s))
             / _ray_mirror_constant(sd, s)
         )
     return MatchingReport(
@@ -949,9 +893,8 @@ def matching_check(
 def _ray_mirror_constant(sd: SpectralData, s: float) -> complex:
     """Straight-ray mirror-term constant for the degenerate class."""
     tracker = tracker_for(sd)
-    prod0 = float((complex(sd.a11) * complex(sd.a21)).real)
-    nu_zero = math.log(prod0) / _TWO_PI
-    b_zero = _b_at_zero(sd)
+    nu_zero = tracker.nu_zero
+    b_zero = tracker.b_at_zero
     if abs(b_zero) < DEGENERATE_REFLECTION * max(1.0, sd.amplitude):
         raise ValueError("straight-ray mirror constant undefined for reflectionless data")
     chi_one = tracker.origin_constant
@@ -965,6 +908,6 @@ def _ray_mirror_constant(sd: SpectralData, s: float) -> complex:
         )
         * s
         * complex(sd.a21)
-        * _inv_gamma(-1j * nu_zero)
+        * complex(rgamma(-1j * nu_zero))
         / b_zero
     )

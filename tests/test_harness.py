@@ -55,7 +55,6 @@ def test_load_config_defaults(tmp_path):
     assert cfg.pde is None and cfg.match is None
     assert cfg.output.directory == tmp_path / "out"
     assert cfg.tolerances["psi_fit_rel"] == 0.05
-    assert cfg.tolerances["gap_exponent_margin"] == 0.06
 
 
 def test_load_config_synthetic_params(tmp_path):
@@ -327,7 +326,7 @@ def test_cli_predict_end_to_end(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(
         ["predict", "--config", str(ini), "--out", str(out), "--tol",
-         "gap_exponent_margin=0.1"]
+         "psi_fit_rel=0.1"]
     )
     assert code == 0
     printed = capsys.readouterr().out

@@ -10,7 +10,6 @@ from nnlswedge.profiles import (
     ProfileKind,
     SolitonPoleError,
     fingerprint,
-    sample_profile,
     soliton_exact,
 )
 
@@ -33,28 +32,28 @@ def test_defaults():
 @pytest.mark.parametrize("p", ALL_KINDS, ids=lambda p: p.kind.value)
 def test_exact_clamping(p):
     x = np.array([-1e6, -p.radius - 1.0, -p.radius, p.radius, p.radius + 1.0, 1e6])
-    q = sample_profile(p, x)
+    q = p.sample(x)
     assert np.all(q[:3] == 0.0)
     assert np.all(q[3:] == p.amplitude)
 
 
 def test_pure_step_midpoint():
     p = InitialProfile(ProfileKind.PURE_STEP, amplitude=2.0)
-    assert sample_profile(p, 0.0) == 1.0
-    assert sample_profile(p, -0.5) == 0.0
-    assert sample_profile(p, 0.5) == 2.0
+    assert p.sample(0.0) == 1.0
+    assert p.sample(-0.5) == 0.0
+    assert p.sample(0.5) == 2.0
 
 
 def test_smoothed_step_value():
     # A(1 + tanh(x/w))/2 at x = w is A(1 + tanh 1)/2
     p = InitialProfile(ProfileKind.SMOOTHED_STEP, amplitude=2.0, width=0.7)
     expect = 1.0 + math.tanh(1.0)
-    assert abs(sample_profile(p, 0.7) - expect) < 1e-14
+    assert abs(p.sample(0.7) - expect) < 1e-14
 
 
 def test_compact_step_midpoint_and_smoothness():
     p = InitialProfile(ProfileKind.COMPACT_STEP, amplitude=2.0, width=3.0)
-    assert abs(sample_profile(p, 0.0) - 1.0) < 1e-14
+    assert abs(p.sample(0.0) - 1.0) < 1e-14
     # C^1 at the junction x = width: one-sided slopes agree to O(h)
     h = 1e-7
     left = (p.sample(3.0) - p.sample(3.0 - h)) / h
@@ -68,7 +67,7 @@ def test_mirror_symmetry_of_plain_steps():
     x = np.linspace(-19.0, 19.0, 401)
     for kind in (ProfileKind.PURE_STEP, ProfileKind.SMOOTHED_STEP, ProfileKind.COMPACT_STEP):
         p = InitialProfile(kind, amplitude=1.3, width=2.0)
-        q = sample_profile(p, x)
+        q = p.sample(x)
         assert np.max(np.abs(q + q[::-1] - 1.3)) < 1e-12
 
 
@@ -80,11 +79,11 @@ def test_bump_breaks_mirror_symmetry():
         bump_width=1.2,
     )
     x = np.linspace(-19.0, 19.0, 401)
-    q = sample_profile(p, x)
+    q = p.sample(x)
     assert np.max(np.abs(q + q[::-1] - 1.0)) > 0.05
     # and the bump has the declared peak value on top of the step
     base = InitialProfile(ProfileKind.SMOOTHED_STEP)
-    delta = sample_profile(p, 1.5) - sample_profile(base, 1.5)
+    delta = p.sample(1.5) - base.sample(1.5)
     assert abs(delta - 0.15 * np.exp(0.7j)) < 1e-14
 
 
@@ -145,7 +144,7 @@ def test_soliton_satisfies_equation():
 def test_profile_uses_soliton_at_time_zero():
     p = InitialProfile(ProfileKind.SOLITON_SNAPSHOT, amplitude=1.0, phase=math.pi)
     x = np.linspace(-5.0, 5.0, 11)
-    assert np.max(np.abs(sample_profile(p, x) - soliton_exact(1.0, math.pi, x, 0.0))) == 0.0
+    assert np.max(np.abs(p.sample(x) - soliton_exact(1.0, math.pi, x, 0.0))) == 0.0
 
 
 def test_fingerprint_stability_and_sensitivity():

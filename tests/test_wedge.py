@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnlswedge.phases import EvaluationMethod
 from nnlswedge.scattering import CaseTag, synthetic_case_i, synthetic_case_ii
@@ -277,6 +279,35 @@ def test_connection_product_equals_winding_index(sd_i, sd_ii):
             for t in (1.0e3, 1.0e6, 1.0e9):
                 bg = beta_gamma(sd, 0.65, s, t)
                 assert abs(bg.beta * bg.gamma - bg.nu) < 1e-10
+
+
+@st.composite
+def _synthetic_cells(draw):
+    """A synthetic data set of either family and a wedge point (alpha, s, t);
+    s and t are drawn log-uniformly."""
+    k1 = draw(st.floats(0.3, 1.5))
+    pole = draw(st.floats(0.5, 2.0))
+    if draw(st.booleans()):
+        sd = synthetic_case_i(k1=k1, d=draw(st.floats(0.3, 2.0)))
+    else:
+        sd = synthetic_case_ii(k1=k1, pole=pole, coupling=draw(st.floats(0.05, 0.9)) * pole)
+    alpha = draw(st.floats(0.3, 0.95))
+    s = 10.0 ** draw(st.floats(-1.0, 1.0))
+    t = 10.0 ** draw(st.floats(3.0, 9.0))
+    return sd, synthetic_case_ii(k1=k1, pole=pole, coupling=0.0), alpha, s, t
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(_synthetic_cells())
+def test_connection_identities_across_synthetic_families(cell):
+    sd, refl, alpha, s, t = cell
+    # criterion 04: the parametrix product is the winding index
+    bg = beta_gamma(sd, alpha, s, t)
+    assert abs(bg.beta * bg.gamma - bg.nu) < 1e-10
+    # criterion 07: on reflectionless data both routes agree to round-off
+    for side in (Side.PLUS_X, Side.MINUS_X):
+        wp = wedge_point(alpha, s, t, side)
+        assert abs(predict_q(refl, wp).total - gen_as_predict(refl, wp).total) < 1e-11
 
 
 def test_reflectionless_data_short_circuits(sd_refl):
