@@ -3,8 +3,7 @@ equation with a one-sided step background.
 
 Subpackage map:
 
-* :mod:`nnlswedge.specfun` -- adaptive Gauss-Kronrod quadrature and
-  bracketed root finding;
+* :mod:`nnlswedge.specfun` -- adaptive Gauss-Kronrod quadrature;
 * :mod:`nnlswedge.profiles` -- step-like initial conditions and the exact
   soliton reference solution;
 * :mod:`nnlswedge.scattering` -- direct scattering at time zero: Jost

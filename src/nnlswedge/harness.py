@@ -256,7 +256,10 @@ def load_config(
             raise ConfigError(f"invalid [profile]: {exc}") from exc
 
     kgrid = parser["kgrid"] if "kgrid" in parser else {}
-    kgrid_n = int(_get_float(kgrid, "n_per_sign", 400, "kgrid"))
+    kgrid_n = _get_float(kgrid, "n_per_sign", 400.0, "kgrid")
+    if not (kgrid_n.is_integer() and kgrid_n >= 4):
+        raise ConfigError(f"kgrid.n_per_sign: need an integer >= 4, got {kgrid_n!r}")
+    kgrid_n = int(kgrid_n)
     kgrid_min = _get_float(kgrid, "k_min", 1e-3, "kgrid")
     kgrid_max = _get_float(kgrid, "k_max", 100.0, "kgrid")
     if not 0 < kgrid_min < kgrid_max:
@@ -282,26 +285,23 @@ def load_config(
     pde = None
     if "pde" in parser:
         psec = parser["pde"]
-        dt_raw = psec.get("dt", "")
         pde = PdeBlock(
             half_width=_get_float(psec, "half_width", 40.0, "pde"),
             step=_get_float(psec, "step", 0.02, "pde"),
             t_final=_get_float(psec, "t_final", 1.0, "pde"),
-            dt=float(dt_raw) if dt_raw else None,
+            dt=_get_float(psec, "dt", None, "pde"),
         )
 
     match = None
     if "match" in parser:
         msec = parser["match"]
-        hold = msec.get("hold_product", "")
-        time_raw = msec.get("time", "")
-        if bool(hold) == bool(time_raw):
+        if bool(msec.get("hold_product")) == bool(msec.get("time")):
             raise ConfigError("match: set exactly one of hold_product / time")
         match = MatchBlock(
             s=_get_float(msec, "s", 1.0, "match"),
             alphas=_float_list(msec.get("alphas", "0.9, 0.99, 0.999"), "match.alphas"),
-            hold_product=float(hold) if hold else None,
-            time=float(time_raw) if time_raw else None,
+            hold_product=_get_float(msec, "hold_product", None, "match"),
+            time=_get_float(msec, "time", None, "match"),
         )
 
     osec = parser["output"] if "output" in parser else {}
@@ -320,10 +320,11 @@ def load_config(
 
     tolerances = dict(DEFAULT_TOLERANCES)
     if "tolerances" in parser:
-        for key, raw in parser["tolerances"].items():
+        tsec = parser["tolerances"]
+        for key in tsec:
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {key!r}")
-            tolerances[key] = float(raw)
+            tolerances[key] = _get_float(tsec, key, tolerances[key], "tolerances")
     for item in tol_overrides:
         name, sep, raw = item.partition("=")
         if not sep or name not in DEFAULT_TOLERANCES:
@@ -331,7 +332,7 @@ def load_config(
                 f"--tol expects name=value with name in "
                 f"{sorted(DEFAULT_TOLERANCES)}, got {item!r}"
             )
-        tolerances[name] = float(raw)
+        tolerances[name] = _get_float({name: raw}, name, tolerances[name], "--tol")
 
     return ExperimentConfig(
         profile=profile,

@@ -34,7 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from .profiles import InitialProfile, ProfileKind, fingerprint
-from .specfun import find_imag_axis_zero
 
 __all__ = [
     "CaseTag",
@@ -44,6 +43,7 @@ __all__ = [
     "DegenerateJostError",
     "SmallKMismatchError",
     "CaseClassificationError",
+    "RootBracketError",
     "default_k_grid",
     "jost_at_origin",
     "scattering_matrix",
@@ -82,6 +82,10 @@ class SmallKMismatchError(ScatteringError):
 
 class CaseClassificationError(ScatteringError):
     """Measured limits violate the admissibility assumptions."""
+
+
+class RootBracketError(ScatteringError):
+    """No sign change of the imaginary-axis transmission where one was sought."""
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +167,13 @@ def _expm_traceless(o11, o12, o21):
     return c + s * o11, s * o12, s * o21, c - s * o11
 
 
-def _sweep(profile, k, x_starts, h_steps, p11, p12, p21, p22, *, rescale=False, logs=None):
+def _sweep(profile, k, x_starts, h_steps, p11, p12, p21, p22, *, rescale=False):
     """Apply the Magnus steps ``(x_starts, h_steps)`` to the columns.
 
     ``p11..p22`` are (nk,) arrays forming the propagated 2x2 solution
     (or a single column when ``p12``/``p22`` are None).  With
-    ``rescale=True`` the columns are renormalized per element and the
-    log of the removed factor is accumulated in ``logs``.
+    ``rescale=True`` the first column is renormalized per element after
+    every step; the positive removed factors are discarded.
     """
     xg1 = x_starts + _GAUSS_C1 * h_steps
     xg2 = x_starts + _GAUSS_C2 * h_steps
@@ -199,7 +203,6 @@ def _sweep(profile, k, x_starts, h_steps, p11, p12, p21, p22, *, rescale=False, 
             scale = np.where(scale > 0, scale, 1.0)
             p11 = p11 / scale
             p21 = p21 / scale
-            logs += np.log(scale)
     return p11, p12, p21, p22
 
 
@@ -219,7 +222,7 @@ def _backward_steps(edges: np.ndarray):
     return edges[:0:-1], -np.diff(edges)[::-1]
 
 
-def jost_at_origin(profile: InitialProfile, k, *, k_scale: float | None = None):
+def jost_at_origin(profile: InitialProfile, k):
     """Left and right Jost matrices at ``x = 0`` for the wavenumbers ``k``.
 
     Returns ``(Phi_left, Phi_right)`` with shape ``(nk, 2, 2)``.  ``k``
@@ -230,9 +233,7 @@ def jost_at_origin(profile: InitialProfile, k, *, k_scale: float | None = None):
     k = np.atleast_1d(np.asarray(k))
     if np.any(k == 0):
         raise ValueError("k = 0 is excluded; use the dedicated small-k routines")
-    if k_scale is None:
-        k_scale = float(np.max(np.abs(k)))
-    edges = _step_edges(profile, k_scale)
+    edges = _step_edges(profile, float(np.max(np.abs(k))))
     left_edges, right_edges = _split_at_origin(edges)
     radius = profile.radius
     a = profile.amplitude
@@ -260,18 +261,32 @@ def jost_at_origin(profile: InitialProfile, k, *, k_scale: float | None = None):
     return left, right
 
 
+def _s_entries(k, left, right):
+    """Entries of ``Phi_right^{-1} Phi_left`` over a stack of wavenumbers.
+
+    Returns ``(s11, s12, s21, s22, min_det)``; raises
+    :class:`DegenerateJostError` when the right Jost determinant drops
+    below 1e-12 anywhere.
+    """
+    det = right[:, 0, 0] * right[:, 1, 1] - right[:, 0, 1] * right[:, 1, 0]
+    worst = int(np.argmin(np.abs(det)))
+    min_det = float(abs(det[worst]))
+    if min_det < 1e-12:
+        raise DegenerateJostError(
+            f"right Jost determinant dropped to {min_det:.3e} at k={k[worst]!r}"
+        )
+    s11 = (right[:, 1, 1] * left[:, 0, 0] - right[:, 0, 1] * left[:, 1, 0]) / det
+    s21 = (-right[:, 1, 0] * left[:, 0, 0] + right[:, 0, 0] * left[:, 1, 0]) / det
+    s12 = (right[:, 1, 1] * left[:, 0, 1] - right[:, 0, 1] * left[:, 1, 1]) / det
+    s22 = (-right[:, 1, 0] * left[:, 0, 1] + right[:, 0, 0] * left[:, 1, 1]) / det
+    return s11, s12, s21, s22, min_det
+
+
 def scattering_matrix(profile: InitialProfile, k: float) -> np.ndarray:
     """Scattering matrix ``S(k) = Phi_right(0)^{-1} Phi_left(0)`` (2x2)."""
-    left, right = jost_at_origin(profile, float(k))
-    det = right[0, 0, 0] * right[0, 1, 1] - right[0, 0, 1] * right[0, 1, 0]
-    if abs(det) < 1e-12:
-        raise DegenerateJostError(
-            f"right Jost determinant {abs(det):.3e} at k={k!r} is below 1e-12"
-        )
-    inv = np.array(
-        [[right[0, 1, 1], -right[0, 0, 1]], [-right[0, 1, 0], right[0, 0, 0]]]
-    ) / det
-    return inv @ left[0]
+    k = np.array([float(k)])
+    s11, s12, s21, s22, _ = _s_entries(k, *jost_at_origin(profile, k))
+    return np.array([[s11[0], s12[0]], [s21[0], s22[0]]])
 
 
 def scattering_grid(profile: InitialProfile, k_grid: np.ndarray):
@@ -282,15 +297,7 @@ def scattering_grid(profile: InitialProfile, k_grid: np.ndarray):
     """
     k_grid = np.asarray(k_grid, dtype=float)
     _require_symmetric(k_grid)
-    left, right = jost_at_origin(profile, k_grid)
-    det = right[:, 0, 0] * right[:, 1, 1] - right[:, 0, 1] * right[:, 1, 0]
-    worst = float(np.min(np.abs(det)))
-    if worst < 1e-12:
-        raise DegenerateJostError(f"right Jost determinant dropped to {worst:.3e}")
-    s11 = (right[:, 1, 1] * left[:, 0, 0] - right[:, 0, 1] * left[:, 1, 0]) / det
-    s21 = (-right[:, 1, 0] * left[:, 0, 0] + right[:, 0, 0] * left[:, 1, 0]) / det
-    s12 = (right[:, 1, 1] * left[:, 0, 1] - right[:, 0, 1] * left[:, 1, 1]) / det
-    s22 = (-right[:, 1, 0] * left[:, 0, 1] + right[:, 0, 0] * left[:, 1, 1]) / det
+    s11, s12, s21, s22, min_det = _s_entries(k_grid, *jost_at_origin(profile, k_grid))
     a1, b, a2 = s11, s21, s22
     b_mirror = b[::-1]  # b(-k) on a symmetric grid
     unitarity = float(np.max(np.abs(a1 * a2 + b * np.conj(b_mirror) - 1.0)))
@@ -300,7 +307,7 @@ def scattering_grid(profile: InitialProfile, k_grid: np.ndarray):
     diagnostics = {
         "unitarity_residual": unitarity,
         "symmetry_residual": max(sym_offdiag, sym_a1, sym_a2),
-        "min_det_right": worst,
+        "min_det_right": min_det,
     }
     return a1, a2, b, diagnostics
 
@@ -458,55 +465,68 @@ def _imag_axis_transmission_batch(profile: InitialProfile, rho: np.ndarray) -> n
     edges = _step_edges(profile, float(np.max(rho)))
     left_edges, right_edges = _split_at_origin(edges)
     a = profile.amplitude
-    logs1 = np.zeros(rho.size)
-    logs2 = np.zeros(rho.size)
     # first column of the left solution at x = -R: e^{ikR} (1, A/(2ik))
     w1 = np.ones(rho.size, dtype=complex)
     w2 = 0.5 * a / (1j * k) * np.ones(rho.size, dtype=complex)
     xs, hs = _forward_steps(left_edges)
-    w1, _, w2, _ = _sweep(profile, k, xs, hs, w1, None, w2, None, rescale=True, logs=logs1)
+    w1, _, w2, _ = _sweep(profile, k, xs, hs, w1, None, w2, None, rescale=True)
     # second column of the right solution at x = +R: e^{ikR} (A/(2ik), 1)
     v1 = 0.5 * a / (1j * k) * np.ones(rho.size, dtype=complex)
     v2 = np.ones(rho.size, dtype=complex)
     xs, hs = _backward_steps(right_edges)
-    v1, _, v2, _ = _sweep(profile, k, xs, hs, v1, None, v2, None, rescale=True, logs=logs2)
-    wron = w1 * v2 - v1 * w2
-    return np.real(wron)
+    v1, _, v2, _ = _sweep(profile, k, xs, hs, v1, None, v2, None, rescale=True)
+    return np.real(w1 * v2 - v1 * w2)
 
 
-def find_k1(profile: InitialProfile, *, bracket: tuple[float, float] | None = None) -> float:
+# refinement of the k1 bracket: nodes per sweep, and the bracket width
+# at which the search stops
+_K1_SWEEP_NODES = 64
+_K1_XTOL = 1e-14
+
+
+def find_k1(profile: InitialProfile) -> float:
     """Locate the zero of the transmission ``a1`` on the imaginary axis.
 
-    Scans a geometric grid inside the bracket (default
-    ``[1e-3 A, 1e3 A]``) for a sign change of the rescaled Wronskian,
-    then polishes with Brent's method.
+    Scans ``[1e-3 A, 1e3 A]`` for the first sign change of the rescaled
+    Wronskian (64 geometric nodes up to ``8 A``, 16-node segments above),
+    shrinks that bracket by sweeps of 64 linearly spaced nodes to width
+    1e-14 (or adjacent floats) and returns its midpoint, or a node where
+    the Wronskian vanishes exactly.  Raises :class:`RootBracketError` when
+    the scan finds no sign change or a sweep loses it.
     """
     a = profile.amplitude
-    lo, hi = bracket if bracket is not None else (1e-3 * a, 1e3 * a)
-    # cheap dense scan where the zero physically lives, coarse ladder above
-    segments = [(lo, min(hi, 8.0 * a), 64)]
-    top = min(hi, 8.0 * a)
+    lo, hi = 1e-3 * a, 1e3 * a
+    top = 8.0 * a
+    scan = [np.geomspace(lo, top, 64)]
     while top < hi:
-        nxt = min(hi, 4.0 * top)
-        segments.append((top, nxt, 16))
-        top = nxt
-    for seg_lo, seg_hi, n in segments:
-        grid = np.geomspace(seg_lo, seg_hi, n)
-        vals = _imag_axis_transmission_batch(profile, grid)
+        scan.append(np.geomspace(top, min(hi, 4.0 * top), 16))
+        top = min(hi, 4.0 * top)
+    bracket = None
+    while bracket is None or bracket[1] - bracket[0] > _K1_XTOL:
+        if bracket is not None:
+            rho = np.linspace(bracket[0], bracket[1], _K1_SWEEP_NODES)
+        elif scan:
+            rho = scan.pop(0)
+        else:
+            raise RootBracketError(
+                f"no transmission zero found on the imaginary axis in [{lo:g}, {hi:g}]"
+            )
+        vals = _imag_axis_transmission_batch(profile, rho)
+        zeros = np.nonzero(vals == 0.0)[0]
+        if zeros.size:
+            return float(rho[zeros[0]])
         flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
         if flips.size:
-            i = flips[0]
-            return find_imag_axis_zero(
-                lambda r: float(_imag_axis_transmission_batch(profile, np.array([r]))[0]),
-                float(grid[i]),
-                float(grid[i + 1]),
-                scan_points=12,
+            found = (float(rho[flips[0]]), float(rho[flips[0] + 1]))
+            if found == bracket:
+                break
+            bracket = found
+        elif bracket is not None:
+            raise RootBracketError(
+                f"refinement lost the sign change of a1(i rho) on "
+                f"[{bracket[0]!r}, {bracket[1]!r}]"
             )
-    from .specfun import RootBracketError
-
-    raise RootBracketError(
-        f"no transmission zero found on the imaginary axis in [{lo:g}, {hi:g}]"
-    )
+    return 0.5 * (bracket[0] + bracket[1])
 
 
 # ---------------------------------------------------------------------------
@@ -671,18 +691,19 @@ def compute_spectral_data(
     Runs the Jost sweep over the grid, extracts and cross-validates the
     small-k limits, classifies the case, locates the imaginary-axis
     transmission zero, and measures the winding of the reflection
-    product.  Results are optionally cached as JSON keyed by the profile
-    fingerprint.
+    product.  Results are optionally cached as JSON; a cached file is
+    reused only when both its profile fingerprint and its k grid match
+    the request.
     """
     fp = fingerprint(profile)
+    if k_grid is None:
+        k_grid = default_k_grid()
     if cache_path is not None and not force:
         p = Path(cache_path)
         if p.exists():
             sd = load_spectral_data(p)
-            if sd.profile_fingerprint == fp:
+            if sd.profile_fingerprint == fp and np.array_equal(sd.k_grid, k_grid):
                 return sd
-    if k_grid is None:
-        k_grid = default_k_grid()
     a1, a2, b, diag = scattering_grid(profile, k_grid)
     if diag["unitarity_residual"] > 1e-6:
         warnings.warn(

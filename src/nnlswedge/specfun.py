@@ -1,14 +1,9 @@
-"""Quadrature and root-finding kernels for the asymptotic pipeline.
+"""Quadrature kernel for the asymptotic pipeline.
 
-This module provides the low-level numerics the rest of the package is
-built on:
-
-* an adaptive complex-valued Gauss--Kronrod (G7/K15) integrator with
-  explicit support for an integrable logarithmic singularity at the left
-  endpoint and for semi-infinite domains ``(-inf, b]`` with ``b < 0``;
-* ``find_imag_axis_zero`` -- a bracketed root finder for real-valued
-  functions of a positive real parameter (used to locate the zero of the
-  transmission coefficient on the positive imaginary axis).
+This module provides an adaptive complex-valued Gauss--Kronrod (G7/K15)
+integrator with explicit support for an integrable logarithmic
+singularity at the left endpoint and for semi-infinite domains
+``(-inf, b]`` with ``b < 0``.
 
 All integrands passed to :func:`quad` must accept numpy arrays and
 return arrays of the same shape (real or complex).
@@ -22,16 +17,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "Singularity",
     "QuadratureSpec",
     "QuadResult",
     "QuadratureError",
-    "RootBracketError",
     "quad",
-    "find_imag_axis_zero",
 ]
 
 
@@ -130,10 +122,6 @@ class QuadratureError(RuntimeError):
     """Raised when the subdivision budget is exhausted before converging."""
 
 
-class RootBracketError(RuntimeError):
-    """Raised when no sign change can be located inside the search bracket."""
-
-
 def _gk15(f, a: float, b: float):
     """One Gauss-Kronrod 7/15 panel on [a, b]: (K15 value, |K15-G7|)."""
     half = 0.5 * (b - a)
@@ -229,40 +217,3 @@ def quad(f, a: float, b: float, spec: QuadratureSpec | None = None) -> QuadResul
 
         return _adaptive(mapped, _LOG_LEFT_WMIN, 0.0, spec)
     return _adaptive(f, a, b, spec)
-
-
-# ---------------------------------------------------------------------------
-# Root finding on a real bracket
-# ---------------------------------------------------------------------------
-
-
-def find_imag_axis_zero(
-    func,
-    lo: float,
-    hi: float,
-    *,
-    scan_points: int = 80,
-    xtol: float = 1e-14,
-) -> float:
-    """Find a zero of the real-valued ``func`` on ``[lo, hi]``, ``lo > 0``.
-
-    The bracket is scanned on a geometric grid for the first sign change
-    and the zero is polished with Brent's method.  Raises
-    :class:`RootBracketError` when no sign change exists on the grid,
-    reporting the sampled values at the bracket ends to aid diagnosis.
-    """
-    if not (0 < lo < hi):
-        raise ValueError("bracket must satisfy 0 < lo < hi")
-    grid = np.geomspace(lo, hi, scan_points)
-    vals = np.array([func(g) for g in grid], dtype=float)
-    if np.any(vals == 0.0):
-        return float(grid[np.nonzero(vals == 0.0)[0][0]])
-    signs = np.sign(vals)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    if flips.size == 0:
-        raise RootBracketError(
-            f"no sign change of the target function on [{lo:g}, {hi:g}]: "
-            f"f(lo)={vals[0]:.6e}, f(hi)={vals[-1]:.6e}"
-        )
-    i = flips[0]
-    return float(brentq(func, grid[i], grid[i + 1], xtol=xtol, rtol=8.9e-16))

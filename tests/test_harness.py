@@ -341,6 +341,27 @@ def test_cli_rejects_bad_config_with_exit_2(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "body, extra",
+    [
+        ("[pde]\ndt = abc\n", []),
+        ("[match]\ntime = 1e4x\n", []),
+        ("[match]\nhold_product = wide\n", []),
+        ("[tolerances]\npsi_fit_rel = loose\n", []),
+        ("", ["--tol", "psi_fit_rel=loose"]),
+        ("[kgrid]\nn_per_sign = 3\n", []),
+        ("[kgrid]\nn_per_sign = 3.7\n", []),
+    ],
+    ids=["pde-dt", "match-time", "match-hold", "tolerance", "cli-tol", "n-3", "n-3.7"],
+)
+def test_cli_rejects_bad_numbers_as_config_errors(tmp_path, capsys, body, extra):
+    ini = _write(tmp_path, "[profile]\nkind = synthetic-case-i\n" + body)
+    with pytest.raises(SystemExit) as err:
+        main(["predict", "--config", str(ini), "--out", str(tmp_path / "out"), *extra])
+    assert err.value.code == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_cli_compare_announces_all_reports(tmp_path, capsys):
     ini = _write(
         tmp_path,

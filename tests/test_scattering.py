@@ -19,6 +19,7 @@ from nnlswedge.profiles import InitialProfile, ProfileKind
 from nnlswedge.scattering import (
     CaseClassificationError,
     CaseTag,
+    RootBracketError,
     SmallKData,
     SmallKMismatchError,
     check_assumption2,
@@ -197,10 +198,46 @@ def test_classify_case_error_paths():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("amplitude", [1.0, 2.0])
+@pytest.mark.parametrize("amplitude", [0.3, 1.0, 2.0, 5.0])
 def test_pure_step_k1(amplitude):
     p = InitialProfile(ProfileKind.PURE_STEP, amplitude=amplitude)
-    assert abs(find_k1(p) - 0.5 * amplitude) < 1e-9
+    assert abs(find_k1(p) - 0.5 * amplitude) < 1e-12 * amplitude
+
+
+def test_find_k1_without_sign_change_raises(monkeypatch):
+    monkeypatch.setattr(
+        "nnlswedge.scattering._imag_axis_transmission_batch",
+        lambda profile, rho: 1.0 + rho * rho,
+    )
+    with pytest.raises(RootBracketError):
+        find_k1(InitialProfile(ProfileKind.PURE_STEP, amplitude=1.0))
+
+
+def test_find_k1_raises_when_refinement_loses_the_sign_change(monkeypatch):
+    calls = []
+
+    def flaky(profile, rho):  # the scan sees a zero at 0.5, the sweeps do not
+        calls.append(rho.size)
+        return np.where(rho < 0.5, -1.0, 1.0) if len(calls) == 1 else np.ones_like(rho)
+
+    monkeypatch.setattr("nnlswedge.scattering._imag_axis_transmission_batch", flaky)
+    with pytest.raises(RootBracketError, match="refinement lost"):
+        find_k1(InitialProfile(ProfileKind.PURE_STEP, amplitude=1.0))
+    assert len(calls) == 2  # no fall-through to the coarse ladder
+
+
+def test_find_k1_stops_at_adjacent_floats(monkeypatch):
+    # near 100 the float spacing (1.4e-14) exceeds the 1e-14 stopping width
+    sweeps = []
+
+    def step(profile, rho):  # a sign change at 100.1 with no exact zero
+        sweeps.append(rho.size)
+        assert len(sweeps) < 50, "bracket refinement does not terminate"
+        return np.where(rho < 100.1, -1.0, 1.0)
+
+    monkeypatch.setattr("nnlswedge.scattering._imag_axis_transmission_batch", step)
+    k1 = find_k1(InitialProfile(ProfileKind.PURE_STEP, amplitude=1.0))
+    assert abs(k1 - 100.1) <= 2 * np.spacing(100.1)
 
 
 def test_smoothed_step_k1(sd_smoothed):
@@ -323,3 +360,15 @@ def test_cache_hit(tmp_path):
     sd2 = compute_spectral_data(p, cache_path=path)
     assert path.stat().st_mtime_ns == stamp  # untouched on hit
     assert np.array_equal(sd1.a1, sd2.a1)
+
+
+def test_cache_miss_on_other_grid(tmp_path):
+    p = InitialProfile(ProfileKind.PURE_STEP, amplitude=1.0)
+    path = tmp_path / "cache.json"
+    coarse = compute_spectral_data(p, default_k_grid(100), cache_path=path)
+    assert coarse.k_grid.size == 200
+    stamp = path.stat().st_mtime_ns
+    fine = compute_spectral_data(p, default_k_grid(400), cache_path=path)
+    assert fine.k_grid.size == 800
+    assert path.stat().st_mtime_ns != stamp  # rewritten for the new grid
+    assert load_spectral_data(path).k_grid.size == 800

@@ -1,5 +1,5 @@
-"""Oracle tests for the quadrature and root-finding kernels, and for the
-reciprocal-gamma identity the connection pair relies on.
+"""Oracle tests for the quadrature kernel, and for the reciprocal-gamma
+identity the connection pair relies on.
 
 Every expected value below is either an exact closed form (antiderivative
 evaluated by hand, noted inline) or an identity cross-checked against an
@@ -15,9 +15,7 @@ import scipy.special as sp
 from nnlswedge.specfun import (
     QuadratureError,
     QuadratureSpec,
-    RootBracketError,
     Singularity,
-    find_imag_axis_zero,
     quad,
 )
 
@@ -127,17 +125,3 @@ def test_imaginary_axis_product_identity(y):
     target = y * math.sinh(math.pi * y) / math.pi
     assert abs(prod - target) < 1e-10 * max(1.0, abs(target))
 
-
-# ---------------------------------------------------------------------------
-# bracketed root finder
-# ---------------------------------------------------------------------------
-
-
-def test_root_finder_sqrt_two():
-    root = find_imag_axis_zero(lambda r: r * r - 2.0, 1e-3, 1e3)
-    assert abs(root - 1.4142135623730951) < 1e-12
-
-
-def test_root_finder_no_bracket():
-    with pytest.raises(RootBracketError):
-        find_imag_axis_zero(lambda r: 1.0 + r * r, 1e-3, 1e3)
