@@ -32,6 +32,7 @@ from .pde import (
     FieldSnapshot,
     evolve,
     interpolate_field,
+    mirror_mass,
     symmetric_grid,
     write_snapshots_csv,
 )
@@ -627,6 +628,7 @@ def cmd_compare(
     steps = 0
     abort_reason = ""
     state = cfg.profile.sample(grid.x)
+    mass0 = mirror_mass(state, grid.step)
     t_now = 0.0
     for target in w.t_ladder:
         try:
@@ -697,6 +699,16 @@ def cmd_compare(
     lines.append(f"partial={'yes' if abort_reason else 'no'}")
     if abort_reason:
         lines.append(f"abort_reason={abort_reason}")
+    # the evolution's own diagnostics over the reached snapshots; each
+    # segment measures edge drift from its own start
+    edge_drift = max(
+        (max(snap.left_drift, snap.right_drift) for snap in reached), default=0.0
+    )
+    mass_drift = max((abs(snap.mirror_mass - mass0) for snap in reached), default=0.0)
+    lines.append(f"steps={steps}")
+    lines.append(f"dt={_fmt(dt)}")
+    lines.append(f"edge_drift={_fmt(edge_drift)}")
+    lines.append(f"mirror_mass_drift={_fmt(mass_drift)}")
     for alpha in w.alphas:
         for s in w.s_values:
             for side in w.sides:

@@ -693,7 +693,8 @@ def compute_spectral_data(
     transmission zero, and measures the winding of the reflection
     product.  Results are optionally cached as JSON; a cached file is
     reused only when both its profile fingerprint and its k grid match
-    the request.
+    the request.  A cached file that does not load (another schema,
+    invalid JSON, missing fields) is a miss and is overwritten.
     """
     fp = fingerprint(profile)
     if k_grid is None:
@@ -701,8 +702,17 @@ def compute_spectral_data(
     if cache_path is not None and not force:
         p = Path(cache_path)
         if p.exists():
-            sd = load_spectral_data(p)
-            if sd.profile_fingerprint == fp and np.array_equal(sd.k_grid, k_grid):
+            try:
+                sd = load_spectral_data(p)
+            except (ValueError, KeyError, TypeError, AttributeError):
+                # another schema, invalid JSON, missing fields or a non-object
+                # payload: a miss
+                sd = None
+            if (
+                sd is not None
+                and sd.profile_fingerprint == fp
+                and np.array_equal(sd.k_grid, k_grid)
+            ):
                 return sd
     a1, a2, b, diag = scattering_grid(profile, k_grid)
     if diag["unitarity_residual"] > 1e-6:

@@ -269,6 +269,15 @@ def test_compare_abort_yields_partial_report(tmp_path):
     assert "partial=yes" in summary
     assert "abort_reason=FieldBlowUpError" in summary
     assert "fallback_fitted_exponents=yes" in summary
+    fields = dict(
+        line.split("=", 1)
+        for line in summary.splitlines()
+        if line.split("=", 1)[0] in ("steps", "dt", "edge_drift", "mirror_mass_drift")
+    )
+    assert sorted(fields) == ["dt", "edge_drift", "mirror_mass_drift", "steps"]
+    assert int(fields["steps"]) > 0
+    for key in ("dt", "edge_drift", "mirror_mass_drift"):
+        assert math.isfinite(float(fields[key]))
 
     # snapshots hold exactly the reached times
     times = {

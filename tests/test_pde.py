@@ -86,6 +86,64 @@ def test_fourth_order_spatial_convergence():
     assert errs[0.2] / errs[0.1] > 12.0  # measured 15.6
 
 
+def _textbook_rk4(q0, grid, dt, snapshot_times):
+    """Allocation-based classical RK4 on the same semi-discrete system."""
+    n = q0.size
+    inv_12h2 = 1.0 / (12.0 * grid.step**2)
+    padded = np.empty(n + 4, dtype=np.complex128)
+    padded[0] = padded[1] = q0[0]
+    padded[-1] = padded[-2] = q0[-1]
+
+    def rhs(q):
+        padded[2:-2] = q
+        lap = (
+            -padded[:-4]
+            + 16.0 * padded[1:-3]
+            - 30.0 * padded[2:-2]
+            + 16.0 * padded[3:-1]
+            - padded[4:]
+        ) * inv_12h2
+        out = 1j * (lap + 2.0 * q * q * np.conj(q[::-1]))
+        out[0] = 0.0
+        out[-1] = 0.0
+        return out
+
+    q = q0.copy()
+    t = 0.0
+    states = []
+    for target in snapshot_times:
+        n_steps = max(1, int(math.ceil((target - t) / dt - 1e-12)))
+        h = (target - t) / n_steps
+        for _ in range(n_steps):
+            k1 = rhs(q)
+            k2 = rhs(q + 0.5 * h * k1)
+            k3 = rhs(q + 0.5 * h * k2)
+            k4 = rhs(q + h * k3)
+            q = q + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        t = target
+        states.append(q.copy())
+    return states
+
+
+def test_stepper_matches_textbook_rk4(grid20):
+    # a step between two different nonzero levels with an off-centre
+    # complex bump: no mirror symmetry, so the conj(q(-x)) coupling, the
+    # ghost nodes on both sides and both pins all enter the result
+    x = grid20.x
+    left, right = 0.4 * np.exp(0.9j), 1.0
+    q0 = (
+        left
+        + (right - left) * 0.5 * (1.0 + np.tanh(x - 0.7))
+        + 0.3 * np.exp(0.4j) * np.exp(-((x - 2.0) ** 2))
+    )
+    times = (0.05, 0.1)
+    res = evolve(q0, grid20, 0.1, dt=0.004, snapshot_times=times, drift_abort=1.0)
+    oracle = _textbook_rk4(q0, grid20, 0.004, times)
+    for snap, want in zip(res.snapshots, oracle):
+        assert np.max(np.abs(snap.q - want)) <= 1e-12
+        assert snap.q[0] == q0[0] and snap.q[-1] == q0[-1]
+
+
 def test_blow_up_guard_catches_the_pole(grid20):
     # with carrier phase pi the exact solution has a finite-time pole at
     # (x, t) = (0, pi); the magnitude guard must abort on approach

@@ -10,6 +10,7 @@ Oracles used here:
 * the synthetic rational families satisfy unitarity identically.
 """
 
+import json
 import math
 
 import numpy as np
@@ -372,3 +373,14 @@ def test_cache_miss_on_other_grid(tmp_path):
     assert fine.k_grid.size == 800
     assert path.stat().st_mtime_ns != stamp  # rewritten for the new grid
     assert load_spectral_data(path).k_grid.size == 800
+
+
+@pytest.mark.parametrize("content", ['{"schema": "spectral-data/0"}', "not json"])
+def test_unreadable_cache_is_a_miss(tmp_path, content):
+    p = InitialProfile(ProfileKind.PURE_STEP, amplitude=1.0)
+    path = tmp_path / "cache.json"
+    path.write_text(content, encoding="ascii")
+    sd = compute_spectral_data(p, default_k_grid(100), cache_path=path)
+    assert sd.k_grid.size == 200
+    assert json.loads(path.read_text(encoding="ascii"))["schema"] == "spectral-data/1"
+    assert load_spectral_data(path).profile_fingerprint == sd.profile_fingerprint
