@@ -16,7 +16,7 @@ import numpy as np
 from nnlswedge.pde import evolve, interpolate_field, symmetric_grid
 from nnlswedge.profiles import InitialProfile, ProfileKind, soliton_exact
 from nnlswedge.scattering import compute_spectral_data
-from nnlswedge.wedge import amplitude_Q
+from nnlswedge.wedge import amplitude_Q, wedge_point
 
 # --- the solver against an exact solution -------------------------------
 # The standing soliton on a unit background is exact and regular for
@@ -45,7 +45,7 @@ res = evolve(prof.sample(grid.x), grid, 2.6, snapshot_times=times)
 alpha, s = 0.8, 1.0
 print("distance from the plateau on the alpha = 0.8, s = 1 ray:")
 for snap in res.snapshots:
-    x = (4.0 * s * snap.t) ** (1.0 / (2.0 - alpha))
+    x = wedge_point(alpha, s, snap.t).x
     q_ray = interpolate_field(grid, snap.q, x)
     print(f"  t = {snap.t:3.1f}   x = {x:6.2f}   | |q| - Q | = "
           f"{abs(abs(q_ray) - level):.4f}")

@@ -8,8 +8,9 @@ Subpackage map:
   soliton reference solution;
 * :mod:`nnlswedge.scattering` -- direct scattering at time zero: Jost
   solutions, scattering matrix, small-k limits, case classification;
-* :mod:`nnlswedge.phases` -- branch-tracked phase functionals of the
-  reflection-coefficient product and their slow-variable expansions;
+* :mod:`nnlswedge.phases` -- wedge-point geometry and the branch-tracked
+  phase functionals of the reflection-coefficient product, with their
+  slow-variable expansions;
 * :mod:`nnlswedge.wedge` -- leading-order and first-correction
   predictions of the field inside the spreading wedge;
 * :mod:`nnlswedge.pde` -- a mirror-coupled finite-difference evolver for

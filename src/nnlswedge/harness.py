@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import configparser
+import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .pde import (
-    DEFAULT_DT_FACTOR,
     BoundaryDriftError,
     EvolutionResult,
     FieldBlowUpError,
@@ -33,6 +33,7 @@ from .pde import (
     evolve,
     interpolate_field,
     mirror_mass,
+    resolve_dt,
     symmetric_grid,
     write_snapshots_csv,
 )
@@ -54,6 +55,7 @@ from .wedge import (
     amplitude_Q,
     gen_as_predict,
     matching_check,
+    matching_ladder,
     phase_coefficients,
     predict_q,
     wedge_point,
@@ -275,13 +277,16 @@ def load_config(
         sides = tuple(Side(tok) for tok in side_tokens)
     except ValueError as exc:
         raise ConfigError(f"wedge.sides: {exc}") from exc
-    if any(not 0.0 < a < 1.0 for a in alphas):
-        raise ConfigError("wedge.alphas must lie in (0, 1)")
-    if any(s <= 0.0 for s in s_values):
-        raise ConfigError("wedge.s_values must be positive")
-    if any(b <= a for a, b in zip(t_ladder, t_ladder[1:])) or t_ladder[0] <= 1.0:
-        raise ConfigError("wedge.t_ladder must be strictly increasing with t > 1")
+    if any(b <= a for a, b in zip(t_ladder, t_ladder[1:])):
+        raise ConfigError("wedge.t_ladder must be strictly increasing")
     wedge = WedgeBlock(alphas, s_values, t_ladder, sides)
+    for alpha, s, t in itertools.product(alphas, s_values, t_ladder):
+        try:
+            wedge_point(alpha, s, t)
+        except ValueError as exc:
+            raise ConfigError(
+                f"wedge cell alpha={alpha:g}, s={s:g}, t={t:g}: {exc}"
+            ) from exc
 
     pde = None
     if "pde" in parser:
@@ -292,6 +297,10 @@ def load_config(
             t_final=_get_float(psec, "t_final", 1.0, "pde"),
             dt=_get_float(psec, "dt", None, "pde"),
         )
+        try:
+            resolve_dt(symmetric_grid(pde.half_width, pde.step), pde.dt)
+        except ValueError as exc:
+            raise ConfigError(f"invalid [pde]: {exc}") from exc
 
     match = None
     if "match" in parser:
@@ -304,6 +313,12 @@ def load_config(
             hold_product=_get_float(msec, "hold_product", None, "match"),
             time=_get_float(msec, "time", None, "match"),
         )
+        try:
+            matching_ladder(
+                match.s, match.alphas, t=match.time, hold_product=match.hold_product
+            )
+        except ValueError as exc:
+            raise ConfigError(f"invalid [match]: {exc}") from exc
 
     osec = parser["output"] if "output" in parser else {}
     directory = Path(out_dir) if out_dir is not None else Path(
@@ -473,7 +488,7 @@ def _psi_fit_lines(sd: SpectralData, cfg: ExperimentConfig) -> list[str]:
     for alpha in cfg.wedge.alphas:
         for s in cfg.wedge.s_values:
             pc = phase_coefficients(sd, alpha, s)
-            big_l = np.array([math.log(4.0 * s * t) for t in cfg.wedge.t_ladder])
+            big_l = np.array([wedge_point(alpha, s, t).ln_4st for t in cfg.wedge.t_ladder])
             ledger = predict_q(
                 sd, wedge_point(alpha, s, cfg.wedge.t_ladder[0], Side.PLUS_X)
             ).ledger
@@ -593,7 +608,7 @@ def _validate_compare_geometry(cfg: ExperimentConfig) -> None:
     for alpha in w.alphas:
         for s in w.s_values:
             for t in w.t_ladder:
-                x = (4.0 * s * t) ** (1.0 / (2.0 - alpha))
+                x = wedge_point(alpha, s, t).x
                 if x + clearance > p.half_width:
                     raise ConfigError(
                         f"wedge point x={x:.4g} (alpha={alpha:g}, s={s:g}, "
@@ -623,7 +638,7 @@ def cmd_compare(
     grid = symmetric_grid(p.half_width, p.step)
 
     # evolve segment by segment so an abort still yields earlier snapshots
-    dt = p.dt if p.dt is not None else DEFAULT_DT_FACTOR * grid.step * grid.step
+    dt = resolve_dt(grid, p.dt)
     reached: list[FieldSnapshot] = []
     steps = 0
     abort_reason = ""

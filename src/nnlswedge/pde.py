@@ -36,6 +36,7 @@ __all__ = [
     "FieldBlowUpError",
     "BoundaryDriftError",
     "symmetric_grid",
+    "resolve_dt",
     "evolve",
     "mirror_mass",
     "interpolate_field",
@@ -175,6 +176,20 @@ def _rhs_into(padded, out, work, c16, c1, c30) -> None:
     out[-1] = 0.0
 
 
+def resolve_dt(grid: SpatialGrid, dt: float | None) -> float:
+    """Time step on ``grid``: ``dt``, or ``DEFAULT_DT_FACTOR * h^2`` when it
+    is None.  Raises ValueError when the step lies outside (0, dt_max], with
+    dt_max = ``STABLE_DT_FACTOR * h^2`` the linear stability edge."""
+    h = grid.step
+    if dt is None:
+        dt = DEFAULT_DT_FACTOR * h * h
+    if not 0.0 < dt <= STABLE_DT_FACTOR * h * h * (1.0 + 1e-12):
+        raise ValueError(
+            f"dt must lie in (0, {STABLE_DT_FACTOR:.4f} h^2] for a stable step"
+        )
+    return dt
+
+
 def evolve(
     q0,
     grid: SpatialGrid,
@@ -203,12 +218,7 @@ def evolve(
     if not t_final > 0.0:
         raise ValueError("t_final must be positive")
     h = grid.step
-    if dt is None:
-        dt = DEFAULT_DT_FACTOR * h * h
-    if not 0.0 < dt <= STABLE_DT_FACTOR * h * h * (1.0 + 1e-12):
-        raise ValueError(
-            f"dt must lie in (0, {STABLE_DT_FACTOR:.4f} h^2] for a stable step"
-        )
+    dt = resolve_dt(grid, dt)
     times = sorted(float(s) for s in snapshot_times)
     if times and (times[0] <= 0.0 or times[-1] > t_final * (1.0 + 1e-12)):
         raise ValueError("snapshot times must lie in (0, t_final]")

@@ -1,5 +1,10 @@
 """Phase functionals driving the curved-wedge asymptotics.
 
+A point on the wedge x**(2-alpha) = 4 s t is a :class:`WedgePoint`; it
+alone derives ln(4st), ln x and the scaled stationary point
+xi = s * x**(alpha-1), and every point method of :class:`PhaseTracker`
+takes one.
+
 Every quantity in this module is a Cauchy-type integral of the
 branch-tracked logarithm of ``W(k) = 1 + r1(k) r2(k)`` over the negative
 spectral half-line.  Under unitarity ``W = 1/(a1 a2)`` exactly, so the
@@ -44,18 +49,13 @@ __all__ = [
     "PhaseFunctionalResult",
     "PhaseTracker",
     "RefinementRequiredError",
-    "chi_hat",
-    "chi_nu_direct",
-    "chi_nu_expansion",
-    "delta0",
-    "delta0_expansion",
-    "nu_hat",
-    "slow_variables",
+    "Side",
+    "WedgePoint",
     "tracker_for",
+    "wedge_point",
 ]
 
 _TWO_PI = 2.0 * math.pi
-_LN4 = math.log(4.0)
 
 # Inner edge of the window on which the algebraic tail is fitted.
 _K_FIT = 30.0
@@ -125,22 +125,86 @@ class PhaseFunctionalResult:
     case: CaseTag
 
 
-def slow_variables(alpha: float, s: float, t: float | None, *, ln_t: float | None = None):
-    """Return (ln xi, ln x, ln 4st) for the wedge parametrized by
-    x**(2-alpha) = 4 s t.  Pass ``ln_t`` to stay in log space when t
-    itself would overflow."""
+class Side(Enum):
+    """Which side of the origin a prediction refers to.
+
+    The wedge coordinate x is always positive; ``MINUS_X`` predictions
+    describe the field at ``-x``, which is coupled to the field at ``+x``
+    by the mirror nonlinearity.
+    """
+
+    PLUS_X = "+x"
+    MINUS_X = "-x"
+
+
+@dataclass(frozen=True)
+class WedgePoint:
+    """A point on the wedge curve x**(2-alpha) = 4 s t, stored in log-time
+    form.
+
+    All derived quantities are exposed through logarithms so the point
+    remains usable on ladders where t itself would overflow a double.
+    """
+
+    alpha: float
+    s: float
+    ln_t: float
+    side: Side
+
+    @property
+    def ln_4st(self) -> float:
+        return math.log(4.0 * self.s) + self.ln_t
+
+    @property
+    def ln_x(self) -> float:
+        return self.ln_4st / (2.0 - self.alpha)
+
+    @property
+    def ln_xi(self) -> float:
+        return math.log(self.s) + (self.alpha - 1.0) * self.ln_x
+
+    @property
+    def t(self) -> float:
+        return math.exp(self.ln_t) if self.ln_t < 709.0 else math.inf
+
+    @property
+    def x(self) -> float:
+        return math.exp(self.ln_x) if self.ln_x < 709.0 else math.inf
+
+    @property
+    def xi(self) -> float:
+        return math.exp(self.ln_xi)
+
+
+def wedge_point(
+    alpha: float,
+    s: float,
+    t: float | None = None,
+    side: Side | str = Side.PLUS_X,
+    *,
+    ln_t: float | None = None,
+) -> WedgePoint:
+    """Construct a :class:`WedgePoint`, validating the asymptotic regime.
+
+    Pass ``ln_t`` instead of ``t`` to stay in log space.  Requires t > 1 and
+    4st > e so every logarithm in the phase ledgers is positive.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if not s > 0.0:
         raise ValueError("s must be positive")
     if ln_t is None:
         if t is None or not t > 0.0:
-            raise ValueError("t must be positive (or pass ln_t)")
+            raise ValueError("provide t > 0 or ln_t")
         ln_t = math.log(t)
-    ln_4st = _LN4 + math.log(s) + ln_t
-    ln_x = ln_4st / (2.0 - alpha)
-    ln_xi = math.log(s) + (alpha - 1.0) * ln_x
-    return ln_xi, ln_x, ln_4st
+    if isinstance(side, str):
+        side = Side(side)
+    if not ln_t > 0.0:
+        raise ValueError("asymptotic predictions require t > 1")
+    point = WedgePoint(float(alpha), float(s), float(ln_t), side)
+    if not point.ln_4st > 1.0:
+        raise ValueError("asymptotic predictions require ln(4 s t) > 1")
+    return point
 
 
 def _tail_moment(n: int, k_edge: float) -> float:
@@ -293,17 +357,16 @@ class PhaseTracker:
 
     # -- point values ----------------------------------------------------------
 
-    def reflection_pair(self, alpha: float, s: float, t: float | None, *, ln_t: float | None = None):
+    def reflection_pair(self, point: WedgePoint):
         """Saddle-point values of the pole-dressed reflection coefficients.
 
         Their product equals r1(-xi) r2(-xi) identically -- the dressing
         cancels -- so these are the values whose combination with nu_hat
         obeys the exact parametrix product identity.
         """
-        ln_xi, ln_x, _ = slow_variables(alpha, s, t, ln_t=ln_t)
-        xi = math.exp(ln_xi)
+        xi = point.xi
         self._check_window(xi)
-        dress = 1.0 + 1j * self.sd.k1 * math.exp((1.0 - alpha) * ln_x) / s
+        dress = 1.0 + 1j * self.sd.k1 * math.exp((1.0 - point.alpha) * point.ln_x) / point.s
         r1 = complex(self._s1(-xi)) * (-xi) * dress
         r2 = complex(self._s2(-xi)) / (-xi) / dress
         return r1, r2
@@ -320,28 +383,16 @@ class PhaseTracker:
         wind = round((target - principal) / _TWO_PI)
         return complex(math.log(abs(w)), principal + _TWO_PI * wind)
 
-    def nu_hat(self, alpha: float, s: float, t: float | None, *, ln_t: float | None = None) -> complex:
+    def nu_hat(self, point: WedgePoint) -> complex:
         """-(1/2 pi) ln(1 + r1 r2) at the stationary point, continuous branch."""
-        ln_xi, _, _ = slow_variables(alpha, s, t, ln_t=ln_t)
-        xi = math.exp(ln_xi)
-        self._check_window(xi)
-        r1, r2 = self.reflection_pair(alpha, s, t, ln_t=ln_t)
-        w = 1.0 + r1 * r2
-        return -self._log_w_tracked(w, -xi) / _TWO_PI
+        r1, r2 = self.reflection_pair(point)
+        return -self._log_w_tracked(1.0 + r1 * r2, -point.xi) / _TWO_PI
 
-    def chi_hat(
-        self,
-        z: float,
-        alpha: float,
-        s: float,
-        t: float | None,
-        *,
-        ln_t: float | None = None,
-        spec: QuadratureSpec | None = None,
-    ) -> complex:
+    def chi_hat(self, z: float, point: WedgePoint) -> complex:
         """Direct quadrature of the log-kernel functional at height z >= -s."""
-        ln_xi, ln_x, _ = slow_variables(alpha, s, t, ln_t=ln_t)
-        xi = math.exp(ln_xi)
+        alpha, s = point.alpha, point.s
+        ln_xi, ln_x = point.ln_xi, point.ln_x
+        xi = point.xi
         self._check_window(xi)
         if z < -s - 1e-12 * max(1.0, s):
             raise ValueError("chi_hat requires z >= -s")
@@ -377,12 +428,11 @@ class PhaseTracker:
             lo, hi = ln_xi, ln_edge
             kind = Singularity.NONE
 
-        if spec is None:
-            # Tolerances are bounded below by the C^1 smoothness of the
-            # splined data: the panel error estimate saturates near 1e-10.
-            spec = QuadratureSpec(
-                atol=1e-10, rtol=1e-9, max_subdivisions=600, singularity=kind
-            )
+        # Tolerances are bounded below by the C^1 smoothness of the splined
+        # data: the panel error estimate saturates near 1e-10.
+        spec = QuadratureSpec(
+            atol=1e-10, rtol=1e-9, max_subdivisions=600, singularity=kind
+        )
         mid = quad(integrand, lo, hi, spec).value
         return scale_term + 1j / _TWO_PI * (tail - mid)
 
@@ -444,11 +494,9 @@ class PhaseTracker:
 
     # -- result assembly -----------------------------------------------------------
 
-    def expansion(
-        self, alpha: float, s: float, t: float | None, *, ln_t: float | None = None
-    ) -> PhaseFunctionalResult:
+    def expansion(self, point: WedgePoint) -> PhaseFunctionalResult:
         """Large-time expansions of nu_hat and chi_hat."""
-        _, _, ln_4st = slow_variables(alpha, s, t, ln_t=ln_t)
+        alpha, s, ln_4st = point.alpha, point.s, point.ln_4st
         if not EXPANSION_BAND[0] <= s <= EXPANSION_BAND[1]:
             warnings.warn(
                 f"s={s:.3g} outside the uniform-expansion band {EXPANSION_BAND}",
@@ -486,12 +534,13 @@ class PhaseTracker:
             case=self.sd.case,
         )
 
-    def direct(self, alpha: float, s: float, t: float | None, *, ln_t: float | None = None) -> PhaseFunctionalResult:
+    def direct(self, point: WedgePoint) -> PhaseFunctionalResult:
         """Direct-quadrature values of nu_hat and chi_hat at z = 0 and z = -s."""
+        s = point.s
         return PhaseFunctionalResult(
-            nu_hat=self.nu_hat(alpha, s, t, ln_t=ln_t),
-            chi_at_origin=self.chi_hat(0.0, alpha, s, t, ln_t=ln_t),
-            chi_at_saddle=self.chi_hat(-s, alpha, s, t, ln_t=ln_t),
+            nu_hat=self.nu_hat(point),
+            chi_at_origin=self.chi_hat(0.0, point),
+            chi_at_saddle=self.chi_hat(-s, point),
             chi_origin_const=self.chi_origin_const(s),
             chi_saddle_const=self.chi_saddle_const(s),
             plateau=self.plateau,
@@ -555,32 +604,3 @@ def tracker_for(sd: SpectralData) -> PhaseTracker:
         _TRACKERS[key] = tracker
     return tracker
 
-
-def nu_hat(sd: SpectralData, alpha: float, s: float, t: float | None, *, ln_t: float | None = None) -> complex:
-    return tracker_for(sd).nu_hat(alpha, s, t, ln_t=ln_t)
-
-
-def chi_hat(
-    sd: SpectralData, z: float, alpha: float, s: float, t: float | None, *, ln_t: float | None = None
-) -> complex:
-    return tracker_for(sd).chi_hat(z, alpha, s, t, ln_t=ln_t)
-
-
-def chi_nu_expansion(
-    sd: SpectralData, alpha: float, s: float, t: float | None, *, ln_t: float | None = None
-) -> PhaseFunctionalResult:
-    return tracker_for(sd).expansion(alpha, s, t, ln_t=ln_t)
-
-
-def chi_nu_direct(
-    sd: SpectralData, alpha: float, s: float, t: float | None, *, ln_t: float | None = None
-) -> PhaseFunctionalResult:
-    return tracker_for(sd).direct(alpha, s, t, ln_t=ln_t)
-
-
-def delta0(sd: SpectralData, xi: float) -> complex:
-    return tracker_for(sd).delta0(xi)
-
-
-def delta0_expansion(sd: SpectralData, xi: float) -> complex:
-    return tracker_for(sd).delta0_expansion(xi)

@@ -1,9 +1,8 @@
 """Quadrature kernel for the asymptotic pipeline.
 
 This module provides an adaptive complex-valued Gauss--Kronrod (G7/K15)
-integrator with explicit support for an integrable logarithmic
-singularity at the left endpoint and for semi-infinite domains
-``(-inf, b]`` with ``b < 0``.
+integrator on finite intervals, with explicit support for an integrable
+logarithmic singularity at the left endpoint.
 
 All integrands passed to :func:`quad` must accept numpy arrays and
 return arrays of the same shape (real or complex).
@@ -172,39 +171,19 @@ def _adaptive(f, a: float, b: float, spec: QuadratureSpec) -> QuadResult:
 
 
 def quad(f, a: float, b: float, spec: QuadratureSpec | None = None) -> QuadResult:
-    """Integrate ``f`` over ``[a, b]`` adaptively.
+    """Integrate ``f`` over the finite interval ``[a, b]`` adaptively.
 
-    Supported domains:
-
-    * finite ``[a, b]``;
-    * ``a = -inf`` with finite ``b < 0`` (mapped by ``zeta = b/u`` onto
-      ``u in (0, 1]``, the standard algebraic compactification for tails
-      that decay at least like ``1/zeta**2``);
-    * ``singularity = LOG_AT_LEFT_END`` on a finite interval: the
-      substitution ``zeta = a + (b-a) e^w`` renders an integrable
-      ``log(zeta - a)`` endpoint singularity smooth.
+    With ``singularity = LOG_AT_LEFT_END`` the substitution
+    ``zeta = a + (b-a) e^w`` renders an integrable ``log(zeta - a)``
+    endpoint singularity smooth.  A non-finite endpoint raises ValueError.
 
     Returns a :class:`QuadResult`; raises :class:`QuadratureError` if the
     subdivision budget is exhausted.
     """
     if spec is None:
         spec = QuadratureSpec()
-    if math.isinf(a):
-        if spec.singularity is not Singularity.NONE:
-            raise ValueError("endpoint singularity flags require a finite domain")
-        if not (math.isfinite(b) and b < 0):
-            raise ValueError(
-                "semi-infinite quadrature supports (-inf, b] with b < 0; "
-                "split the integral at a negative point first"
-            )
-
-        def mapped(u, _f=f, _b=b):
-            u = np.asarray(u)
-            return _f(_b / u) * (-_b) / (u * u)
-
-        return _adaptive(mapped, 0.0, 1.0, spec)
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("only (-inf, b<0] and finite intervals are supported")
+        raise ValueError("quadrature needs a finite interval")
     if a == b:
         return QuadResult(0.0 + 0.0j, 0.0, 0, 0)
     if spec.singularity is Singularity.LOG_AT_LEFT_END:

@@ -29,12 +29,18 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.special import rgamma
 
-from .phases import ErrorOrder, EvaluationMethod, tracker_for
+from .phases import (
+    ErrorOrder,
+    EvaluationMethod,
+    Side,
+    WedgePoint,
+    tracker_for,
+    wedge_point,
+)
 from .scattering import CaseTag, SpectralData
 
 __all__ = [
@@ -53,6 +59,7 @@ __all__ = [
     "predict_q",
     "gen_as_predict",
     "matching_check",
+    "matching_ladder",
     "DEGENERATE_REFLECTION",
 ]
 
@@ -72,90 +79,6 @@ _UNDERFLOW_LOG = -700.0
 # the leading-only / bound-only regimes.
 _EXPLICIT_EDGE = 2.0 / 3.0
 _REMAINDER_EDGE = 4.0 / 5.0
-
-
-class Side(Enum):
-    """Which side of the origin a prediction refers to.
-
-    The wedge coordinate x is always positive; ``MINUS_X`` predictions
-    describe the field at ``-x``, which is coupled to the field at ``+x``
-    by the mirror nonlinearity.
-    """
-
-    PLUS_X = "+x"
-    MINUS_X = "-x"
-
-
-# ---------------------------------------------------------------------------
-# wedge points
-
-
-@dataclass(frozen=True)
-class WedgePoint:
-    """A point on the wedge curve, stored in log-time form.
-
-    All derived quantities are exposed through logarithms so the point
-    remains usable on ladders where t itself would overflow a double.
-    """
-
-    alpha: float
-    s: float
-    ln_t: float
-    side: Side
-
-    @property
-    def ln_4st(self) -> float:
-        return math.log(4.0 * self.s) + self.ln_t
-
-    @property
-    def ln_x(self) -> float:
-        return self.ln_4st / (2.0 - self.alpha)
-
-    @property
-    def ln_xi(self) -> float:
-        return math.log(self.s) + (self.alpha - 1.0) * self.ln_x
-
-    @property
-    def t(self) -> float:
-        return math.exp(self.ln_t) if self.ln_t < 709.0 else math.inf
-
-    @property
-    def x(self) -> float:
-        return math.exp(self.ln_x) if self.ln_x < 709.0 else math.inf
-
-    @property
-    def xi(self) -> float:
-        return math.exp(self.ln_xi)
-
-
-def wedge_point(
-    alpha: float,
-    s: float,
-    t: float | None = None,
-    side: Side | str = Side.PLUS_X,
-    *,
-    ln_t: float | None = None,
-) -> WedgePoint:
-    """Construct a :class:`WedgePoint`, validating the asymptotic regime.
-
-    Pass ``ln_t`` instead of ``t`` to stay in log space.  Requires t > 1 and
-    4st > e so every logarithm in the phase ledgers is positive.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not s > 0.0:
-        raise ValueError("s must be positive")
-    if ln_t is None:
-        if t is None or not t > 0.0:
-            raise ValueError("provide t > 0 or ln_t")
-        ln_t = math.log(t)
-    if isinstance(side, str):
-        side = Side(side)
-    if not ln_t > 0.0:
-        raise ValueError("asymptotic predictions require t > 1")
-    if not math.log(4.0 * s) + ln_t > 1.0:
-        raise ValueError("asymptotic predictions require ln(4 s t) > 1")
-    return WedgePoint(float(alpha), float(s), float(ln_t), side)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +322,41 @@ def _dress(
 
 
 @dataclass(frozen=True)
+class _DressedPair:
+    """The connection pair at one wedge point and its phase-functional
+    inputs, before and after the dressing."""
+
+    nu: complex
+    chi_saddle: complex
+    beta: complex
+    gamma: complex
+    beta_tilde: complex
+    gamma_tilde: complex
+
+
+def _dressed_pair(
+    sd: SpectralData, point: WedgePoint, method: EvaluationMethod
+) -> _DressedPair | None:
+    """Connection pair at ``point`` from the dressed reflection values, with
+    ``nu`` and ``chi`` at the saddle produced by ``method``; ``None`` on
+    reflectionless data, where every connection coefficient vanishes."""
+    tracker = tracker_for(sd)
+    r1_dressed, r2_dressed = tracker.reflection_pair(point)
+    if min(abs(r1_dressed), abs(r2_dressed)) < DEGENERATE_REFLECTION:
+        return None
+    if method is EvaluationMethod.DIRECT_QUADRATURE:
+        nu = tracker.nu_hat(point)
+        chi_saddle = tracker.chi_hat(-point.s, point)
+    else:
+        result = tracker.expansion(point)
+        nu = result.nu_hat
+        chi_saddle = result.chi_at_saddle
+    beta, gamma = _parametrix_pair(nu, r1_dressed, r2_dressed)
+    beta_tilde, gamma_tilde = _dress(beta, gamma, nu, chi_saddle, point.alpha, point.s)
+    return _DressedPair(nu, chi_saddle, beta, gamma, beta_tilde, gamma_tilde)
+
+
+@dataclass(frozen=True)
 class _CorrectionConstants:
     """Frozen large-time constants of the correction terms."""
 
@@ -517,22 +475,12 @@ def beta_gamma(
     discrepancies localize to the expansion step).
     """
     point = wedge_point(alpha, s, t, Side.PLUS_X, ln_t=ln_t)
-    tracker = tracker_for(sd)
-    r1_dressed, r2_dressed = tracker.reflection_pair(alpha, s, None, ln_t=point.ln_t)
-    if min(abs(r1_dressed), abs(r2_dressed)) < DEGENERATE_REFLECTION:
+    pair = _dressed_pair(sd, point, method)
+    if pair is None:
         zero = 0j
         return BetaGamma(
             zero, zero, zero, zero, zero, zero, 0j, 0j, True, method
         )
-    if method is EvaluationMethod.DIRECT_QUADRATURE:
-        nu = tracker.nu_hat(alpha, s, None, ln_t=point.ln_t)
-        chi_saddle = tracker.chi_hat(-s, alpha, s, None, ln_t=point.ln_t)
-    else:
-        result = tracker.expansion(alpha, s, None, ln_t=point.ln_t)
-        nu = result.nu_hat
-        chi_saddle = result.chi_at_saddle
-    beta, gamma = _parametrix_pair(nu, r1_dressed, r2_dressed)
-    beta_tilde, gamma_tilde = _dress(beta, gamma, nu, chi_saddle, alpha, s)
     pc = phase_coefficients(sd, alpha, s)
     constants = _correction_constants(sd, pc)
     if pc.case is CaseTag.CASE_I:
@@ -545,14 +493,14 @@ def beta_gamma(
     beta_tilde_asymptotic = constants.beta_const * cmath.exp(1j * slow) * root
     gamma_tilde_asymptotic = constants.gamma_const * cmath.exp(-1j * slow) * root
     return BetaGamma(
-        beta=beta,
-        gamma=gamma,
-        beta_tilde=beta_tilde,
-        gamma_tilde=gamma_tilde,
+        beta=pair.beta,
+        gamma=pair.gamma,
+        beta_tilde=pair.beta_tilde,
+        gamma_tilde=pair.gamma_tilde,
         beta_tilde_asymptotic=beta_tilde_asymptotic,
         gamma_tilde_asymptotic=gamma_tilde_asymptotic,
-        nu=nu,
-        chi_saddle=chi_saddle,
+        nu=pair.nu,
+        chi_saddle=pair.chi_saddle,
         degenerate=False,
         method=method,
     )
@@ -684,24 +632,22 @@ def gen_as_predict(sd: SpectralData, point: WedgePoint) -> AsymptoticPrediction:
     tracker = tracker_for(sd)
     alpha, s = point.alpha, point.s
     pc = phase_coefficients(sd, alpha, s)
-    nu = tracker.nu_hat(alpha, s, None, ln_t=point.ln_t)
-    chi_origin = tracker.chi_hat(0.0, alpha, s, None, ln_t=point.ln_t)
-    r1_dressed, r2_dressed = tracker.reflection_pair(alpha, s, None, ln_t=point.ln_t)
-    big_l = point.ln_4st
+    # the origin value first: a cell whose quadrature fails there never
+    # pays for the saddle one
+    chi_origin = tracker.chi_hat(0.0, point)
+    pair = _dressed_pair(sd, point, EvaluationMethod.DIRECT_QUADRATURE)
+    nu = tracker.nu_hat(point) if pair is None else pair.nu
     delta_sq = cmath.exp(2.0 * (1j * nu * math.log(s) + chi_origin))
-    if min(abs(r1_dressed), abs(r2_dressed)) < DEGENERATE_REFLECTION:
+    if pair is None:
         forward_term = backward_term = 0j
     else:
-        chi_saddle = tracker.chi_hat(-s, alpha, s, None, ln_t=point.ln_t)
-        beta, gamma = _parametrix_pair(nu, r1_dressed, r2_dressed)
-        beta_tilde, gamma_tilde = _dress(beta, gamma, nu, chi_saddle, alpha, s)
         fast = alpha * point.ln_x
         if fast > 709.0:
             raise OverflowError("fast oscillation overflows at this ln_t")
-        rotation = 1j * s * math.exp(fast) - 1j * alpha * nu * big_l / (2.0 - alpha)
+        rotation = 1j * s * math.exp(fast) - 1j * alpha * nu * point.ln_4st / (2.0 - alpha)
         decay = alpha / (2.0 * alpha - 4.0) * point.ln_t
-        forward_term = beta_tilde * cmath.exp(rotation + decay)
-        backward_term = gamma_tilde * cmath.exp(-rotation + decay)
+        forward_term = pair.beta_tilde * cmath.exp(rotation + decay)
+        backward_term = pair.gamma_tilde * cmath.exp(-rotation + decay)
     tag = sd.case.value
     generic = sd.case is CaseTag.CASE_I
     if point.side is Side.PLUS_X:
@@ -786,23 +732,18 @@ class MatchingReport:
     mirror_amplitude_ratio: complex | None
 
 
-def matching_check(
-    sd: SpectralData,
+def matching_ladder(
     s: float,
     alphas,
     *,
     t: float | None = None,
     ln_t: float | None = None,
     hold_product: float | None = None,
-) -> MatchingReport:
-    """Run a matching ladder in alpha toward the straight-ray regime.
+) -> tuple[str, tuple[WedgePoint, ...]]:
+    """Validate a matching ladder and return its mode and its rungs.
 
-    Two ladder modes: pass ``t`` (or ``ln_t``) to hold the observation time
-    fixed while alpha -> 1, or ``hold_product`` = c to keep
-    (1 - alpha) * ln t = c fixed, which sends t -> infinity along the
-    ladder.  In fixed-product mode the phase residual decreases toward a
-    finite limit and the mirror magnitudes expose the straight-ray decay
-    exponent; in fixed-time mode the residual itself tends to zero.
+    The rungs are +x wedge points in increasing alpha, either at the fixed
+    time ``t`` (or ``ln_t``) or at ln t = ``hold_product`` / (1 - alpha).
     """
     alphas = sorted(float(a) for a in alphas)
     if not alphas:
@@ -821,6 +762,37 @@ def matching_check(
                 raise ValueError("fixed-time mode needs t > 1 or ln_t > 0")
             ln_t = math.log(t)
         mode = "fixed-time"
+    points = tuple(
+        wedge_point(
+            alpha,
+            s,
+            ln_t=hold_product / (1.0 - alpha) if hold_product is not None else ln_t,
+        )
+        for alpha in alphas
+    )
+    return mode, points
+
+
+def matching_check(
+    sd: SpectralData,
+    s: float,
+    alphas,
+    *,
+    t: float | None = None,
+    ln_t: float | None = None,
+    hold_product: float | None = None,
+) -> MatchingReport:
+    """Run a matching ladder in alpha toward the straight-ray regime.
+
+    Two ladder modes (see :func:`matching_ladder`): pass ``t`` (or ``ln_t``)
+    to hold the observation time fixed while alpha -> 1, or
+    ``hold_product`` = c to keep (1 - alpha) * ln t = c fixed, which sends
+    t -> infinity along the ladder.  In fixed-product mode the phase
+    residual decreases toward a finite limit and the mirror magnitudes
+    expose the straight-ray decay exponent; in fixed-time mode the residual
+    itself tends to zero.
+    """
+    mode, points = matching_ladder(s, alphas, t=t, ln_t=ln_t, hold_product=hold_product)
     tracker = tracker_for(sd)
     generic = sd.case is CaseTag.CASE_I
     level = sd.amplitude
@@ -834,12 +806,11 @@ def matching_check(
     fit_lnts: list[float] = []
     fit_mags: list[float] = []
     last_constants: _CorrectionConstants | None = None
-    for alpha in alphas:
-        lt = hold_product / (1.0 - alpha) if hold_product is not None else ln_t
+    for point in points:
+        alpha, lt = point.alpha, point.ln_t
         pc = phase_coefficients(sd, alpha, s)
         main = _main_ledger(pc)
-        big_l = math.log(4.0 * s) + lt
-        residual = abs(main.slow_phase(big_l) - pc.main_constant)
+        residual = abs(main.slow_phase(point.ln_4st) - pc.main_constant)
         constants = _correction_constants(sd, pc)
         last_constants = constants
         mirror_log = None

@@ -27,7 +27,7 @@ from nnlswedge.pde import (
     interpolate_field,
     symmetric_grid,
 )
-from nnlswedge.phases import chi_hat, chi_nu_direct, chi_nu_expansion
+from nnlswedge.phases import tracker_for
 from nnlswedge.profiles import InitialProfile, ProfileKind, soliton_exact
 from nnlswedge.scattering import (
     CaseTag,
@@ -154,11 +154,11 @@ def test_criterion_04_connection_product_grid(sd_synth_i, sd_synth_ii):
 
 def test_criterion_05_saddle_origin_offset(sd_pure_a1):
     alpha, s = 0.8, 1.0
+    tracker = tracker_for(sd_pure_a1)
     diffs = {}
     for t in (1e4, 1e6):
-        diffs[t] = chi_hat(sd_pure_a1, -s, alpha, s, t) - chi_hat(
-            sd_pure_a1, 0.0, alpha, s, t
-        )
+        point = wedge_point(alpha, s, t)
+        diffs[t] = tracker.chi_hat(-s, point) - tracker.chi_hat(0.0, point)
     target = 1j * math.pi / 6.0
     raw = abs(diffs[1e6] - target)
     # eliminate the first-order x^(alpha-1) approach term (its rate across
@@ -180,27 +180,21 @@ def test_criterion_05_saddle_origin_offset(sd_pure_a1):
 def test_criterion_06_winding_expansion_rate(sd_synth_ii, sd_perturbed):
     ts = (1e3, 1e4, 1e5, 1e6, 1e7)
     notes = []
+
+    def gap(sd, point):
+        tracker = tracker_for(sd)
+        return abs(tracker.direct(point).nu_hat - tracker.expansion(point).nu_hat)
+
     for alpha in (0.4, 0.6, 0.8):
         target = (alpha - 1.0) / (2.0 - alpha)
-        gaps = [
-            abs(
-                chi_nu_direct(sd_synth_ii, alpha, 1.0, t).nu_hat
-                - chi_nu_expansion(sd_synth_ii, alpha, 1.0, t).nu_hat
-            )
-            for t in ts
-        ]
+        points = [wedge_point(alpha, 1.0, t) for t in ts]
+        gaps = [gap(sd_synth_ii, point) for point in points]
         slope = _fit_slope(np.log(ts), np.log(gaps))
         notes.append(f"a={alpha}: {slope:+.4f} vs {target:+.4f}")
         assert abs(slope - target) < 0.2 * abs(target), notes[-1]
         # data with a symmetry-suppressed first-order term must decay at
         # least this fast (it lands near twice the rate); one-sided check
-        gaps_p = [
-            abs(
-                chi_nu_direct(sd_perturbed, alpha, 1.0, t).nu_hat
-                - chi_nu_expansion(sd_perturbed, alpha, 1.0, t).nu_hat
-            )
-            for t in ts
-        ]
+        gaps_p = [gap(sd_perturbed, point) for point in points]
         slope_p = _fit_slope(np.log(ts), np.log(gaps_p))
         assert slope_p <= target + 0.2 * abs(target), f"perturbed {slope_p:.4f}"
     print("criterion 06: " + " | ".join(notes))

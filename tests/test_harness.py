@@ -360,8 +360,30 @@ def test_cli_rejects_bad_config_with_exit_2(tmp_path):
         ("", ["--tol", "psi_fit_rel=loose"]),
         ("[kgrid]\nn_per_sign = 3\n", []),
         ("[kgrid]\nn_per_sign = 3.7\n", []),
+        ("[wedge]\ns_values = 0.1\nt_ladder = 2, 5\n", []),
+        ("[match]\nalphas = 0.9, 1.0\nhold_product = 1\n", []),
+        ("[match]\ns = 0\ntime = 1e4\n", []),
+        ("[match]\nhold_product = 0\n", []),
+        ("[match]\ntime = 1\n", []),
+        ("[pde]\nstep = 0\n", []),
+        ("[pde]\nstep = 0.1\ndt = 0.006\n", []),
     ],
-    ids=["pde-dt", "match-time", "match-hold", "tolerance", "cli-tol", "n-3", "n-3.7"],
+    ids=[
+        "pde-dt",
+        "match-time",
+        "match-hold",
+        "tolerance",
+        "cli-tol",
+        "n-3",
+        "n-3.7",
+        "wedge-ln-4st",
+        "match-alpha",
+        "match-s",
+        "match-hold-zero",
+        "match-time-one",
+        "pde-step-zero",
+        "pde-dt-unstable",
+    ],
 )
 def test_cli_rejects_bad_numbers_as_config_errors(tmp_path, capsys, body, extra):
     ini = _write(tmp_path, "[profile]\nkind = synthetic-case-i\n" + body)

@@ -26,6 +26,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import spence
 
 from nnlswedge.phases import (
     EvaluationMethod,
@@ -33,8 +36,10 @@ from nnlswedge.phases import (
     LogSingularityError,
     PhaseTracker,
     RefinementRequiredError,
-    slow_variables,
+    Side,
+    WedgePoint,
     tracker_for,
+    wedge_point,
 )
 from nnlswedge.scattering import (
     CaseTag,
@@ -73,6 +78,12 @@ def sd_reflectionless():
     return synthetic_case_ii(coupling=0.0)
 
 
+def _point(alpha, s, t):
+    """Wedge point at (alpha, s, t) built without wedge_point's regime
+    check, so unit-scale points such as 4st = 1 stay reachable."""
+    return WedgePoint(alpha, s, math.log(t), Side.PLUS_X)
+
+
 def test_tracker_rejects_short_grid():
     # the algebraic tail is fitted on |k| >= 30, so a grid stopping short
     # must fail loudly instead of fitting an empty window
@@ -89,32 +100,21 @@ def test_tracker_rejects_short_grid():
 def test_slow_variables_unit_point():
     # 4st = 1 makes ln x vanish, so xi = s for every alpha.
     for alpha in (0.2, 0.5, 0.8):
-        ln_xi, ln_x, ln_4st = slow_variables(alpha, 2.0, 0.125)
-        assert ln_4st == pytest.approx(0.0, abs=1e-15)
-        assert ln_x == pytest.approx(0.0, abs=1e-15)
-        assert math.exp(ln_xi) == pytest.approx(2.0, rel=1e-14)
+        point = _point(alpha, 2.0, 0.125)
+        assert point.ln_4st == pytest.approx(0.0, abs=1e-15)
+        assert point.ln_x == pytest.approx(0.0, abs=1e-15)
+        assert point.xi == pytest.approx(2.0, rel=1e-14)
 
 
 def test_slow_variables_log_space():
-    direct = slow_variables(0.8, 1.0, 1.0e6)
-    logged = slow_variables(0.8, 1.0, None, ln_t=math.log(1.0e6))
-    assert direct == pytest.approx(logged, rel=1e-14)
+    direct = wedge_point(0.8, 1.0, 1.0e6)
+    logged = wedge_point(0.8, 1.0, ln_t=math.log(1.0e6))
+    assert (direct.ln_xi, direct.ln_x, direct.ln_4st) == pytest.approx(
+        (logged.ln_xi, logged.ln_x, logged.ln_4st), rel=1e-14
+    )
     # Far beyond float range for t itself: xi stays moderate.
-    ln_xi, _, _ = slow_variables(0.999, 1.0, None, ln_t=1000.0)
-    assert math.exp(ln_xi) == pytest.approx(math.exp(-(math.log(4.0) + 1000.0) * 0.001 / 1.001))
-
-
-def test_slow_variables_validation():
-    with pytest.raises(ValueError):
-        slow_variables(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        slow_variables(1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        slow_variables(0.5, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        slow_variables(0.5, 1.0, None)
-    with pytest.raises(ValueError):
-        slow_variables(0.5, 1.0, -2.0)
+    far = wedge_point(0.999, 1.0, ln_t=1000.0)
+    assert far.xi == pytest.approx(math.exp(-(math.log(4.0) + 1000.0) * 0.001 / 1.001))
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +126,10 @@ def test_nu_hat_pure_step_frozen(sd_pure_a2):
     tracker = tracker_for(sd_pure_a2)
     # At 4st = 1 the stationary point sits at xi = s = 1 for every alpha,
     # where W = 4/(4 + A^2) = 1/2, hence nu_hat = ln(2)/(2 pi).
-    value = tracker.nu_hat(0.5, 1.0, 0.25)
+    value = tracker.nu_hat(_point(0.5, 1.0, 0.25))
     assert value.real == pytest.approx(math.log(2.0) / (2.0 * math.pi), abs=1e-8)
     assert abs(value.imag) < 1e-9
-    again = tracker.nu_hat(0.3, 1.0, 0.25)
+    again = tracker.nu_hat(_point(0.3, 1.0, 0.25))
     assert again == pytest.approx(value, abs=1e-12)
 
 
@@ -137,10 +137,10 @@ def test_nu_hat_synthetic_exact(sd_synth_i):
     tracker = tracker_for(sd_synth_i)
     # W = k^2/(k^2 + 0.81): frozen ln(1.81)/(2 pi) at xi = 1 and
     # ln(4.81/4)/(2 pi) at xi = 2.
-    v1 = tracker.nu_hat(0.5, 1.0, 0.25)
+    v1 = tracker.nu_hat(_point(0.5, 1.0, 0.25))
     assert v1.real == pytest.approx(0.094430900295071604, abs=5e-8)
     assert abs(v1.imag) < 1e-9
-    v2 = tracker.nu_hat(0.5, 2.0, 0.125)
+    v2 = tracker.nu_hat(_point(0.5, 2.0, 0.125))
     assert v2.real == pytest.approx(0.029348604884702087, abs=5e-8)
 
 
@@ -149,24 +149,24 @@ def test_nu_hat_matches_dressed_product(sd_synth_ii):
     # from the same dressed reflection values the parametrix uses.
     tracker = tracker_for(sd_synth_ii)
     for alpha, s, t in ((0.7, 1.0, 1.0e3), (0.4, 0.3, 1.0e7), (0.9, 5.0, 1.0e5)):
-        r1, r2 = tracker.reflection_pair(alpha, s, t)
+        point = _point(alpha, s, t)
+        r1, r2 = tracker.reflection_pair(point)
         w = 1.0 + r1 * r2
-        nu = tracker.nu_hat(alpha, s, t)
+        nu = tracker.nu_hat(point)
         assert cmath.exp(-2.0 * math.pi * nu) == pytest.approx(w, rel=1e-12)
 
 
 def test_dressing_cancels_in_product(sd_synth_ii):
     tracker = tracker_for(sd_synth_ii)
-    ln_xi, _, _ = slow_variables(0.7, 1.0, 1.0e3)
-    xi = math.exp(ln_xi)
-    r1, r2 = tracker.reflection_pair(0.7, 1.0, 1.0e3)
+    xi = _point(0.7, 1.0, 1.0e3).xi
+    r1, r2 = tracker.reflection_pair(_point(0.7, 1.0, 1.0e3))
     bare = complex(tracker._s1(-xi)) * complex(tracker._s2(-xi))
     assert r1 * r2 == pytest.approx(bare, rel=1e-12)
 
 
 def test_nu_hat_no_winding_slips(sd_perturbed):
     tracker = tracker_for(sd_perturbed)
-    values = [tracker.nu_hat(0.6, 1.0, 10.0**p) for p in range(2, 8)]
+    values = [tracker.nu_hat(_point(0.6, 1.0, 10.0**p)) for p in range(2, 8)]
     for prev, nxt in zip(values, values[1:]):
         # nu0 * ln(10) per decade is ~0.21 here; a missed winding would
         # jump by a full unit of 1/(2 pi) ~ 0.159 on top of that.
@@ -185,16 +185,16 @@ def test_reflectionless_functionals_vanish(sd_reflectionless):
     tracker = tracker_for(sd_reflectionless)
     assert abs(tracker.plateau) < 1e-14
     assert abs(tracker.origin_constant) < 1e-12
-    assert abs(tracker.nu_hat(0.6, 1.0, 1.0e4)) < 1e-13
-    assert abs(tracker.chi_hat(0.0, 0.6, 1.0, 1.0e4)) < 1e-12
-    assert abs(tracker.chi_hat(-1.0, 0.6, 1.0, 1.0e4)) < 1e-12
+    assert abs(tracker.nu_hat(_point(0.6, 1.0, 1.0e4))) < 1e-13
+    assert abs(tracker.chi_hat(0.0, _point(0.6, 1.0, 1.0e4))) < 1e-12
+    assert abs(tracker.chi_hat(-1.0, _point(0.6, 1.0, 1.0e4))) < 1e-12
     assert abs(tracker.delta0(0.5) - 1.0) < 1e-12
 
 
 def test_soliton_functionals_near_zero(sd_soliton):
     tracker = tracker_for(sd_soliton)
-    assert abs(tracker.nu_hat(0.6, 1.0, 1.0e4)) < 1e-8
-    assert abs(tracker.chi_hat(0.0, 0.6, 1.0, 1.0e4)) < 1e-6
+    assert abs(tracker.nu_hat(_point(0.6, 1.0, 1.0e4))) < 1e-8
+    assert abs(tracker.chi_hat(0.0, _point(0.6, 1.0, 1.0e4))) < 1e-6
     assert abs(tracker.delta0(0.5) - 1.0) < 1e-6
 
 
@@ -242,7 +242,7 @@ def test_origin_and_saddle_constants_offset(sd_pure_a1):
 def test_chi_purely_imaginary_for_real_products(sd_pure_a1):
     tracker = tracker_for(sd_pure_a1)
     for z in (0.0, -0.4, -1.0):
-        value = tracker.chi_hat(z, 0.8, 1.0, 1.0e6)
+        value = tracker.chi_hat(z, _point(0.8, 1.0, 1.0e6))
         assert abs(value.real) < 1e-8
 
 
@@ -251,11 +251,9 @@ def test_saddle_offset_frozen_and_first_order_rate(sd_pure_a1):
     xis = []
     offsets = []
     for t in (1.0e4, 1.0e6, 1.0e8):
-        ln_xi, _, _ = slow_variables(0.8, 1.0, t)
-        xis.append(math.exp(ln_xi))
-        offsets.append(
-            tracker.chi_hat(-1.0, 0.8, 1.0, t) - tracker.chi_hat(0.0, 0.8, 1.0, t)
-        )
+        point = _point(0.8, 1.0, t)
+        xis.append(point.xi)
+        offsets.append(tracker.chi_hat(-1.0, point) - tracker.chi_hat(0.0, point))
     assert xis[1] == pytest.approx(XI_A08_T1E6, rel=1e-12)
     assert offsets[1] == pytest.approx(SADDLE_OFFSET_A08_T1E6, abs=1e-6)
 
@@ -274,8 +272,7 @@ def test_chi_split_matches_naive_quadrature(sd_pure_a1, sd_synth_ii):
     of the defining integral in the slow variable."""
 
     def naive_chi(tracker, z, alpha, s, t):
-        ln_xi, ln_x, _ = slow_variables(alpha, s, t)
-        scale = math.exp((alpha - 1.0) * ln_x)  # x**(alpha-1)
+        scale = math.exp((alpha - 1.0) * _point(alpha, s, t).ln_x)  # x**(alpha-1)
         z_hat = z * scale
         edge = tracker.k_edge / scale  # slow-variable grid edge
         spec = QuadratureSpec(atol=1e-9, rtol=1e-8, max_subdivisions=2000)
@@ -303,14 +300,14 @@ def test_chi_split_matches_naive_quadrature(sd_pure_a1, sd_synth_ii):
     for sd in (sd_pure_a1, sd_synth_ii):
         tracker = tracker_for(sd)
         for z in (0.0, -1.0):
-            split = tracker.chi_hat(z, 0.6, 1.0, 1.0e3)
+            split = tracker.chi_hat(z, _point(0.6, 1.0, 1.0e3))
             naive = naive_chi(tracker, z, 0.6, 1.0, 1.0e3)
             assert split == pytest.approx(naive, abs=1e-6)
 
 
 def test_chi_interior_point_real_part(sd_synth_ii):
     tracker = tracker_for(sd_synth_ii)
-    value = tracker.chi_hat(-0.5, 0.6, 1.0, 1.0e8)
+    value = tracker.chi_hat(-0.5, _point(0.6, 1.0, 1.0e8))
     assert abs(value.real - tracker.plateau) < 0.02
 
 
@@ -318,7 +315,7 @@ def test_real_part_plateaus_at_large_time(sd_synth_ii):
     tracker = tracker_for(sd_synth_ii)
     errs = []
     for t in (1.0e4, 1.0e8, 1.0e12):
-        value = tracker.chi_hat(0.0, 0.6, 1.0, t)
+        value = tracker.chi_hat(0.0, _point(0.6, 1.0, t))
         errs.append(abs(value.real - tracker.plateau))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 5e-3
@@ -333,8 +330,9 @@ def test_expansion_fields_and_convergence_generic(sd_pure_a2):
     tracker = tracker_for(sd_pure_a2)
     errors = {"nu": [], "chi0": [], "chis": []}
     for t in (1.0e3, 1.0e6):
-        direct = tracker.direct(0.7, 1.0, t)
-        expansion = tracker.expansion(0.7, 1.0, t)
+        point = _point(0.7, 1.0, t)
+        direct = tracker.direct(point)
+        expansion = tracker.expansion(point)
         assert direct.method is EvaluationMethod.DIRECT_QUADRATURE
         assert direct.error_order is None
         assert expansion.method is EvaluationMethod.ASYMPTOTIC_EXPANSION
@@ -355,8 +353,9 @@ def test_expansion_fields_and_convergence_degenerate(sd_synth_ii):
     errs_nu = []
     errs_chi = []
     for t in (1.0e4, 1.0e8):
-        direct = tracker.direct(0.6, 1.0, t)
-        expansion = tracker.expansion(0.6, 1.0, t)
+        point = _point(0.6, 1.0, t)
+        direct = tracker.direct(point)
+        expansion = tracker.expansion(point)
         assert expansion.nu_hat == pytest.approx(NU0_SYNTH_II, abs=1e-12)
         assert expansion.chi_at_origin == expansion.chi_at_saddle
         errs_nu.append(abs(direct.nu_hat - expansion.nu_hat))
@@ -372,10 +371,10 @@ def test_expansion_error_is_first_order_generic(sd_perturbed):
     xis = []
     errs = []
     for t in (1.0e3, 1.0e5, 1.0e7):
-        ln_xi, _, _ = slow_variables(0.6, 1.0, t)
-        xis.append(math.exp(ln_xi))
-        direct = tracker.nu_hat(0.6, 1.0, t)
-        expansion = tracker.expansion(0.6, 1.0, t).nu_hat
+        point = _point(0.6, 1.0, t)
+        xis.append(point.xi)
+        direct = tracker.nu_hat(point)
+        expansion = tracker.expansion(point).nu_hat
         errs.append(abs(direct - expansion))
     assert errs[0] > errs[1] > errs[2]
     slope = (math.log(errs[0]) - math.log(errs[2])) / (math.log(xis[0]) - math.log(xis[2]))
@@ -385,10 +384,10 @@ def test_expansion_error_is_first_order_generic(sd_perturbed):
 def test_expansion_band_warning():
     tracker = tracker_for(synthetic_case_i())
     with pytest.warns(ExpansionBandWarning):
-        tracker.expansion(0.5, 0.01, 1.0e4)
+        tracker.expansion(_point(0.5, 0.01, 1.0e4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tracker.expansion(0.5, 1.0, 1.0e4)
+        tracker.expansion(_point(0.5, 1.0, 1.0e4))
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +401,26 @@ def test_delta0_pure_step_closed_form(sd_pure_a1, sd_pure_a2, sd_synth_i):
     assert tracker_for(sd_pure_a1).delta0(0.5) == pytest.approx(DELTA0_AT_Q, abs=1e-7)
     assert tracker_for(sd_pure_a2).delta0(1.0) == pytest.approx(DELTA0_AT_Q, abs=1e-7)
     assert tracker_for(sd_synth_i).delta0(0.9) == pytest.approx(DELTA0_AT_Q, abs=2e-8)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(
+    q=_log_uniform(0.2, 3.0),
+    xis=st.lists(_log_uniform(0.02, 10.0), min_size=3, max_size=3),
+)
+def test_closed_forms_across_synthetic_case_i(q, xis):
+    # W = k^2/(k^2 + q^2): the dilogarithm closed forms of the module
+    # docstring, with Li2(-q^2/xi^2) = spence(1 + q^2/xi^2)
+    tracker = tracker_for(synthetic_case_i(d=q))
+    constant = -1j * (math.pi / 24.0 + math.log(q * q) ** 2 / (8.0 * math.pi))
+    assert abs(tracker.origin_constant - constant) < 5e-8
+    for xi in xis:
+        expected = cmath.exp(1j * spence(1.0 + q * q / (xi * xi)) / (4.0 * math.pi))
+        assert abs(tracker.delta0(xi) - expected) < 5e-8
 
 
 def test_delta0_unimodular_for_real_products(sd_pure_a1):
@@ -434,13 +453,13 @@ def test_delta0_expansion_limit_degenerate(sd_synth_ii):
 def test_argument_validation(sd_synth_i):
     tracker = tracker_for(sd_synth_i)
     with pytest.raises(ValueError):
-        tracker.chi_hat(-2.0, 0.5, 1.0, 1.0e3)  # z below the stationary point
+        tracker.chi_hat(-2.0, _point(0.5, 1.0, 1.0e3))  # z below the stationary point
     with pytest.raises(ValueError):
         tracker.delta0(-1.0)
     with pytest.raises(ValueError):
         tracker.delta0(60.0)  # outside the tabulated window
     with pytest.raises(ValueError):
-        tracker.nu_hat(0.5, 100.0, 1.0e-6)  # xi ~ 1360 off the grid
+        tracker.nu_hat(_point(0.5, 100.0, 1.0e-6))  # xi ~ 1360 off the grid
 
 
 def test_log_singularity_guard(sd_synth_i):
@@ -450,7 +469,7 @@ def test_log_singularity_guard(sd_synth_i):
     # Integration-level trigger: xi so small that W = xi^2/(xi^2+d^2)
     # drops below the stability floor.
     with pytest.raises(LogSingularityError):
-        tracker.nu_hat(0.4, 1.0, 1.0e20)
+        tracker.nu_hat(_point(0.4, 1.0, 1.0e20))
 
 
 def test_refinement_guards(sd_synth_ii):
@@ -471,3 +490,6 @@ def test_tail_fit_quality(sd_pure_a1, sd_smoothed, sd_perturbed, sd_soliton, sd_
 
 def test_tracker_cache(sd_pure_a1):
     assert tracker_for(sd_pure_a1) is tracker_for(sd_pure_a1)
+    # same fingerprint and grid, other data: never the cached tracker
+    other = dataclasses.replace(sd_pure_a1, b=0.5 * sd_pure_a1.b)
+    assert tracker_for(other) is not tracker_for(sd_pure_a1)

@@ -136,6 +136,8 @@ def test_wedge_point_validation():
     with pytest.raises(ValueError):
         wedge_point(0.5, 1.0)  # neither t nor ln_t
     with pytest.raises(ValueError):
+        wedge_point(0.5, 1.0, -2.0)  # t must be positive
+    with pytest.raises(ValueError):
         wedge_point(0.5, 1.0, 0.9)  # t must exceed 1
     with pytest.raises(ValueError):
         wedge_point(0.5, 0.001, 1.2)  # ln(4st) must exceed 1
