@@ -37,7 +37,7 @@ from .pde import (
     symmetric_grid,
     write_snapshots_csv,
 )
-from .phases import EXPANSION_BAND
+from .phases import EXPANSION_BAND, _K_FIT
 from .profiles import InitialProfile, ProfileKind
 from .scattering import (
     CaseTag,
@@ -143,51 +143,74 @@ class ExperimentConfig:
     tolerances: dict
 
 
-_KNOWN_SECTIONS = {
-    "profile",
-    "kgrid",
-    "wedge",
-    "pde",
-    "match",
-    "output",
-    "tolerances",
+# Every key the config accepts, with its default, per section.  The
+# [profile] keys depend on the kind's family: the sampled kinds share one set,
+# each synthetic family has its own, and ``kind`` itself is accepted by all.
+# A default's type says how a value is parsed: a float (or ``None``, unset) is
+# a number, a tuple is a list of its element type, a string is kept verbatim.
+_CONFIG_KEYS = {
+    "profile": {
+        "sampled": {
+            "amplitude": 1.0,
+            "width": 1.0,
+            "radius": 20.0,
+            "phase": 0.0,
+            "bump_amplitude_re": 0.0,
+            "bump_amplitude_im": 0.0,
+            "bump_center": 1.5,
+            "bump_width": 1.2,
+        },
+        "synthetic-case-i": {"k1": 0.6, "d": 0.9},
+        "synthetic-case-ii": {"k1": 0.6, "pole": 1.0, "coupling": 0.5},
+    },
+    "kgrid": {"n_per_sign": 400.0, "k_min": 1e-3, "k_max": 100.0},
+    "wedge": {
+        "alphas": (0.5, 0.75, 0.9),
+        "s_values": (1.0,),
+        "t_ladder": (1e4, 1e6, 1e8),
+        "sides": (Side.PLUS_X, Side.MINUS_X),
+    },
+    "pde": {"half_width": 40.0, "step": 0.02, "t_final": 1.0, "dt": None},
+    "match": {
+        "s": 1.0,
+        "alphas": (0.9, 0.99, 0.999),
+        "hold_product": None,
+        "time": None,
+    },
+    "output": {
+        "directory": "out",
+        "cache": "spectra.json",
+        "predictions": "predictions.csv",
+        "comparison": "comparison.csv",
+        "summary": "comparison-summary.txt",
+        "matching": "matching.csv",
+        "snapshots": "snapshots.csv",
+    },
+    "tolerances": DEFAULT_TOLERANCES,
 }
 
-_PROFILE_KEYS = {
-    "kind",
-    "amplitude",
-    "width",
-    "radius",
-    "phase",
-    "bump_amplitude_re",
-    "bump_amplitude_im",
-    "bump_center",
-    "bump_width",
-    "k1",
-    "d",
-    "pole",
-    "coupling",
-}
 
-
-def _float_list(raw: str, what: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(tok) for tok in raw.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"{what}: cannot parse float list from {raw!r}") from exc
-    if not values:
-        raise ConfigError(f"{what}: empty list")
-    return values
-
-
-def _get_float(section, key: str, default: float, what: str) -> float:
-    raw = section.get(key)
-    if raw is None or raw == "":
+def _parse_value(raw: str | None, default, what: str):
+    """One config value, parsed by the type of its default; absent or blank
+    numbers take the default."""
+    if raw is None:
+        return default
+    if isinstance(default, str):
+        return raw
+    if isinstance(default, tuple):
+        try:
+            values = tuple(type(default[0])(tok) for tok in raw.replace(",", " ").split())
+        except ValueError as exc:
+            raise ConfigError(f"{what}: cannot parse {raw!r}: {exc}") from exc
+        if not values:
+            raise ConfigError(f"{what}: empty list")
+        return values
+    if raw == "":
         return default
     try:
         return float(raw)
     except ValueError as exc:
-        raise ConfigError(f"{what}.{key}: not a number: {raw!r}") from exc
+        raise ConfigError(f"{what}: not a number: {raw!r}") from exc
 
 
 def load_config(
@@ -210,77 +233,52 @@ def load_config(
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
-    unknown = set(parser.sections()) - _KNOWN_SECTIONS
+    unknown = set(parser.sections()) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     if "profile" not in parser:
         raise ConfigError("config needs a [profile] section")
+    kind = parser["profile"].get("kind", "")
+    kinds = [k.value for k in ProfileKind] + list(_SYNTHETIC_KINDS)
+    if kind not in kinds:
+        raise ConfigError(f"profile.kind must be one of {kinds}, got {kind!r}")
+    family = kind if kind in _SYNTHETIC_KINDS else "sampled"
 
-    prof = parser["profile"]
-    bad_keys = set(prof) - _PROFILE_KEYS
-    if bad_keys:
-        raise ConfigError(f"unknown [profile] keys: {sorted(bad_keys)}")
-    kind = prof.get("kind", "")
-    profile = None
-    synthetic_kind = None
-    synthetic_params: dict = {}
-    if kind in _SYNTHETIC_KINDS:
-        synthetic_kind = kind
-        synthetic_params = {"k1": _get_float(prof, "k1", 0.6, "profile")}
-        if kind == "synthetic-case-i":
-            synthetic_params["d"] = _get_float(prof, "d", 0.9, "profile")
-        else:
-            synthetic_params["pole"] = _get_float(prof, "pole", 1.0, "profile")
-            synthetic_params["coupling"] = _get_float(prof, "coupling", 0.5, "profile")
-    else:
+    schema = {**_CONFIG_KEYS, "profile": {"kind": kind, **_CONFIG_KEYS["profile"][family]}}
+    values = {}
+    for name, keys in schema.items():
+        section = parser[name] if name in parser else {}
+        unknown = set(section) - set(keys)
+        if unknown:
+            raise ConfigError(f"unknown [{name}] keys: {sorted(unknown)}")
+        values[name] = {
+            key: _parse_value(section.get(key), default, f"{name}.{key}")
+            for key, default in keys.items()
+        }
+
+    prof = values["profile"]
+    del prof["kind"]
+    profile, synthetic_kind, synthetic_params = None, None, {}
+    if family == "sampled":
+        bump = complex(prof.pop("bump_amplitude_re"), prof.pop("bump_amplitude_im"))
         try:
-            profile_kind = ProfileKind(kind)
-        except ValueError as exc:
-            raise ConfigError(
-                f"profile.kind must be one of "
-                f"{[k.value for k in ProfileKind] + list(_SYNTHETIC_KINDS)}, "
-                f"got {kind!r}"
-            ) from exc
-        try:
-            profile = InitialProfile(
-                kind=profile_kind,
-                amplitude=_get_float(prof, "amplitude", 1.0, "profile"),
-                width=_get_float(prof, "width", 1.0, "profile"),
-                radius=_get_float(prof, "radius", 20.0, "profile"),
-                phase=_get_float(prof, "phase", 0.0, "profile"),
-                bump_amplitude=complex(
-                    _get_float(prof, "bump_amplitude_re", 0.0, "profile"),
-                    _get_float(prof, "bump_amplitude_im", 0.0, "profile"),
-                ),
-                bump_center=_get_float(prof, "bump_center", 1.5, "profile"),
-                bump_width=_get_float(prof, "bump_width", 1.2, "profile"),
-            )
+            profile = InitialProfile(kind=ProfileKind(kind), bump_amplitude=bump, **prof)
         except ValueError as exc:
             raise ConfigError(f"invalid [profile]: {exc}") from exc
+    else:
+        synthetic_kind, synthetic_params = kind, prof
 
-    kgrid = parser["kgrid"] if "kgrid" in parser else {}
-    kgrid_n = _get_float(kgrid, "n_per_sign", 400.0, "kgrid")
+    kgrid = values["kgrid"]
+    kgrid_n, kgrid_min, kgrid_max = kgrid["n_per_sign"], kgrid["k_min"], kgrid["k_max"]
     if not (kgrid_n.is_integer() and kgrid_n >= 4):
         raise ConfigError(f"kgrid.n_per_sign: need an integer >= 4, got {kgrid_n!r}")
-    kgrid_n = int(kgrid_n)
-    kgrid_min = _get_float(kgrid, "k_min", 1e-3, "kgrid")
-    kgrid_max = _get_float(kgrid, "k_max", 100.0, "kgrid")
     if not 0 < kgrid_min < kgrid_max:
         raise ConfigError("kgrid: need 0 < k_min < k_max")
 
-    wsec = parser["wedge"] if "wedge" in parser else {}
-    alphas = _float_list(wsec.get("alphas", "0.5, 0.75, 0.9"), "wedge.alphas")
-    s_values = _float_list(wsec.get("s_values", "1.0"), "wedge.s_values")
-    t_ladder = _float_list(wsec.get("t_ladder", "1e4, 1e6, 1e8"), "wedge.t_ladder")
-    side_tokens = (wsec.get("sides", "+x, -x")).replace(",", " ").split()
-    try:
-        sides = tuple(Side(tok) for tok in side_tokens)
-    except ValueError as exc:
-        raise ConfigError(f"wedge.sides: {exc}") from exc
-    if any(b <= a for a, b in zip(t_ladder, t_ladder[1:])):
+    wedge = WedgeBlock(**values["wedge"])
+    if any(b <= a for a, b in zip(wedge.t_ladder, wedge.t_ladder[1:])):
         raise ConfigError("wedge.t_ladder must be strictly increasing")
-    wedge = WedgeBlock(alphas, s_values, t_ladder, sides)
-    for alpha, s, t in itertools.product(alphas, s_values, t_ladder):
+    for alpha, s, t in itertools.product(wedge.alphas, wedge.s_values, wedge.t_ladder):
         try:
             wedge_point(alpha, s, t)
         except ValueError as exc:
@@ -290,13 +288,7 @@ def load_config(
 
     pde = None
     if "pde" in parser:
-        psec = parser["pde"]
-        pde = PdeBlock(
-            half_width=_get_float(psec, "half_width", 40.0, "pde"),
-            step=_get_float(psec, "step", 0.02, "pde"),
-            t_final=_get_float(psec, "t_final", 1.0, "pde"),
-            dt=_get_float(psec, "dt", None, "pde"),
-        )
+        pde = PdeBlock(**values["pde"])
         try:
             resolve_dt(symmetric_grid(pde.half_width, pde.step), pde.dt)
         except ValueError as exc:
@@ -304,15 +296,9 @@ def load_config(
 
     match = None
     if "match" in parser:
-        msec = parser["match"]
-        if bool(msec.get("hold_product")) == bool(msec.get("time")):
+        match = MatchBlock(**values["match"])
+        if (match.hold_product is None) == (match.time is None):
             raise ConfigError("match: set exactly one of hold_product / time")
-        match = MatchBlock(
-            s=_get_float(msec, "s", 1.0, "match"),
-            alphas=_float_list(msec.get("alphas", "0.9, 0.99, 0.999"), "match.alphas"),
-            hold_product=_get_float(msec, "hold_product", None, "match"),
-            time=_get_float(msec, "time", None, "match"),
-        )
         try:
             matching_ladder(
                 match.s, match.alphas, t=match.time, hold_product=match.hold_product
@@ -320,27 +306,10 @@ def load_config(
         except ValueError as exc:
             raise ConfigError(f"invalid [match]: {exc}") from exc
 
-    osec = parser["output"] if "output" in parser else {}
-    directory = Path(out_dir) if out_dir is not None else Path(
-        osec.get("directory", "out")
-    )
-    output = OutputBlock(
-        directory=directory,
-        cache=osec.get("cache", "spectra.json"),
-        predictions=osec.get("predictions", "predictions.csv"),
-        comparison=osec.get("comparison", "comparison.csv"),
-        summary=osec.get("summary", "comparison-summary.txt"),
-        matching=osec.get("matching", "matching.csv"),
-        snapshots=osec.get("snapshots", "snapshots.csv"),
-    )
+    directory = values["output"]["directory"] if out_dir is None else out_dir
+    output = OutputBlock(**{**values["output"], "directory": Path(directory)})
 
-    tolerances = dict(DEFAULT_TOLERANCES)
-    if "tolerances" in parser:
-        tsec = parser["tolerances"]
-        for key in tsec:
-            if key not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance {key!r}")
-            tolerances[key] = _get_float(tsec, key, tolerances[key], "tolerances")
+    tolerances = values["tolerances"]
     for item in tol_overrides:
         name, sep, raw = item.partition("=")
         if not sep or name not in DEFAULT_TOLERANCES:
@@ -348,13 +317,13 @@ def load_config(
                 f"--tol expects name=value with name in "
                 f"{sorted(DEFAULT_TOLERANCES)}, got {item!r}"
             )
-        tolerances[name] = _get_float({name: raw}, name, tolerances[name], "--tol")
+        tolerances[name] = _parse_value(raw, tolerances[name], f"--tol.{name}")
 
     return ExperimentConfig(
         profile=profile,
         synthetic_kind=synthetic_kind,
         synthetic_params=synthetic_params,
-        kgrid_n=kgrid_n,
+        kgrid_n=int(kgrid_n),
         kgrid_min=kgrid_min,
         kgrid_max=kgrid_max,
         wedge=wedge,
@@ -375,16 +344,27 @@ def _fmt(value) -> str:
 
 def spectral_data_for(cfg: ExperimentConfig, *, force: bool = False) -> SpectralData:
     """Spectral data for the config: synthetic family or cached scattering run."""
-    if cfg.synthetic_kind == "synthetic-case-i":
-        return synthetic_case_i(**cfg.synthetic_params)
-    if cfg.synthetic_kind == "synthetic-case-ii":
-        return synthetic_case_ii(**cfg.synthetic_params)
-    cache = cfg.output.directory / cfg.output.cache
     k_grid = default_k_grid(cfg.kgrid_n, cfg.kgrid_min, cfg.kgrid_max)
+    if cfg.synthetic_kind == "synthetic-case-i":
+        return synthetic_case_i(**cfg.synthetic_params, k_grid=k_grid)
+    if cfg.synthetic_kind == "synthetic-case-ii":
+        return synthetic_case_ii(**cfg.synthetic_params, k_grid=k_grid)
+    cache = cfg.output.directory / cfg.output.cache
     cfg.output.directory.mkdir(parents=True, exist_ok=True)
     return compute_spectral_data(
         cfg.profile, k_grid, cache_path=cache, force=force
     )
+
+
+def _tracked_data(cfg: ExperimentConfig, sd: SpectralData | None) -> SpectralData:
+    """Spectral data for a subcommand that builds a phase tracker, whose
+    tail fit needs nodes with |k| >= _K_FIT; checked before any scattering."""
+    if cfg.kgrid_max < _K_FIT:
+        raise ConfigError(
+            f"kgrid.k_max = {cfg.kgrid_max:g} is below the phase tracker's "
+            f"tail-fit window |k| >= {_K_FIT:g}"
+        )
+    return spectral_data_for(cfg) if sd is None else sd
 
 
 def _branch_rows(cfg: ExperimentConfig):
@@ -511,8 +491,7 @@ def _psi_fit_lines(sd: SpectralData, cfg: ExperimentConfig) -> list[str]:
 
 def cmd_predict(cfg: ExperimentConfig, sd: SpectralData | None = None) -> Path:
     """Write the expanded-prediction table; returns the CSV path."""
-    if sd is None:
-        sd = spectral_data_for(cfg)
+    sd = _tracked_data(cfg, sd)
     rows = [_predict_row(sd, cell) for cell in _branch_rows(cfg)]
     cfg.output.directory.mkdir(parents=True, exist_ok=True)
     path = cfg.output.directory / cfg.output.predictions
@@ -631,8 +610,7 @@ def cmd_compare(
     evolution columns and the summary flags the run as partial.
     """
     _validate_compare_geometry(cfg)
-    if sd is None:
-        sd = spectral_data_for(cfg)
+    sd = _tracked_data(cfg, sd)
     level = amplitude_Q(sd)
     w, p = cfg.wedge, cfg.pde
     grid = symmetric_grid(p.half_width, p.step)
@@ -790,8 +768,7 @@ def cmd_match(cfg: ExperimentConfig, sd: SpectralData | None = None) -> Path:
     """Write the straight-ray matching report; returns the CSV path."""
     if cfg.match is None:
         raise ConfigError("match needs a [match] section")
-    if sd is None:
-        sd = spectral_data_for(cfg)
+    sd = _tracked_data(cfg, sd)
     m = cfg.match
     report = matching_check(
         sd,

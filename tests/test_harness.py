@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from nnlswedge.harness import (
+    _CONFIG_KEYS,
     ConfigError,
     cmd_compare,
     cmd_match,
@@ -18,6 +21,7 @@ from nnlswedge.harness import (
 from nnlswedge.scattering import CaseTag, load_spectral_data
 from nnlswedge.wedge import Side
 
+_SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "config-schema.md"
 
 def _write(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
@@ -84,12 +88,50 @@ def test_load_config_synthetic_params(tmp_path):
         "[profile]\nkind = pure-step\n[match]\ns = 1\n",  # neither mode
         "[profile]\nkind = pure-step\n[match]\nhold_product = 1\ntime = 100\n",
         "[profile]\nkind = pure-step\n[tolerances]\nbogus = 1\n",
+        # misspelt keys, one per section and profile family
+        "[profile]\nkind = pure-step\n[kgrid]\nn_persign = 60\n",
+        "[profile]\nkind = pure-step\n[wedge]\nalpha = 0.5\n",
+        "[profile]\nkind = pure-step\n[pde]\nstepp = 0.05\n",
+        "[profile]\nkind = pure-step\n[match]\nalpha = 0.9\nhold_product = 1\n",
+        "[profile]\nkind = pure-step\n[output]\ndirectori = elsewhere\n",
+        "[profile]\nkind = synthetic-case-i\namplitude = 1\n",
+        "[profile]\nkind = smoothed-step\nd = 0.9\n",
     ],
 )
 def test_load_config_rejections(tmp_path, body):
     ini = _write(tmp_path, body)
     with pytest.raises(ConfigError):
         load_config(ini)
+
+
+def test_unknown_key_error_names_section_and_key(tmp_path, capsys):
+    ini = _write(tmp_path, "[profile]\nkind = pure-step\n[kgrid]\nn_persign = 60\n")
+    with pytest.raises(SystemExit) as err:
+        main(["predict", "--config", str(ini), "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert "config error: unknown [kgrid] keys: ['n_persign']" in capsys.readouterr().err
+
+
+def _doc_key_tables():
+    """Keys listed in each table of docs/config-schema.md, by the section or
+    profile family named in the table's heading."""
+    tables, heading = {}, None
+    for line in _SCHEMA_DOC.read_text(encoding="utf-8").splitlines():
+        if line.startswith("#"):
+            named = re.search(r"`\[?([\w-]+)\]?`", line)
+            heading = named.group(1) if named else None
+        elif line.startswith("| `") and heading is not None:
+            first_cell = line.split("|")[1]
+            tables.setdefault(heading, set()).update(re.findall(r"`(\w+)`", first_cell))
+    return tables
+
+
+def test_schema_doc_lists_exactly_the_accepted_keys():
+    families = dict(_CONFIG_KEYS["profile"])
+    expected = {name: set(keys) for name, keys in _CONFIG_KEYS.items()}
+    expected["profile"] = {"kind", *families.pop("sampled")}
+    expected.update((family, set(keys)) for family, keys in families.items())
+    assert _doc_key_tables() == expected
 
 
 def test_load_config_missing_file(tmp_path):
@@ -209,6 +251,35 @@ def test_scatter_cache_roundtrip(tmp_path):
     before = cache.read_bytes()
     assert cmd_scatter(cfg) == cache
     assert cache.read_bytes() == before
+
+
+def test_scatter_synthetic_honours_kgrid(tmp_path):
+    ini = _write(
+        tmp_path,
+        "[profile]\nkind = synthetic-case-ii\n[kgrid]\nn_per_sign = 60\n",
+    )
+    cache = cmd_scatter(load_config(ini, out_dir=tmp_path / "out"))
+    assert len(load_spectral_data(cache).k_grid) == 120
+
+
+@pytest.mark.parametrize("command", ["predict", "compare", "match"])
+def test_cli_rejects_grid_short_of_tail_window(tmp_path, capsys, command):
+    # the phase tracker's tail fit needs nodes with |k| >= 30; the check
+    # fires before any scattering run, so no cache is written
+    ini = _write(
+        tmp_path,
+        "[profile]\nkind = pure-step\n"
+        "[kgrid]\nn_per_sign = 40\nk_max = 20\n"
+        "[wedge]\nalphas = 0.75\nt_ladder = 3, 4\n"
+        "[pde]\nhalf_width = 16\nstep = 0.05\nt_final = 4\n"
+        "[match]\nhold_product = 1\n",
+    )
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--config", str(ini), "--out", str(out)])
+    assert err.value.code == 2
+    assert "config error: kgrid.k_max = 20" in capsys.readouterr().err
+    assert not (out / "spectra.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnlswedge.profiles import InitialProfile, ProfileKind
 from nnlswedge.scattering import (
@@ -266,14 +268,30 @@ def test_assumption2_small_for_steps(sd_smoothed, sd_perturbed):
 # ---------------------------------------------------------------------------
 
 
-def test_synthetic_case_i_identities():
-    sd = synthetic_case_i(k1=0.6, d=0.9)
-    k = sd.k_grid
-    # the identity cancels terms of size d^2/k^2 (~1e6 at the smallest
+def _assert_mirror_symmetric(sd):
+    # a_j(k) = conj(a_j(-k)); the grid is symmetric, so -k is k[::-1]
+    for a in (sd.a1, sd.a2):
+        assert np.all(np.abs(a - np.conj(a[::-1])) <= 1e-14 * np.abs(a))
+
+
+_FAMILY_PARAM = st.floats(0.2, 3.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(k1=_FAMILY_PARAM, d=_FAMILY_PARAM)
+def test_synthetic_case_i_identities(k1, d):
+    sd = synthetic_case_i(k1=k1, d=d)
+    # the identity cancels terms of size d^2/k^2 (up to ~1e7 at the smallest
     # node), so measure the residual relative to the term size
     scale = np.maximum(1.0, np.abs(sd.a1 * sd.a2))
     uni = np.max(np.abs(sd.a1 * sd.a2 + sd.b * np.conj(sd.b[::-1]) - 1.0) / scale)
     assert uni < 1e-13
+    _assert_mirror_symmetric(sd)
+
+
+def test_synthetic_case_i_closed_forms():
+    sd = synthetic_case_i(k1=0.6, d=0.9)
+    k = sd.k_grid
     assert sd.amplitude == pytest.approx(1.2)
     assert sd.a2_at_zero == pytest.approx(1.5)  # d/k1
     # a1 vanishes at k = i k1 by construction
@@ -286,10 +304,21 @@ def test_synthetic_case_i_identities():
     assert np.max(np.abs(sd0.b - bx) / np.abs(bx)) < 1e-14
 
 
-def test_synthetic_case_ii_identities():
-    sd = synthetic_case_ii(k1=0.6, pole=1.0, coupling=0.5)
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(
+    k1=_FAMILY_PARAM,
+    pole=_FAMILY_PARAM,
+    ratio=st.floats(0.0, 0.99),
+)
+def test_synthetic_case_ii_identities(k1, pole, ratio):
+    sd = synthetic_case_ii(k1=k1, pole=pole, coupling=ratio * pole)
     uni = np.max(np.abs(sd.a1 * sd.a2 + sd.b * np.conj(sd.b[::-1]) - 1.0))
     assert uni < 1e-13
+    _assert_mirror_symmetric(sd)
+
+
+def test_synthetic_case_ii_closed_forms():
+    sd = synthetic_case_ii(k1=0.6, pole=1.0, coupling=0.5)
     assert sd.a11 == pytest.approx(-0.6j)
     assert sd.a21 == pytest.approx(1j * 0.75 / 0.6)
     prod = (sd.a11 * sd.a21).real
