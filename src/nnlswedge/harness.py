@@ -20,16 +20,14 @@ import cmath
 import configparser
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .pde import (
     BoundaryDriftError,
-    EvolutionResult,
     FieldBlowUpError,
-    FieldSnapshot,
     evolve,
     interpolate_field,
     mirror_mass,
@@ -192,10 +190,13 @@ _CONFIG_KEYS = {
 
 def _parse_value(raw: str | None, default, what: str):
     """One config value, parsed by the type of its default; absent or blank
-    numbers take the default."""
-    if raw is None:
+    numbers take the default, blank strings and lists and non-finite numbers
+    are errors."""
+    if raw is None or (raw == "" and not isinstance(default, (str, tuple))):
         return default
     if isinstance(default, str):
+        if not raw:
+            raise ConfigError(f"{what}: empty")
         return raw
     if isinstance(default, tuple):
         try:
@@ -204,13 +205,14 @@ def _parse_value(raw: str | None, default, what: str):
             raise ConfigError(f"{what}: cannot parse {raw!r}: {exc}") from exc
         if not values:
             raise ConfigError(f"{what}: empty list")
-        return values
-    if raw == "":
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{what}: not a number: {raw!r}") from exc
+    else:
+        try:
+            values = (float(raw),)
+        except ValueError as exc:
+            raise ConfigError(f"{what}: not a number: {raw!r}") from exc
+    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+        raise ConfigError(f"{what}: not a finite number")
+    return values if isinstance(default, tuple) else values[0]
 
 
 def load_config(
@@ -615,29 +617,21 @@ def cmd_compare(
     w, p = cfg.wedge, cfg.pde
     grid = symmetric_grid(p.half_width, p.step)
 
-    # evolve segment by segment so an abort still yields earlier snapshots
-    dt = resolve_dt(grid, p.dt)
-    reached: list[FieldSnapshot] = []
-    steps = 0
+    q0 = cfg.profile.sample(grid.x)
+    mass0 = mirror_mass(q0, grid.step)
     abort_reason = ""
-    state = cfg.profile.sample(grid.x)
-    mass0 = mirror_mass(state, grid.step)
-    t_now = 0.0
-    for target in w.t_ladder:
-        try:
-            res = evolve(state, grid, target - t_now, dt=dt)
-        except (FieldBlowUpError, BoundaryDriftError) as exc:
-            # evolve() reports time relative to the segment start
-            abort_reason = (
-                f"{type(exc).__name__} in segment "
-                f"{_fmt(t_now)} -> {_fmt(target)}: {exc}"
-            )
-            break
-        state = res.final.q
-        t_now = target
-        steps += res.steps
-        reached.append(replace(res.final, t=target))
-    snapshots = {snap.t: snap.q for snap in reached}
+    try:
+        run = evolve(q0, grid, w.t_ladder[-1], dt=p.dt, snapshot_times=w.t_ladder)
+    except (FieldBlowUpError, BoundaryDriftError) as exc:
+        # an abort still yields the ladder times landed before it
+        run = exc.partial
+        n_reached = len(run.snapshots)
+        last = w.t_ladder[n_reached - 1] if n_reached else 0.0
+        abort_reason = (
+            f"{type(exc).__name__} in segment "
+            f"{_fmt(last)} -> {_fmt(w.t_ladder[n_reached])}: {exc}"
+        )
+    snapshots = {snap.t: snap.q for snap in run.snapshots}
 
     def build(cell) -> ComparisonRecord:
         alpha, s, t, side = cell
@@ -692,14 +686,13 @@ def cmd_compare(
     lines.append(f"partial={'yes' if abort_reason else 'no'}")
     if abort_reason:
         lines.append(f"abort_reason={abort_reason}")
-    # the evolution's own diagnostics over the reached snapshots; each
-    # segment measures edge drift from its own start
+    # the evolution's own diagnostics over the reached snapshots
     edge_drift = max(
-        (max(snap.left_drift, snap.right_drift) for snap in reached), default=0.0
+        (max(s.left_drift, s.right_drift) for s in run.snapshots), default=0.0
     )
-    mass_drift = max((abs(snap.mirror_mass - mass0) for snap in reached), default=0.0)
-    lines.append(f"steps={steps}")
-    lines.append(f"dt={_fmt(dt)}")
+    mass_drift = max((abs(s.mirror_mass - mass0) for s in run.snapshots), default=0.0)
+    lines.append(f"steps={run.steps}")
+    lines.append(f"dt={_fmt(run.dt)}")
     lines.append(f"edge_drift={_fmt(edge_drift)}")
     lines.append(f"mirror_mass_drift={_fmt(mass_drift)}")
     for alpha in w.alphas:
@@ -751,7 +744,7 @@ def cmd_compare(
 
     # raw evolved fields, for reproducibility and plotting
     snap_path = cfg.output.directory / cfg.output.snapshots
-    write_snapshots_csv(EvolutionResult(grid, dt, steps, tuple(reached)), snap_path)
+    write_snapshots_csv(run, snap_path)
     return path, summary_path, snap_path
 
 

@@ -53,7 +53,8 @@ DEFAULT_DT_FACTOR = 0.4
 
 
 class FieldBlowUpError(RuntimeError):
-    """Raised when the field magnitude exceeds the configured bound."""
+    """Raised when the field magnitude exceeds the configured bound;
+    ``partial`` holds the run up to the abort (see :func:`evolve`)."""
 
 
 class BoundaryDriftError(RuntimeError):
@@ -61,7 +62,7 @@ class BoundaryDriftError(RuntimeError):
 
     Signals that truncation effects from the finite interval have reached
     the boundary, i.e. the requested final time is too large for the
-    interval.
+    interval.  ``partial`` holds the run up to the abort.
     """
 
 
@@ -88,8 +89,8 @@ def symmetric_grid(half_width: float, step: float) -> SpatialGrid:
     The actual step is ``half_width / round(half_width / step)``; it never
     differs from the request by more than one part in the node count.
     """
-    if not half_width > 0.0 or not step > 0.0:
-        raise ValueError("half_width and step must be positive")
+    if not (half_width > 0.0 and step > 0.0 and math.isfinite(half_width / step)):
+        raise ValueError("half_width and step must be positive, with a finite ratio")
     half_nodes = int(round(half_width / step))
     if half_nodes < 4:
         raise ValueError("grid needs at least 4 nodes per side")
@@ -208,7 +209,9 @@ def evolve(
     Raises :class:`FieldBlowUpError` when the field magnitude exceeds
     ``blow_up_factor`` times its initial maximum, and
     :class:`BoundaryDriftError` when the first interior node on either
-    side moves more than ``drift_abort`` from its initial value.
+    side moves more than ``drift_abort`` from its initial value.  The
+    error's ``partial`` :class:`EvolutionResult` keeps the snapshots landed
+    before the abort and counts every step taken.
     """
     if callable(q0):
         q0 = q0(grid.x)
@@ -248,65 +251,69 @@ def evolve(
     t = 0.0
     total_steps = 0
 
-    for target in times:
-        span = target - t
-        if span <= 0.0:
-            # duplicate or out-of-order request collapses onto current state
-            snapshots.append(
-                FieldSnapshot(target, q.copy(), mirror_mass(q, h), left_drift, right_drift)
-            )
-            continue
-        n_steps = max(1, int(math.ceil(span / dt - 1e-12)))
-        dt_seg = span / n_steps
-        # the rhs omits its factor i, so the stage and update coefficients
-        # carry it
-        half_i = 0.5j * dt_seg
-        full_i = 1j * dt_seg
-        sixth_i = 1j * (dt_seg / 6.0)
-        # overflow past the blow-up threshold is detected below, not warned
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(n_steps):
-                _rhs_into(state, total, work, *scales)
-                np.multiply(total, half_i, out=y)
-                np.add(y, q, out=y)
-                _rhs_into(stage, slope, work, *scales)
-                np.add(total, slope, out=total)
-                np.add(total, slope, out=total)
-                np.multiply(slope, half_i, out=y)
-                np.add(y, q, out=y)
-                _rhs_into(stage, slope, work, *scales)
-                np.add(total, slope, out=total)
-                np.add(total, slope, out=total)
-                np.multiply(slope, full_i, out=y)
-                np.add(y, q, out=y)
-                _rhs_into(stage, slope, work, *scales)
-                np.add(total, slope, out=total)
-                np.multiply(total, sixth_i, out=total)
-                np.add(q, total, out=q)
-                total_steps += 1
-                step_left = abs(q[1] - left0)
-                step_right = abs(q[-2] - right0)
-                # "not <=" also catches NaN reaching the boundary nodes
-                if not (step_left <= drift_abort and step_right <= drift_abort):
-                    raise BoundaryDriftError(
-                        f"edge drift {max(step_left, step_right):.3e} at "
-                        f"t={t + (i + 1) * dt_seg:.6g}; enlarge the interval"
-                    )
-                left_drift = max(left_drift, step_left)
-                right_drift = max(right_drift, step_right)
-                if total_steps % check_every == 0:
-                    np.abs(q, out=magnitude)
-                    peak = float(np.max(magnitude))
-                    # "not <=" also catches NaN from a passed singularity
-                    if not peak <= blow_limit:
-                        raise FieldBlowUpError(
-                            f"|q| reached {peak:.3e} at "
-                            f"t={t + (i + 1) * dt_seg:.6g}"
+    try:
+        for target in times:
+            span = target - t
+            if span <= 0.0:
+                # duplicate or out-of-order request collapses onto current state
+                snapshots.append(
+                    FieldSnapshot(target, q.copy(), mirror_mass(q, h), left_drift, right_drift)
+                )
+                continue
+            n_steps = max(1, int(math.ceil(span / dt - 1e-12)))
+            dt_seg = span / n_steps
+            # the rhs omits its factor i, so the stage and update coefficients
+            # carry it
+            half_i = 0.5j * dt_seg
+            full_i = 1j * dt_seg
+            sixth_i = 1j * (dt_seg / 6.0)
+            # overflow past the blow-up threshold is detected below, not warned
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(n_steps):
+                    _rhs_into(state, total, work, *scales)
+                    np.multiply(total, half_i, out=y)
+                    np.add(y, q, out=y)
+                    _rhs_into(stage, slope, work, *scales)
+                    np.add(total, slope, out=total)
+                    np.add(total, slope, out=total)
+                    np.multiply(slope, half_i, out=y)
+                    np.add(y, q, out=y)
+                    _rhs_into(stage, slope, work, *scales)
+                    np.add(total, slope, out=total)
+                    np.add(total, slope, out=total)
+                    np.multiply(slope, full_i, out=y)
+                    np.add(y, q, out=y)
+                    _rhs_into(stage, slope, work, *scales)
+                    np.add(total, slope, out=total)
+                    np.multiply(total, sixth_i, out=total)
+                    np.add(q, total, out=q)
+                    total_steps += 1
+                    step_left = abs(q[1] - left0)
+                    step_right = abs(q[-2] - right0)
+                    # "not <=" also catches NaN reaching the boundary nodes
+                    if not (step_left <= drift_abort and step_right <= drift_abort):
+                        raise BoundaryDriftError(
+                            f"edge drift {max(step_left, step_right):.3e} at "
+                            f"t={t + (i + 1) * dt_seg:.6g}; enlarge the interval"
                         )
-        t = target
-        snapshots.append(
-            FieldSnapshot(t, q.copy(), mirror_mass(q, h), left_drift, right_drift)
-        )
+                    left_drift = max(left_drift, step_left)
+                    right_drift = max(right_drift, step_right)
+                    if total_steps % check_every == 0:
+                        np.abs(q, out=magnitude)
+                        peak = float(np.max(magnitude))
+                        # "not <=" also catches NaN from a passed singularity
+                        if not peak <= blow_limit:
+                            raise FieldBlowUpError(
+                                f"|q| reached {peak:.3e} at "
+                                f"t={t + (i + 1) * dt_seg:.6g}"
+                            )
+            t = target
+            snapshots.append(
+                FieldSnapshot(t, q.copy(), mirror_mass(q, h), left_drift, right_drift)
+            )
+    except (FieldBlowUpError, BoundaryDriftError) as exc:
+        exc.partial = EvolutionResult(grid, dt, total_steps, tuple(snapshots))
+        raise
 
     return EvolutionResult(grid=grid, dt=dt, steps=total_steps, snapshots=tuple(snapshots))
 

@@ -11,6 +11,7 @@ import pytest
 from nnlswedge.harness import (
     _CONFIG_KEYS,
     ConfigError,
+    _validate_compare_geometry,
     cmd_compare,
     cmd_match,
     cmd_predict,
@@ -21,7 +22,9 @@ from nnlswedge.harness import (
 from nnlswedge.scattering import CaseTag, load_spectral_data
 from nnlswedge.wedge import Side
 
-_SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "config-schema.md"
+_REPO = Path(__file__).resolve().parents[1]
+_SCHEMA_DOC = _REPO / "docs" / "config-schema.md"
+
 
 def _write(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
@@ -338,15 +341,23 @@ def test_compare_abort_yields_partial_report(tmp_path):
 
     summary = summary_path.read_text(encoding="ascii")
     assert "partial=yes" in summary
-    assert "abort_reason=FieldBlowUpError" in summary
     assert "fallback_fitted_exponents=yes" in summary
     fields = dict(
         line.split("=", 1)
         for line in summary.splitlines()
-        if line.split("=", 1)[0] in ("steps", "dt", "edge_drift", "mirror_mass_drift")
+        if line.split("=", 1)[0]
+        in ("abort_reason", "steps", "dt", "edge_drift", "mirror_mass_drift")
     )
-    assert sorted(fields) == ["dt", "edge_drift", "mirror_mass_drift", "steps"]
-    assert int(fields["steps"]) > 0
+    assert sorted(fields) == [
+        "abort_reason", "dt", "edge_drift", "mirror_mass_drift", "steps"
+    ]
+    # the abort time is absolute, inside the named segment, and the step
+    # count includes the steps taken in it
+    abort = re.fullmatch(
+        r"FieldBlowUpError in segment 3 -> 4: .* at t=(\S+)", fields["abort_reason"]
+    )
+    assert abort and 3.0 < float(abort.group(1)) < 4.0
+    assert int(fields["steps"]) * float(fields["dt"]) > 3.0
     for key in ("dt", "edge_drift", "mirror_mass_drift"):
         assert math.isfinite(float(fields[key]))
 
@@ -462,6 +473,80 @@ def test_cli_rejects_bad_numbers_as_config_errors(tmp_path, capsys, body, extra)
         main(["predict", "--config", str(ini), "--out", str(tmp_path / "out"), *extra])
     assert err.value.code == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, body, extra, message",
+    [
+        ("predict", "[kgrid]\nk_max = inf\n", [], "kgrid.k_max: not a finite number"),
+        ("predict", "[pde]\nhalf_width = inf\n", [], "pde.half_width: not a finite number"),
+        (
+            "predict",
+            "[pde]\nhalf_width = 1e300\nstep = 1e-300\n",
+            [],
+            "invalid [pde]: half_width and step must be positive, with a finite ratio",
+        ),
+        ("match", "[match]\ns = inf\ntime = 1e4\n", [], "match.s: not a finite number"),
+        (
+            "predict",
+            "[wedge]\nt_ladder = 1e4, inf\n",
+            [],
+            "wedge.t_ladder: not a finite number",
+        ),
+        (
+            "predict",
+            "[tolerances]\npsi_fit_rel = nan\n",
+            [],
+            "tolerances.psi_fit_rel: not a finite number",
+        ),
+        (
+            "predict",
+            "",
+            ["--tol", "psi_fit_rel=-inf"],
+            "--tol.psi_fit_rel: not a finite number",
+        ),
+        ("predict", "[output]\npredictions =\n", [], "output.predictions: empty"),
+    ],
+    ids=[
+        "kgrid-k-max-inf",
+        "pde-half-width-inf",
+        "pde-ratio-overflow",
+        "match-s-inf",
+        "wedge-t-ladder-inf",
+        "tolerance-nan",
+        "cli-tol-inf",
+        "output-blank",
+    ],
+)
+def test_cli_rejects_non_finite_and_blank_values(
+    tmp_path, capsys, command, body, extra, message
+):
+    ini = _write(tmp_path, "[profile]\nkind = synthetic-case-i\n" + body)
+    with pytest.raises(SystemExit) as err:
+        main([command, "--config", str(ini), "--out", str(tmp_path / "out"), *extra])
+    assert err.value.code == 2
+    assert f"config error: {message}\n" in capsys.readouterr().err
+
+
+def _readme_minimal_config() -> str:
+    readme = (_REPO / "README.md").read_text(encoding="utf-8")
+    return readme.split("A minimal config:\n\n```ini\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [p.name for p in sorted((_REPO / "bench" / "configs").glob("*.ini"))] + ["README"],
+)
+def test_shipped_configs_load(tmp_path, name):
+    # the benchmark's pinned inputs and the documented example must survive
+    # every change to the config rules
+    if name == "README":
+        path = _write(tmp_path, _readme_minimal_config())
+    else:
+        path = _REPO / "bench" / "configs" / name
+    cfg = load_config(path, out_dir=tmp_path / "out")
+    if name == "soliton.ini":
+        _validate_compare_geometry(cfg)
 
 
 def test_cli_compare_announces_all_reports(tmp_path, capsys):

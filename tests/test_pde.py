@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -152,8 +153,26 @@ def test_blow_up_guard_catches_the_pole(grid20):
 
 
 def test_boundary_drift_guard(grid20):
-    with pytest.raises(BoundaryDriftError):
+    with pytest.raises(BoundaryDriftError) as err:
         evolve(_soliton0, grid20, 0.5, drift_abort=1e-10)
+    partial = err.value.partial
+    assert partial.snapshots == () and 0 < partial.steps * partial.dt < 0.5
+
+
+def test_abort_keeps_the_snapshots_landed_before_it(grid20):
+    # |q| passes 3 max|q0| near t = 2.81, inside the 2.5 -> 3 segment; the
+    # partial run keeps every earlier snapshot and counts every step taken
+    times = (1.0, 2.0, 2.5, 3.0)
+    with pytest.raises(FieldBlowUpError) as err:
+        evolve(_soliton0, grid20, 3.0, snapshot_times=times, blow_up_factor=3.0)
+    partial = err.value.partial
+    assert [s.t for s in partial.snapshots] == [1.0, 2.0, 2.5]
+    abort_t = float(re.search(r"at t=(\S+)$", str(err.value)).group(1))
+    assert 2.5 < abort_t < 3.0
+    assert partial.steps * partial.dt == pytest.approx(abort_t, abs=partial.dt)
+    clean = evolve(_soliton0, grid20, 2.5, snapshot_times=times[:2])
+    for got, want in zip(partial.snapshots, clean.snapshots):
+        assert np.array_equal(got.q, want.q)
 
 
 def test_singularity_aborts_instead_of_returning_nan():

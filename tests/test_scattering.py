@@ -294,8 +294,9 @@ def test_synthetic_case_i_closed_forms():
     k = sd.k_grid
     assert sd.amplitude == pytest.approx(1.2)
     assert sd.a2_at_zero == pytest.approx(1.5)  # d/k1
-    # a1 vanishes at k = i k1 by construction
-    assert abs((1j * 0.6 + 1j * 0.9) * (1j * 0.6 - 1j * 0.6)) == 0.0
+    # k^2 a1 is the quadratic (k + i d)(k - i k1): its zeros are i k1 and -i d
+    roots = np.roots(np.polyfit(k, k**2 * sd.a1, 2))
+    assert np.allclose(sorted(roots, key=lambda r: r.imag), [-0.9j, 0.6j], atol=1e-9)
     # reduces to the pure step at d = k1
     sd0 = synthetic_case_i(k1=0.6, d=0.6)
     a1x, a2x, bx = pure_step_exact(1.2, k)
