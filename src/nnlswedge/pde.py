@@ -50,6 +50,10 @@ __all__ = [
 # default fraction actually used
 STABLE_DT_FACTOR = 3.0 * 2.0 * math.sqrt(2.0) / 16.0  # = 0.5303...
 DEFAULT_DT_FACTOR = 0.4
+# Largest grid symmetric_grid builds: the grid and the stepper's buffers take
+# ~110 bytes per node (~1.1 GB at this size), and dt ~ h**2 makes a finer
+# grid far too slow to evolve anyway.
+_MAX_GRID_NODES = 10**7
 
 
 class FieldBlowUpError(RuntimeError):
@@ -94,6 +98,11 @@ def symmetric_grid(half_width: float, step: float) -> SpatialGrid:
     half_nodes = int(round(half_width / step))
     if half_nodes < 4:
         raise ValueError("grid needs at least 4 nodes per side")
+    if 2 * half_nodes + 1 > _MAX_GRID_NODES:
+        raise ValueError(
+            f"half_width / step gives {2 * half_nodes + 1} nodes, "
+            f"above the ceiling of {_MAX_GRID_NODES}"
+        )
     actual = half_width / half_nodes
     x = np.linspace(-half_width, half_width, 2 * half_nodes + 1)
     return SpatialGrid(half_width=half_width, step=actual, x=x)

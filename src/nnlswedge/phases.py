@@ -42,7 +42,6 @@ from .scattering import CaseTag, SpectralData
 from .specfun import QuadratureSpec, Singularity, quad
 
 __all__ = [
-    "EvaluationMethod",
     "ErrorOrder",
     "ExpansionBandWarning",
     "LogSingularityError",
@@ -82,13 +81,6 @@ class ExpansionBandWarning(UserWarning):
     """Slow variable outside the band where the expansions are uniform."""
 
 
-class EvaluationMethod(Enum):
-    """How a phase-functional value was produced."""
-
-    DIRECT_QUADRATURE = "direct-quadrature"
-    ASYMPTOTIC_EXPANSION = "asymptotic-expansion"
-
-
 @dataclass(frozen=True)
 class ErrorOrder:
     """Symbolic error descriptor O(t**t_exponent * ln(t)**log_power).
@@ -111,7 +103,8 @@ class PhaseFunctionalResult:
     ``chi_origin_const`` holds the s-dependent constant of the origin
     value (generic case) or the shared constant (degenerate case);
     ``chi_saddle_const`` holds its stationary-point counterpart, which in
-    the generic case differs by the exact offset i*pi/6.
+    the generic case differs by the exact offset i*pi/6.  ``error_order``
+    is the expansion's remainder, ``None`` for direct-quadrature values.
     """
 
     nu_hat: complex
@@ -120,7 +113,6 @@ class PhaseFunctionalResult:
     chi_origin_const: complex
     chi_saddle_const: complex
     plateau: float
-    method: EvaluationMethod
     error_order: ErrorOrder | None
     case: CaseTag
 
@@ -180,7 +172,7 @@ def wedge_point(
     alpha: float,
     s: float,
     t: float | None = None,
-    side: Side | str = Side.PLUS_X,
+    side: Side = Side.PLUS_X,
     *,
     ln_t: float | None = None,
 ) -> WedgePoint:
@@ -197,8 +189,8 @@ def wedge_point(
         if t is None or not t > 0.0:
             raise ValueError("provide t > 0 or ln_t")
         ln_t = math.log(t)
-    if isinstance(side, str):
-        side = Side(side)
+    if not isinstance(side, Side):
+        raise TypeError(f"side must be a Side, got {side!r}")
     if not ln_t > 0.0:
         raise ValueError("asymptotic predictions require t > 1")
     point = WedgePoint(float(alpha), float(s), float(ln_t), side)
@@ -529,7 +521,6 @@ class PhaseTracker:
             chi_origin_const=chi0_s,
             chi_saddle_const=saddle_const,
             plateau=self.plateau,
-            method=EvaluationMethod.ASYMPTOTIC_EXPANSION,
             error_order=error,
             case=self.sd.case,
         )
@@ -544,7 +535,6 @@ class PhaseTracker:
             chi_origin_const=self.chi_origin_const(s),
             chi_saddle_const=self.chi_saddle_const(s),
             plateau=self.plateau,
-            method=EvaluationMethod.DIRECT_QUADRATURE,
             error_order=None,
             case=self.sd.case,
         )

@@ -336,7 +336,6 @@ class SmallKData:
     a2_zero_grid: complex  # polynomial extrapolation of a2 on the grid
     a11: complex  # extrapolation of k*a1
     a21: complex  # extrapolation of a2/k
-    m1_zero: complex  # extrapolation of k^2*a1 (equals A^2 a2(0)/4)
     ode_step_error: float  # step-halving error estimate of the first route
 
 
@@ -368,29 +367,28 @@ def _a2_zero_ode(profile: InitialProfile, n_steps: int) -> complex:
     return 4.0 * (abs(v2) ** 2 - abs(v1) ** 2) / a**2
 
 
-def _extrapolate_to_zero(k_nodes: np.ndarray, values: np.ndarray, degree: int = 4) -> complex:
-    """Value at ``k = 0`` of the polynomial fit through the given nodes."""
-    coef_re = np.polynomial.polynomial.polyfit(k_nodes, values.real, degree)
-    coef_im = np.polynomial.polynomial.polyfit(k_nodes, values.imag, degree)
+def _extrapolate_to_zero(k_nodes: np.ndarray, values: np.ndarray) -> complex:
+    """Value at ``k = 0`` of the quartic least-squares fit through the nodes."""
+    coef_re = np.polynomial.polynomial.polyfit(k_nodes, values.real, 4)
+    coef_im = np.polynomial.polynomial.polyfit(k_nodes, values.imag, 4)
     return complex(coef_re[0], coef_im[0])
 
 
 def small_k_data(
-    profile: InitialProfile,
-    k_grid: np.ndarray,
-    a1: np.ndarray,
-    a2: np.ndarray,
-    *,
-    n_nodes_per_sign: int = 5,
-    ode_steps: int = 2400,
+    profile: InitialProfile, k_grid: np.ndarray, a1: np.ndarray, a2: np.ndarray
 ) -> SmallKData:
-    """Small-k limits from the auxiliary system and from grid extrapolation."""
+    """Small-k limits from the auxiliary system and from grid extrapolation.
+
+    The auxiliary route integrates the k = 0 system with 2400 and 4800 RK4
+    steps and Richardson-extrapolates; the grid route fits a quartic through
+    the ten nodes nearest k = 0, five per sign.
+    """
     k_grid = np.asarray(k_grid, dtype=float)
     order = np.argsort(np.abs(k_grid), kind="stable")
-    sel = order[: 2 * n_nodes_per_sign]
+    sel = order[:10]
     kn = k_grid[sel]
-    coarse = _a2_zero_ode(profile, ode_steps)
-    fine = _a2_zero_ode(profile, 2 * ode_steps)
+    coarse = _a2_zero_ode(profile, 2400)
+    fine = _a2_zero_ode(profile, 4800)
     richardson = (16.0 * fine - coarse) / 15.0
     step_err = abs(fine - coarse) / 15.0
     return SmallKData(
@@ -398,7 +396,6 @@ def small_k_data(
         a2_zero_grid=_extrapolate_to_zero(kn, a2[sel]),
         a11=_extrapolate_to_zero(kn, kn * a1[sel]),
         a21=_extrapolate_to_zero(kn, a2[sel] / kn),
-        m1_zero=_extrapolate_to_zero(kn, kn * kn * a1[sel]),
         ode_step_error=float(step_err),
     )
 
@@ -803,7 +800,6 @@ def synthetic_case_ii(
     k1: float = 0.6,
     pole: float = 1.0,
     coupling: float = 0.5,
-    amplitude: float | None = None,
     k_grid: np.ndarray | None = None,
 ) -> SpectralData:
     """Rational unitary family with degenerate small-k behaviour.
@@ -814,13 +810,13 @@ def synthetic_case_ii(
     ``0 <= coupling < pole``.  Then ``a1 a2 = 1 + coupling^2/(k - i pole)^2``
     satisfies unitarity exactly, ``a11 = -i k1``,
     ``a21 = i (pole^2 - coupling^2)/(k1 pole^2)``, and
-    ``coupling = 0`` gives exactly the reflectionless one-soliton data
-    (in which case the background level is forced to ``2 k1``).
+    ``coupling = 0`` gives exactly the reflectionless one-soliton data.
+    The background level is ``A = 2 k1`` when ``coupling = 0`` and
+    ``A = 1`` otherwise.
     """
     if not (k1 > 0 and pole > 0 and 0 <= coupling < pole):
         raise ValueError("require k1 > 0, pole > 0, 0 <= coupling < pole")
-    if amplitude is None:
-        amplitude = 2.0 * k1 if coupling == 0 else 1.0
+    amplitude = 2.0 * k1 if coupling == 0 else 1.0
     if k_grid is None:
         k_grid = default_k_grid()
     k = np.asarray(k_grid, dtype=float)

@@ -35,7 +35,6 @@ from scipy.special import rgamma
 
 from .phases import (
     ErrorOrder,
-    EvaluationMethod,
     Side,
     WedgePoint,
     tracker_for,
@@ -334,23 +333,16 @@ class _DressedPair:
     gamma_tilde: complex
 
 
-def _dressed_pair(
-    sd: SpectralData, point: WedgePoint, method: EvaluationMethod
-) -> _DressedPair | None:
+def _dressed_pair(sd: SpectralData, point: WedgePoint) -> _DressedPair | None:
     """Connection pair at ``point`` from the dressed reflection values, with
-    ``nu`` and ``chi`` at the saddle produced by ``method``; ``None`` on
+    ``nu`` and ``chi`` at the saddle by direct quadrature; ``None`` on
     reflectionless data, where every connection coefficient vanishes."""
     tracker = tracker_for(sd)
     r1_dressed, r2_dressed = tracker.reflection_pair(point)
     if min(abs(r1_dressed), abs(r2_dressed)) < DEGENERATE_REFLECTION:
         return None
-    if method is EvaluationMethod.DIRECT_QUADRATURE:
-        nu = tracker.nu_hat(point)
-        chi_saddle = tracker.chi_hat(-point.s, point)
-    else:
-        result = tracker.expansion(point)
-        nu = result.nu_hat
-        chi_saddle = result.chi_at_saddle
+    nu = tracker.nu_hat(point)
+    chi_saddle = tracker.chi_hat(-point.s, point)
     beta, gamma = _parametrix_pair(nu, r1_dressed, r2_dressed)
     beta_tilde, gamma_tilde = _dress(beta, gamma, nu, chi_saddle, point.alpha, point.s)
     return _DressedPair(nu, chi_saddle, beta, gamma, beta_tilde, gamma_tilde)
@@ -455,32 +447,20 @@ class BetaGamma:
     nu: complex
     chi_saddle: complex
     degenerate: bool
-    method: EvaluationMethod
 
 
-def beta_gamma(
-    sd: SpectralData,
-    alpha: float,
-    s: float,
-    t: float | None = None,
-    *,
-    ln_t: float | None = None,
-    method: EvaluationMethod = EvaluationMethod.DIRECT_QUADRATURE,
-) -> BetaGamma:
-    """Evaluate the connection coefficients at one wedge point.
+def beta_gamma(sd: SpectralData, alpha: float, s: float, t: float) -> BetaGamma:
+    """Evaluate the connection coefficients at the +x wedge point (alpha, s, t).
 
-    ``method`` selects how the phase-functional inputs are produced:
-    direct quadrature (default, used for predictions) or the large-time
-    expansions (used when reporting coefficient-level quantities, so that
-    discrepancies localize to the expansion step).
+    The tilde pair is dressed with direct-quadrature values of ``nu`` and of
+    ``chi`` at the stationary point, the same inputs :func:`gen_as_predict`
+    uses.
     """
-    point = wedge_point(alpha, s, t, Side.PLUS_X, ln_t=ln_t)
-    pair = _dressed_pair(sd, point, method)
+    point = wedge_point(alpha, s, t)
+    pair = _dressed_pair(sd, point)
     if pair is None:
         zero = 0j
-        return BetaGamma(
-            zero, zero, zero, zero, zero, zero, 0j, 0j, True, method
-        )
+        return BetaGamma(zero, zero, zero, zero, zero, zero, zero, zero, True)
     pc = phase_coefficients(sd, alpha, s)
     constants = _correction_constants(sd, pc)
     if pc.case is CaseTag.CASE_I:
@@ -502,7 +482,6 @@ def beta_gamma(
         nu=pair.nu,
         chi_saddle=pair.chi_saddle,
         degenerate=False,
-        method=method,
     )
 
 
@@ -635,7 +614,7 @@ def gen_as_predict(sd: SpectralData, point: WedgePoint) -> AsymptoticPrediction:
     # the origin value first: a cell whose quadrature fails there never
     # pays for the saddle one
     chi_origin = tracker.chi_hat(0.0, point)
-    pair = _dressed_pair(sd, point, EvaluationMethod.DIRECT_QUADRATURE)
+    pair = _dressed_pair(sd, point)
     nu = tracker.nu_hat(point) if pair is None else pair.nu
     delta_sq = cmath.exp(2.0 * (1j * nu * math.log(s) + chi_origin))
     if pair is None:
@@ -737,13 +716,12 @@ def matching_ladder(
     alphas,
     *,
     t: float | None = None,
-    ln_t: float | None = None,
     hold_product: float | None = None,
 ) -> tuple[str, tuple[WedgePoint, ...]]:
     """Validate a matching ladder and return its mode and its rungs.
 
     The rungs are +x wedge points in increasing alpha, either at the fixed
-    time ``t`` (or ``ln_t``) or at ln t = ``hold_product`` / (1 - alpha).
+    time ``t`` or at ln t = ``hold_product`` / (1 - alpha).
     """
     alphas = sorted(float(a) for a in alphas)
     if not alphas:
@@ -753,14 +731,13 @@ def matching_ladder(
     if hold_product is not None:
         if not hold_product > 0.0:
             raise ValueError("hold_product must be positive")
-        if t is not None or ln_t is not None:
+        if t is not None:
             raise ValueError("pass either hold_product or a fixed time, not both")
         mode = "fixed-product"
     else:
-        if ln_t is None:
-            if t is None or not t > 1.0:
-                raise ValueError("fixed-time mode needs t > 1 or ln_t > 0")
-            ln_t = math.log(t)
+        if t is None or not t > 1.0:
+            raise ValueError("fixed-time mode needs t > 1")
+        ln_t = math.log(t)
         mode = "fixed-time"
     points = tuple(
         wedge_point(
@@ -779,20 +756,18 @@ def matching_check(
     alphas,
     *,
     t: float | None = None,
-    ln_t: float | None = None,
     hold_product: float | None = None,
 ) -> MatchingReport:
     """Run a matching ladder in alpha toward the straight-ray regime.
 
-    Two ladder modes (see :func:`matching_ladder`): pass ``t`` (or ``ln_t``)
-    to hold the observation time fixed while alpha -> 1, or
-    ``hold_product`` = c to keep (1 - alpha) * ln t = c fixed, which sends
-    t -> infinity along the ladder.  In fixed-product mode the phase
-    residual decreases toward a finite limit and the mirror magnitudes
-    expose the straight-ray decay exponent; in fixed-time mode the residual
-    itself tends to zero.
+    Two ladder modes (see :func:`matching_ladder`): pass ``t`` to hold the
+    observation time fixed while alpha -> 1, or ``hold_product`` = c to keep
+    (1 - alpha) * ln t = c fixed, which sends t -> infinity along the ladder.
+    In fixed-product mode the phase residual decreases toward a finite limit
+    and the mirror magnitudes expose the straight-ray decay exponent; in
+    fixed-time mode the residual itself tends to zero.
     """
-    mode, points = matching_ladder(s, alphas, t=t, ln_t=ln_t, hold_product=hold_product)
+    mode, points = matching_ladder(s, alphas, t=t, hold_product=hold_product)
     tracker = tracker_for(sd)
     generic = sd.case is CaseTag.CASE_I
     level = sd.amplitude

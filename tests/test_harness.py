@@ -61,7 +61,6 @@ def test_load_config_defaults(tmp_path):
     assert cfg.wedge.sides == (Side.PLUS_X, Side.MINUS_X)
     assert cfg.pde is None and cfg.match is None
     assert cfg.output.directory == tmp_path / "out"
-    assert cfg.tolerances["psi_fit_rel"] == 0.05
 
 
 def test_load_config_synthetic_params(tmp_path):
@@ -140,19 +139,6 @@ def test_schema_doc_lists_exactly_the_accepted_keys():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.ini")
-
-
-def test_tolerance_overrides(tmp_path):
-    ini = _write(
-        tmp_path,
-        "[profile]\nkind = pure-step\n[tolerances]\npsi_fit_rel = 0.1\n",
-    )
-    cfg = load_config(ini, tol_overrides=("psi_fit_rel=0.5",))
-    assert cfg.tolerances["psi_fit_rel"] == 0.5  # CLI beats file
-    with pytest.raises(ConfigError):
-        load_config(ini, tol_overrides=("not_a_tolerance=1",))
-    with pytest.raises(ConfigError):
-        load_config(ini, tol_overrides=("psi_fit_rel",))  # missing value
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +401,7 @@ def test_cli_predict_end_to_end(tmp_path, capsys):
         "[wedge]\nalphas = 0.5\nt_ladder = 1e4, 1e6\n",
     )
     out = tmp_path / "out"
-    code = main(
-        ["predict", "--config", str(ini), "--out", str(out), "--tol",
-         "psi_fit_rel=0.1"]
-    )
+    code = main(["predict", "--config", str(ini), "--out", str(out)])
     assert code == 0
     printed = capsys.readouterr().out
     assert "wrote" in printed and "predictions.csv" in printed
@@ -432,14 +415,20 @@ def test_cli_rejects_bad_config_with_exit_2(tmp_path):
     assert err.value.code == 2
 
 
+def test_cli_has_no_tol_flag(tmp_path, capsys):
+    ini = _write(tmp_path, "[profile]\nkind = synthetic-case-i\n")
+    with pytest.raises(SystemExit) as err:
+        main(["predict", "--config", str(ini), "--tol", "x=1"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --tol x=1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "body, extra",
     [
         ("[pde]\ndt = abc\n", []),
         ("[match]\ntime = 1e4x\n", []),
         ("[match]\nhold_product = wide\n", []),
-        ("[tolerances]\npsi_fit_rel = loose\n", []),
-        ("", ["--tol", "psi_fit_rel=loose"]),
         ("[kgrid]\nn_per_sign = 3\n", []),
         ("[kgrid]\nn_per_sign = 3.7\n", []),
         ("[wedge]\ns_values = 0.1\nt_ladder = 2, 5\n", []),
@@ -454,8 +443,6 @@ def test_cli_rejects_bad_config_with_exit_2(tmp_path):
         "pde-dt",
         "match-time",
         "match-hold",
-        "tolerance",
-        "cli-tol",
         "n-3",
         "n-3.7",
         "wedge-ln-4st",
@@ -493,19 +480,26 @@ def test_cli_rejects_bad_numbers_as_config_errors(tmp_path, capsys, body, extra)
             [],
             "wedge.t_ladder: not a finite number",
         ),
-        (
-            "predict",
-            "[tolerances]\npsi_fit_rel = nan\n",
-            [],
-            "tolerances.psi_fit_rel: not a finite number",
-        ),
-        (
-            "predict",
-            "",
-            ["--tol", "psi_fit_rel=-inf"],
-            "--tol.psi_fit_rel: not a finite number",
-        ),
         ("predict", "[output]\npredictions =\n", [], "output.predictions: empty"),
+        (
+            "predict",
+            "[pde]\nhalf_width = 1e12\nstep = 1e-3\n",
+            [],
+            "invalid [pde]: half_width / step gives 2000000000000001 nodes, "
+            "above the ceiling of 10000000",
+        ),
+        (
+            "predict",
+            "[kgrid]\nn_per_sign = 1e12\n",
+            [],
+            "kgrid.n_per_sign: need an integer in [4, 1000000], got 1000000000000.0",
+        ),
+        (
+            "predict",
+            "[tolerances]\npsi_fit_rel = 0.1\n",
+            [],
+            "unknown config sections: ['tolerances']",
+        ),
     ],
     ids=[
         "kgrid-k-max-inf",
@@ -513,9 +507,10 @@ def test_cli_rejects_bad_numbers_as_config_errors(tmp_path, capsys, body, extra)
         "pde-ratio-overflow",
         "match-s-inf",
         "wedge-t-ladder-inf",
-        "tolerance-nan",
-        "cli-tol-inf",
         "output-blank",
+        "pde-grid-oversized",
+        "kgrid-oversized",
+        "tolerances-section",
     ],
 )
 def test_cli_rejects_non_finite_and_blank_values(

@@ -49,6 +49,8 @@ def test_grid_validation():
         symmetric_grid(1.0, 0.0)
     with pytest.raises(ValueError):
         symmetric_grid(0.2, 0.1)  # fewer than 4 nodes per side
+    with pytest.raises(ValueError, match="10000001 nodes"):
+        symmetric_grid(5.0e6, 1.0)  # one node above the ceiling, never allocated
 
 
 def test_soliton_evolution_accuracy(grid20):

@@ -173,25 +173,24 @@ def test_classify_case_error_paths():
         a2_zero_grid=0.0 + 0.0j,
         a11=-0.5j,
         a21=2.0j,
-        m1_zero=0.0,
         ode_step_error=0.0,
     )
     with pytest.raises(SmallKMismatchError):
         classify_case(small, 1.0)
     # degenerate limit but a11 not purely imaginary
-    small = SmallKData(0.0, 0.0j, a11=0.3 - 0.5j, a21=2.0j, m1_zero=0.0, ode_step_error=0.0)
+    small = SmallKData(0.0, 0.0j, a11=0.3 - 0.5j, a21=2.0j, ode_step_error=0.0)
     with pytest.raises(CaseClassificationError):
         classify_case(small, 1.0)
     # degenerate limit with negative product
-    small = SmallKData(0.0, 0.0j, a11=-0.5j, a21=-2.0j, m1_zero=0.0, ode_step_error=0.0)
+    small = SmallKData(0.0, 0.0j, a11=-0.5j, a21=-2.0j, ode_step_error=0.0)
     with pytest.raises(CaseClassificationError):
         classify_case(small, 1.0)
     # generic limit, routes disagree
-    small = SmallKData(0.9, 0.6 + 0.0j, a11=0.0j, a21=0.0j, m1_zero=0.0, ode_step_error=0.0)
+    small = SmallKData(0.9, 0.6 + 0.0j, a11=0.0j, a21=0.0j, ode_step_error=0.0)
     with pytest.raises(SmallKMismatchError):
         classify_case(small, 1.0)
     # generic limit, complex a2(0)
-    small = SmallKData(0.6, 0.6 + 0.1j, a11=0.0j, a21=0.0j, m1_zero=0.0, ode_step_error=0.0)
+    small = SmallKData(0.6, 0.6 + 0.1j, a11=0.0j, a21=0.0j, ode_step_error=0.0)
     with pytest.raises(CaseClassificationError):
         classify_case(small, 1.0)
 
