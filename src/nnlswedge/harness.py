@@ -35,7 +35,7 @@ from .pde import (
     symmetric_grid,
     write_snapshots_csv,
 )
-from .phases import EXPANSION_BAND, _K_FIT
+from .phases import EXPANSION_BAND, _K_FIT, _WINDOW_FRACTION
 from .profiles import InitialProfile, ProfileKind
 from .scattering import (
     CaseTag,
@@ -570,15 +570,22 @@ def _validate_compare_geometry(cfg: ExperimentConfig) -> None:
             f"wedge ladder reaches t={w.t_ladder[-1]:g} beyond pde.t_final={p.t_final:g}"
         )
     clearance = 4.0 * max(cfg.profile.width, 1.0)
+    xi_edge = _WINDOW_FRACTION * cfg.kgrid_max
     for alpha in w.alphas:
         for s in w.s_values:
             for t in w.t_ladder:
-                x = wedge_point(alpha, s, t).x
-                if x + clearance > p.half_width:
+                point = wedge_point(alpha, s, t)
+                cell = f"(alpha={alpha:g}, s={s:g}, t={t:g})"
+                if point.x + clearance > p.half_width:
                     raise ConfigError(
-                        f"wedge point x={x:.4g} (alpha={alpha:g}, s={s:g}, "
-                        f"t={t:g}) too close to the boundary for "
-                        f"half_width={p.half_width:g}"
+                        f"wedge point x={point.x:.4g} {cell} too close to the "
+                        f"boundary for half_width={p.half_width:g}"
+                    )
+                if not point.xi < xi_edge:
+                    raise ConfigError(
+                        f"wedge point {cell} has slow variable xi={point.xi:.4g} "
+                        f"outside the spectral window xi < {xi_edge:.4g} "
+                        f"({_WINDOW_FRACTION:g} * kgrid.k_max)"
                     )
 
 

@@ -9,13 +9,19 @@ Every quantity in this module is a Cauchy-type integral of the
 branch-tracked logarithm of ``W(k) = 1 + r1(k) r2(k)`` over the negative
 spectral half-line.  Under unitarity ``W = 1/(a1 a2)`` exactly, so the
 tracker never forms the reflection coefficients where they are singular;
-instead it works with the regularized products
+instead it works with the regularized product ``P(k) = k^(2h) a1(k) a2(k)``,
+where ``2h`` is the power of k that keeps a1 a2 finite at k = 0:
 
-* generic (Case I):     ``P(k) = k^2 a1(k) a2(k)``, ``P(0) = (A a2(0)/2)^2 > 0``
-* degenerate (Case II): ``N(k) = a1(k) a2(k)``, ``N(0) = a11 a21 > 0``
+* generic (Case I), h = 1: a1 has a double pole, ``P(0) = (A a2(0)/2)^2 > 0``;
+* degenerate (Case II), h = 0: a1 has a simple pole and a2 a simple zero,
+  ``P(0) = a11 a21 > 0``.
 
-whose continuous logarithms are sampled on the scattering grid, splined,
-and anchored so that the accumulated argument tends to 0 as k -> -inf.
+The small-k class fixes only the k = 0 data (``P(0)``, the endpoint values
+of the regularized reflection coefficients, and ``b(0)`` where b is
+finite); every functional is one formula in h and
+``nu_1 = ln P(0) / (2 pi)``, so ``ln W = 2h ln(-k) - ln P``.  The continuous
+logarithm of P is sampled on the scattering grid, splined, and anchored so
+that the accumulated argument tends to 0 as k -> -inf.
 Beyond the grid edge the logarithm is continued by a fitted algebraic
 tail ``c1/u + c2/u^2 + c3/u^3 + c4/u^4`` whose integrals close in
 elementary form.
@@ -38,7 +44,7 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .scattering import CaseTag, SpectralData
+from .scattering import CaseTag, SpectralData, _extrapolate_to_zero
 from .specfun import QuadratureSpec, Singularity, quad
 
 __all__ = [
@@ -58,6 +64,9 @@ _TWO_PI = 2.0 * math.pi
 
 # Inner edge of the window on which the algebraic tail is fitted.
 _K_FIT = 30.0
+# Largest slow variable xi, and kernel offset, as a fraction of the grid
+# edge |k|: the tail series in offset/u converges geometrically inside it.
+_WINDOW_FRACTION = 0.5
 # Inverse powers used by the tail fit.
 _TAIL_POWERS = (1, 2, 3, 4)
 # Lower cutoff in tau = ln(-k) for integrals reaching k = 0; the
@@ -98,13 +107,14 @@ class ErrorOrder:
 
 @dataclass(frozen=True)
 class PhaseFunctionalResult:
-    """Values of the scalar phase functionals at one (alpha, s, t) point.
+    """Large-time expansions of the scalar phase functionals at one
+    (alpha, s, t) point.
 
-    ``chi_origin_const`` holds the s-dependent constant of the origin
-    value (generic case) or the shared constant (degenerate case);
-    ``chi_saddle_const`` holds its stationary-point counterpart, which in
-    the generic case differs by the exact offset i*pi/6.  ``error_order``
-    is the expansion's remainder, ``None`` for direct-quadrature values.
+    ``chi_origin_const`` holds the constant ``i h ln(s)^2 / (2 pi) + C`` of
+    the origin value (h is half the regularizing power of the tracker);
+    ``chi_saddle_const`` holds its stationary-point counterpart, larger by
+    the exact offset ``i h pi / 6``.  ``error_order`` is the expansion's
+    remainder.
     """
 
     nu_hat: complex
@@ -113,7 +123,7 @@ class PhaseFunctionalResult:
     chi_origin_const: complex
     chi_saddle_const: complex
     plateau: float
-    error_order: ErrorOrder | None
+    error_order: ErrorOrder
     case: CaseTag
 
 
@@ -205,7 +215,13 @@ def _tail_moment(n: int, k_edge: float) -> float:
 
 
 class PhaseTracker:
-    """Branch-tracked evaluator of the phase functionals for one data set."""
+    """Branch-tracked evaluator of the phase functionals for one data set.
+
+    The data's small-k class enters only through ``h``, half the power of k
+    that regularizes a1 a2 at k = 0 (1 generic, 0 degenerate), and through
+    the k = 0 values chosen in the constructor; every method runs one
+    formula for both classes.
+    """
 
     def __init__(self, sd: SpectralData):
         self.sd = sd
@@ -214,24 +230,35 @@ class PhaseTracker:
         kneg = k[neg]  # increasing, -k_max .. -k_min
         self.k_edge = float(-kneg[0])
         self.k_min = float(-kneg[-1])
-        prod = sd.a1[neg] * sd.a2[neg]
         amp = sd.amplitude
 
+        # The small-k class picks h, the regularized product at 0, the
+        # endpoint values of the regularized reflection splines
+        # r1(u) = u*s1(u), r2(u) = s2(u)/u, and b(0), which is finite only
+        # in the degenerate class.
         if sd.case is CaseTag.CASE_I:
-            vals = kneg**2 * prod
+            self._h = 1
             val0 = complex((0.5 * amp * sd.a2_at_zero) ** 2)
+            s1_zero = -2.0j / amp
+            s2_zero = -0.5j * amp
+            self.b_at_zero = None
         else:
-            vals = prod
+            self._h = 0
             val0 = complex((complex(sd.a11) * complex(sd.a21)).real)
+            near = np.argsort(np.abs(k), kind="stable")[:10]
+            self.b_at_zero = _extrapolate_to_zero(k[near], sd.b[near])
+            s1_zero = self.b_at_zero / complex(sd.a11)
+            s2_zero = np.conj(self.b_at_zero) / complex(sd.a21)
         if not val0.real > 0.0:
             raise RefinementRequiredError(
                 "regularized spectral product is not positive at k = 0"
             )
-        # Degenerate class: winding index at the origin, ln(a11 a21) / 2 pi.
-        self.nu_zero = (
-            None if sd.case is CaseTag.CASE_I else math.log(val0.real) / _TWO_PI
-        )
+        # nu_1 = ln P(0) / 2 pi; in the degenerate class it is the winding
+        # index at the origin, ln(a11 a21) / 2 pi.
+        self._nu_one = math.log(val0.real) / _TWO_PI
+        self.nu_zero = None if self._h else self._nu_one
 
+        vals = kneg ** (2 * self._h) * (sd.a1[neg] * sd.a2[neg])
         allv = np.append(vals, val0)
         rotation = np.angle(allv[1:] * np.conj(allv[:-1]))
         if np.max(np.abs(rotation)) > 0.9 * math.pi:
@@ -244,21 +271,9 @@ class PhaseTracker:
         self._theta = CubicSpline(nodes, theta)
         self._logabs = CubicSpline(nodes, np.log(np.abs(allv)))
 
-        # Regularized reflection splines: r1(u) = u*s1(u), r2(u) = s2(u)/u.
-        a1n = sd.a1[neg]
-        a2n = sd.a2[neg]
-        bn = sd.b[neg]
         b_mirror = np.conj(sd.b[::-1][neg])  # conj(b(-k)) at the same nodes
-        s1_nodes = (bn / a1n) / kneg
-        s2_nodes = kneg * (b_mirror / a2n)
-        b0 = self._extrapolate_b_zero(k, sd.b)
-        self.b_at_zero = b0
-        if sd.case is CaseTag.CASE_I:
-            s1_zero = -2.0j / amp
-            s2_zero = -0.5j * amp
-        else:
-            s1_zero = b0 / complex(sd.a11)
-            s2_zero = np.conj(b0) / complex(sd.a21)
+        s1_nodes = (sd.b[neg] / sd.a1[neg]) / kneg
+        s2_nodes = kneg * (b_mirror / sd.a2[neg])
         self._s1 = CubicSpline(nodes, np.append(s1_nodes, s1_zero))
         self._s2 = CubicSpline(nodes, np.append(s2_nodes, s2_zero))
 
@@ -271,27 +286,11 @@ class PhaseTracker:
             )
         u_fit = kneg[window]
         log_pn = np.log(np.abs(allv[:-1][window])) + 1j * theta[:-1][window]
-        if sd.case is CaseTag.CASE_I:
-            l_fit = 2.0 * np.log(-u_fit) - log_pn
-        else:
-            l_fit = -log_pn
+        l_fit = 2 * self._h * np.log(-u_fit) - log_pn
         basis = np.stack([u_fit ** (-p) for p in _TAIL_POWERS], axis=1)
         coef, *_ = np.linalg.lstsq(basis, l_fit, rcond=None)
         self._tail_coef = coef
         self.tail_residual = float(np.max(np.abs(basis @ coef - l_fit)))
-
-    # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def _extrapolate_b_zero(k: np.ndarray, b: np.ndarray) -> complex:
-        order = np.argsort(np.abs(k))[:10]
-        kk = k[order]
-        bb = b[order]
-        if np.max(np.abs(bb)) == 0.0:
-            return 0.0 + 0.0j
-        cre = np.polyfit(kk, bb.real, 2)
-        cim = np.polyfit(kk, bb.imag, 2)
-        return complex(cre[-1], cim[-1])
 
     # -- elementary evaluations ----------------------------------------------
 
@@ -299,18 +298,14 @@ class PhaseTracker:
         return self._logabs(u, derivative) + 1j * self._theta(u, derivative)
 
     def log_w(self, u):
-        """Branch-tracked ln(1 + r1 r2) on [-k_edge, 0)."""
+        """Branch-tracked ln(1 + r1 r2) = 2h ln(-u) - ln P(u) on [-k_edge, 0)."""
         u = np.asarray(u, dtype=float)
-        if self.sd.case is CaseTag.CASE_I:
-            return 2.0 * np.log(-u) - self._log_pn(u)
-        return -self._log_pn(u)
+        return 2 * self._h * np.log(-u) - self._log_pn(u)
 
     def _g0(self, u):
-        """u * d/du ln(1 + r1 r2): bounded on [-k_edge, 0]."""
+        """u * d/du ln(1 + r1 r2) = 2h - u (ln P)'(u): bounded on [-k_edge, 0]."""
         u = np.asarray(u, dtype=float)
-        if self.sd.case is CaseTag.CASE_I:
-            return 2.0 - u * self._log_pn(u, 1)
-        return -u * self._log_pn(u, 1)
+        return 2 * self._h - u * self._log_pn(u, 1)
 
     def _tail_l(self, u: float) -> complex:
         return complex(sum(c * u ** (-p) for c, p in zip(self._tail_coef, _TAIL_POWERS)))
@@ -324,7 +319,7 @@ class PhaseTracker:
     def _tail_chi(self, z_hat: float) -> complex:
         """Integral of ln(z_hat - u) dL(u) over (-inf, -k_edge]."""
         k_edge = self.k_edge
-        if not abs(z_hat) < 0.5 * k_edge:
+        if not abs(z_hat) < _WINDOW_FRACTION * k_edge:
             raise ValueError("kernel offset too large for the tail series")
         total = math.log(z_hat + k_edge) * self._tail_l(-k_edge)
         # integral of L(u)/(z_hat-u): geometric expansion in z_hat/u
@@ -341,7 +336,7 @@ class PhaseTracker:
         return total - acc
 
     def _check_window(self, xi: float) -> None:
-        if not xi < 0.5 * self.k_edge:
+        if not xi < _WINDOW_FRACTION * self.k_edge:
             raise ValueError(
                 f"slow-variable argument {xi:.3g} lies outside the tabulated "
                 f"spectral window (edge {self.k_edge:.3g})"
@@ -390,7 +385,7 @@ class PhaseTracker:
             raise ValueError("chi_hat requires z >= -s")
         at_saddle = abs(z + s) <= 1e-12 * max(1.0, s)
         z_hat = -xi if at_saddle else z * math.exp((alpha - 1.0) * ln_x)
-        if not abs(z_hat) < 0.5 * self.k_edge:
+        if not abs(z_hat) < _WINDOW_FRACTION * self.k_edge:
             raise ValueError("scaled kernel offset outside the tabulated window")
 
         l_xi = complex(self.log_w(-xi))
@@ -446,48 +441,49 @@ class PhaseTracker:
 
     @cached_property
     def origin_constant(self) -> complex:
-        """s-independent constant of the large-time origin value: the
-        log-kernel integral of dL split at the unit circle (generic case)
-        or taken across the whole half-line (degenerate case)."""
+        """s-independent constant C of the large-time origin value: the
+        log-kernel integral of dL split at the unit circle.  Inside it the
+        regularizing part 2h du/u of dL is left out; its log-kernel
+        integral is carried by the i h ln(s)^2 / (2 pi) term of
+        :meth:`chi_origin_const`."""
         ln_k = math.log(self.k_edge)
         g0 = self._g0
+        log_pn = self._log_pn
         spec = QuadratureSpec(atol=5e-10, rtol=1e-9, max_subdivisions=800)
 
         def outer(tau):
             tau = np.asarray(tau, dtype=float)
             return tau * g0(-np.exp(tau))
 
-        if self.sd.case is CaseTag.CASE_I:
-            mid = -quad(outer, 0.0, ln_k, spec).value
-            log_pn = self._log_pn
+        def inner(tau):
+            tau = np.asarray(tau, dtype=float)
+            u = -np.exp(tau)
+            return tau * (u * log_pn(u, 1))
 
-            def inner(tau):
-                tau = np.asarray(tau, dtype=float)
-                u = -np.exp(tau)
-                return tau * (u * log_pn(u, 1))
-
-            inner_val = quad(inner, _TAU_FLOOR, 0.0, spec).value
-            return 1j / _TWO_PI * (self._tail_chi(0.0) + mid + inner_val)
-        mid = -quad(outer, _TAU_FLOOR, ln_k, spec).value
-        return 1j / _TWO_PI * (self._tail_chi(0.0) + mid)
+        mid = -quad(outer, 0.0, ln_k, spec).value
+        inner_val = quad(inner, _TAU_FLOOR, 0.0, spec).value
+        return 1j / _TWO_PI * (self._tail_chi(0.0) + mid + inner_val)
 
     def chi_origin_const(self, s: float) -> complex:
-        """Large-time constant of the origin value at slow variable s."""
-        if self.sd.case is CaseTag.CASE_I:
-            return 1j * math.log(s) ** 2 / _TWO_PI + self.origin_constant
-        return self.origin_constant
+        """Large-time constant of the origin value at slow variable s:
+        i h ln(s)^2 / (2 pi) + C."""
+        return 1j * self._h * math.log(s) ** 2 / _TWO_PI + self.origin_constant
 
     def chi_saddle_const(self, s: float) -> complex:
-        """Large-time constant at the stationary point: origin constant
-        plus the exact dilogarithm offset i*pi/6 in the generic case."""
-        if self.sd.case is CaseTag.CASE_I:
-            return self.chi_origin_const(s) + 1j * math.pi / 6.0
-        return self.origin_constant
+        """Large-time constant at the stationary point: the origin constant
+        plus the exact dilogarithm offset i h pi / 6."""
+        return self.chi_origin_const(s) + 1j * self._h * math.pi / 6.0
 
     # -- result assembly -----------------------------------------------------------
 
     def expansion(self, point: WedgePoint) -> PhaseFunctionalResult:
-        """Large-time expansions of nu_hat and chi_hat."""
+        """Large-time expansions of nu_hat and chi_hat.
+
+        With r = (1-alpha)/(2-alpha) and L = ln 4st:
+        nu = nu_1 - h ln(xi) / pi and
+        chi(0) = -i h r^2 L^2 / (2 pi) - i r nu_1 L + chi_origin_const(s);
+        chi(-s) adds i h pi / 6.
+        """
         alpha, s, ln_4st = point.alpha, point.s, point.ln_4st
         if not EXPANSION_BAND[0] <= s <= EXPANSION_BAND[1]:
             warnings.warn(
@@ -495,47 +491,23 @@ class PhaseTracker:
                 ExpansionBandWarning,
                 stacklevel=2,
             )
-        error = ErrorOrder((1.0 - alpha) / (alpha - 2.0), 1)
-        if self.sd.case is CaseTag.CASE_I:
-            amp_half = 0.5 * self.sd.amplitude * abs(self.sd.a2_at_zero)
-            nu0 = (1.0 - alpha) / (math.pi * (2.0 - alpha))
-            nu = nu0 * ln_4st + math.log(amp_half / s) / math.pi
-            chi0_s = self.chi_origin_const(s)
-            chi_origin = (
-                -1j * (1.0 - alpha) ** 2 / (_TWO_PI * (2.0 - alpha) ** 2) * ln_4st**2
-                - 1j * nu0 * math.log(amp_half) * ln_4st
-                + chi0_s
-            )
-            saddle_const = chi0_s + 1j * math.pi / 6.0
-            chi_saddle = chi_origin + 1j * math.pi / 6.0
-        else:
-            nu = self.nu_zero
-            chi0_s = self.origin_constant
-            chi_origin = 1j * (1.0 - alpha) / (alpha - 2.0) * nu * ln_4st + chi0_s
-            saddle_const = chi0_s
-            chi_saddle = chi_origin
+        h, nu_one = self._h, self._nu_one
+        ratio = (1.0 - alpha) / (2.0 - alpha)
+        nu = nu_one - h * point.ln_xi / math.pi
+        chi0_s = self.chi_origin_const(s)
+        chi_origin = (
+            -1j * h * ratio**2 * ln_4st**2 / _TWO_PI
+            - 1j * ratio * nu_one * ln_4st
+            + chi0_s
+        )
         return PhaseFunctionalResult(
             nu_hat=complex(nu),
             chi_at_origin=chi_origin,
-            chi_at_saddle=chi_saddle,
+            chi_at_saddle=chi_origin + 1j * h * math.pi / 6.0,
             chi_origin_const=chi0_s,
-            chi_saddle_const=saddle_const,
-            plateau=self.plateau,
-            error_order=error,
-            case=self.sd.case,
-        )
-
-    def direct(self, point: WedgePoint) -> PhaseFunctionalResult:
-        """Direct-quadrature values of nu_hat and chi_hat at z = 0 and z = -s."""
-        s = point.s
-        return PhaseFunctionalResult(
-            nu_hat=self.nu_hat(point),
-            chi_at_origin=self.chi_hat(0.0, point),
-            chi_at_saddle=self.chi_hat(-s, point),
-            chi_origin_const=self.chi_origin_const(s),
             chi_saddle_const=self.chi_saddle_const(s),
             plateau=self.plateau,
-            error_order=None,
+            error_order=ErrorOrder((1.0 - alpha) / (alpha - 2.0), 1),
             case=self.sd.case,
         )
 
@@ -560,15 +532,11 @@ class PhaseTracker:
         """Small-xi form of delta0 built from the cached constants."""
         if not xi > 0.0:
             raise ValueError("xi must be positive")
-        if self.sd.case is CaseTag.CASE_I:
-            amp_half = 0.5 * self.sd.amplitude * abs(self.sd.a2_at_zero)
-            exponent = (
-                1j / math.pi * math.log(xi) * math.log(amp_half / xi)
-                + self.chi_origin_const(xi)
-            )
-        else:
-            exponent = 1j * math.log(xi) * self.nu_zero + self.origin_constant
-        return cmath.exp(exponent)
+        ln_xi = math.log(xi)
+        return cmath.exp(
+            1j * ln_xi * (self._nu_one - self._h * ln_xi / _TWO_PI)
+            + self.origin_constant
+        )
 
 
 # -- module-level convenience API ------------------------------------------------
@@ -589,7 +557,8 @@ def tracker_for(sd: SpectralData) -> PhaseTracker:
     tracker = _TRACKERS.get(key)
     if tracker is None or tracker.sd is not sd:
         tracker = PhaseTracker(sd)
-        if len(_TRACKERS) >= _TRACKER_CACHE_LIMIT:
+        # a fresh data set under a cached key replaces its entry in place
+        if key not in _TRACKERS and len(_TRACKERS) >= _TRACKER_CACHE_LIMIT:
             _TRACKERS.pop(next(iter(_TRACKERS)))
         _TRACKERS[key] = tracker
     return tracker

@@ -183,7 +183,7 @@ def test_criterion_06_winding_expansion_rate(sd_synth_ii, sd_perturbed):
 
     def gap(sd, point):
         tracker = tracker_for(sd)
-        return abs(tracker.direct(point).nu_hat - tracker.expansion(point).nu_hat)
+        return abs(tracker.nu_hat(point) - tracker.expansion(point).nu_hat)
 
     for alpha in (0.4, 0.6, 0.8):
         target = (alpha - 1.0) / (2.0 - alpha)

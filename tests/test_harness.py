@@ -288,11 +288,17 @@ def test_compare_geometry_rejections(tmp_path):
         soliton + base + "[pde]\nhalf_width = 16\nstep = 0.05\nt_final = 3.5\n",
         # wedge point too close to the boundary
         soliton + base + "[pde]\nhalf_width = 8\nstep = 0.05\nt_final = 4\n",
+        # slow variable xi = 54.5 beyond half the k window (edge 100)
+        "[profile]\nkind = smoothed-step\n"
+        "[wedge]\nalphas = 0.9\ns_values = 100\nt_ladder = 2\nsides = +x\n"
+        "[pde]\nhalf_width = 450\nstep = 0.5\nt_final = 2\n",
     ]
     for body in cases:
         cfg = load_config(_write(tmp_path, body), out_dir=tmp_path / "out")
         with pytest.raises(ConfigError):
             cmd_compare(cfg)
+    # every rejection comes before any scattering run
+    assert not (tmp_path / "out" / "spectra.json").exists()
 
 
 def test_compare_abort_yields_partial_report(tmp_path):

@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import spence
 
+from nnlswedge import phases
 from nnlswedge.phases import (
     ExpansionBandWarning,
     LogSingularityError,
@@ -47,6 +48,7 @@ from nnlswedge.scattering import (
     synthetic_case_ii,
 )
 from nnlswedge.specfun import QuadratureSpec, Singularity, quad
+from nnlswedge.wedge import _main_ledger, phase_coefficients
 
 # Frozen oracle values (30-digit arbitrary-precision quadrature against
 # exact rational spectral data; see module docstring for the formulas).
@@ -330,16 +332,14 @@ def test_expansion_fields_and_convergence_generic(sd_pure_a2):
     errors = {"nu": [], "chi0": [], "chis": []}
     for t in (1.0e3, 1.0e6):
         point = _point(0.7, 1.0, t)
-        direct = tracker.direct(point)
         expansion = tracker.expansion(point)
-        assert direct.error_order is None
         assert expansion.case is CaseTag.CASE_I
         assert expansion.error_order.t_exponent == pytest.approx((1.0 - 0.7) / (0.7 - 2.0))
         assert expansion.error_order.log_power == 1
         assert expansion.chi_saddle_const - expansion.chi_origin_const == I_PI_6
-        errors["nu"].append(abs(direct.nu_hat - expansion.nu_hat))
-        errors["chi0"].append(abs(direct.chi_at_origin - expansion.chi_at_origin))
-        errors["chis"].append(abs(direct.chi_at_saddle - expansion.chi_at_saddle))
+        errors["nu"].append(abs(tracker.nu_hat(point) - expansion.nu_hat))
+        errors["chi0"].append(abs(tracker.chi_hat(0.0, point) - expansion.chi_at_origin))
+        errors["chis"].append(abs(tracker.chi_hat(-point.s, point) - expansion.chi_at_saddle))
     for history in errors.values():
         assert history[1] < history[0]
         assert history[1] < 0.3
@@ -351,16 +351,41 @@ def test_expansion_fields_and_convergence_degenerate(sd_synth_ii):
     errs_chi = []
     for t in (1.0e4, 1.0e8):
         point = _point(0.6, 1.0, t)
-        direct = tracker.direct(point)
         expansion = tracker.expansion(point)
         assert expansion.nu_hat == pytest.approx(NU0_SYNTH_II, abs=1e-12)
         assert expansion.chi_at_origin == expansion.chi_at_saddle
-        errs_nu.append(abs(direct.nu_hat - expansion.nu_hat))
-        errs_chi.append(abs(direct.chi_at_origin - expansion.chi_at_origin))
+        errs_nu.append(abs(tracker.nu_hat(point) - expansion.nu_hat))
+        errs_chi.append(abs(tracker.chi_hat(0.0, point) - expansion.chi_at_origin))
     assert errs_nu[1] < errs_nu[0]
     assert errs_chi[1] < errs_chi[0]
     assert errs_nu[1] < 0.01
     assert errs_chi[1] < 0.05
+
+
+def test_expansion_matches_coefficient_table(sd_synth_i, sd_synth_ii):
+    # the tracker's one expansion formula against the wedge coefficient
+    # table of each class: nu_hat = phi2 L + phi4 (generic) or nu_zero
+    # (degenerate), and 2 Re(nu) ln s + 2 Im chi(0) is the main slow phase
+    for sd in (sd_synth_i, sd_synth_ii):
+        tracker = tracker_for(sd)
+        for alpha in (0.3, 0.6, 0.9):
+            for s in (0.2, 1.0, 5.0):
+                pc = phase_coefficients(sd, alpha, s)
+                for t in (1.0e3, 1.0e8):
+                    point = _point(alpha, s, t)
+                    ln_4st = point.ln_4st
+                    expansion = tracker.expansion(point)
+                    if sd.case is CaseTag.CASE_I:
+                        nu = pc.phi2 * ln_4st + pc.phi4
+                    else:
+                        nu = tracker.nu_zero
+                    assert abs(expansion.nu_hat - nu) <= 1e-13 * max(1.0, abs(nu))
+                    main = _main_ledger(pc).slow_phase(ln_4st)
+                    slow = (
+                        2.0 * expansion.nu_hat.real * math.log(s)
+                        + 2.0 * expansion.chi_at_origin.imag
+                    )
+                    assert abs(slow - main) <= 1e-13 * max(1.0, abs(main))
 
 
 def test_expansion_error_is_first_order_generic(sd_perturbed):
@@ -418,6 +443,20 @@ def test_closed_forms_across_synthetic_case_i(q, xis):
     for xi in xis:
         expected = cmath.exp(1j * spence(1.0 + q * q / (xi * xi)) / (4.0 * math.pi))
         assert abs(tracker.delta0(xi) - expected) < 5e-8
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(
+    k1=_log_uniform(0.2, 2.0),
+    pole=_log_uniform(0.05, 3.0),
+    ratio=st.floats(0.05, 0.95),
+)
+def test_b_at_zero_across_synthetic_case_ii(k1, pole, ratio):
+    # b = coupling / (k - i pole), so b(0) = i coupling / pole
+    coupling = ratio * pole
+    tracker = PhaseTracker(synthetic_case_ii(k1=k1, pole=pole, coupling=coupling))
+    expected = 1j * coupling / pole
+    assert abs(tracker.b_at_zero - expected) <= 1e-9 * abs(expected)
 
 
 def test_delta0_unimodular_for_real_products(sd_pure_a1):
@@ -485,8 +524,20 @@ def test_tail_fit_quality(sd_pure_a1, sd_smoothed, sd_perturbed, sd_soliton, sd_
         assert tracker_for(sd).tail_residual < 1e-7
 
 
-def test_tracker_cache(sd_pure_a1):
+def test_tracker_cache(sd_pure_a1, monkeypatch):
     assert tracker_for(sd_pure_a1) is tracker_for(sd_pure_a1)
     # same fingerprint and grid, other data: never the cached tracker
     other = dataclasses.replace(sd_pure_a1, b=0.5 * sd_pure_a1.b)
     assert tracker_for(other) is not tracker_for(sd_pure_a1)
+    # on a full cache, fresh data under a cached key replaces that entry
+    # alone: no other tracker is evicted
+    monkeypatch.setattr(phases, "_TRACKERS", {})
+    family = [
+        synthetic_case_i(d=0.5 + 0.1 * i) for i in range(phases._TRACKER_CACHE_LIMIT)
+    ]
+    trackers = [tracker_for(sd) for sd in family]
+    fresh = dataclasses.replace(family[-1], b=0.5 * family[-1].b)
+    assert tracker_for(fresh) is not trackers[-1]
+    assert len(phases._TRACKERS) == phases._TRACKER_CACHE_LIMIT
+    for sd, tracker in zip(family[:-1], trackers):
+        assert tracker_for(sd) is tracker
