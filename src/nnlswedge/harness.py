@@ -79,9 +79,9 @@ _PSI_FIT_REL = 0.05
 _SYNTHETIC_KINDS = ("synthetic-case-i", "synthetic-case-ii")
 
 # Largest [kgrid] n_per_sign accepted: the Jost sweep's time and memory grow
-# linearly in the node count (~2 ms per node per sign on a 2-vCPU host), so
-# this size, 2500x the default 400, already runs for over half an hour;
-# beyond it a value is a typo, not a finer grid.
+# linearly in the node count (2.5 ms per node per sign on the smoothed step,
+# 7 ms on the soliton; 2-vCPU host), so this size, 2500x the default 400, runs
+# for over half an hour; beyond it a value is a typo, not a finer grid.
 _MAX_K_PER_SIGN = 10**6
 
 

@@ -42,7 +42,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .scattering import CaseTag, SpectralData, _extrapolate_to_zero
 from .specfun import QuadratureSpec, Singularity, quad
@@ -224,6 +223,7 @@ class PhaseTracker:
     """
 
     def __init__(self, sd: SpectralData):
+        from scipy.interpolate import CubicSpline  # deferred: `scatter` builds no tracker
         self.sd = sd
         k = sd.k_grid
         neg = k < 0.0

@@ -173,7 +173,8 @@ def _sweep(profile, k, x_starts, h_steps, p11, p12, p21, p22, *, rescale=False):
     ``p11..p22`` are (nk,) arrays forming the propagated 2x2 solution
     (or a single column when ``p12``/``p22`` are None).  With
     ``rescale=True`` the first column is renormalized per element after
-    every step; the positive removed factors are discarded.
+    every step; the logs of the removed factors, each less the step's free
+    growth ``|h| Im k``, are summed and returned fifth (else 0).
     """
     xg1 = x_starts + _GAUSS_C1 * h_steps
     xg2 = x_starts + _GAUSS_C2 * h_steps
@@ -183,6 +184,7 @@ def _sweep(profile, k, x_starts, h_steps, p11, p12, p21, p22, *, rescale=False):
     qm2_all = np.conj(profile.sample(-xg2))
     mik = -1j * k
     single = p12 is None
+    logs = 0.0
     for i in range(x_starts.size):
         h = h_steps[i]
         q1, q2 = q1_all[i], q2_all[i]
@@ -203,7 +205,8 @@ def _sweep(profile, k, x_starts, h_steps, p11, p12, p21, p22, *, rescale=False):
             scale = np.where(scale > 0, scale, 1.0)
             p11 = p11 / scale
             p21 = p21 / scale
-    return p11, p12, p21, p22
+            logs = logs + (np.log(scale) - abs(h) * k.imag)
+    return p11, p12, p21, p22, logs
 
 
 def _split_at_origin(edges: np.ndarray):
@@ -245,13 +248,13 @@ def jost_at_origin(profile: InitialProfile, k):
     l11, l12 = ep, np.zeros_like(ep)
     l21, l22 = dress * ep, em
     xs, hs = _forward_steps(left_edges)
-    l11, l12, l21, l22 = _sweep(profile, k, xs, hs, l11, l12, l21, l22)
+    l11, l12, l21, l22, _ = _sweep(profile, k, xs, hs, l11, l12, l21, l22)
 
     # right solution: N_plus * exp(-i k R sigma3) at x = +R, swept to 0
     r11, r12 = em, dress * ep
     r21, r22 = np.zeros_like(ep), ep
     xs, hs = _backward_steps(right_edges)
-    r11, r12, r21, r22 = _sweep(profile, k, xs, hs, r11, r12, r21, r22)
+    r11, r12, r21, r22, _ = _sweep(profile, k, xs, hs, r11, r12, r21, r22)
 
     nk = k.size
     left = np.empty((nk, 2, 2), dtype=complex)
@@ -449,34 +452,33 @@ def classify_case(small: SmallKData, amplitude: float):
 
 
 def _imag_axis_transmission_batch(profile: InitialProfile, rho: np.ndarray) -> np.ndarray:
-    """Rescaled Wronskian of the analytically continued transmission.
+    """Transmission ``a1(i rho)``, the Wronskian of two Jost columns (the
+    right Jost matrix has unit determinant): real-analytic in rho and O(1).
 
-    At ``k = i rho`` the relevant Jost columns decay/grow like
-    ``exp(-+ rho x)``; both are propagated with running renormalization
-    and the (positive) removed factors never touch the sign of the
-    result, so the returned real part is a faithful sign indicator of
-    ``a1(i rho)``.
+    Both columns are propagated with running renormalization; their start
+    factors ``exp(-rho R)`` cancel the free growth over ``[-R, R]``, so the
+    summed log-scales restore the true size.  ``max(rho)`` sets the layout.
     """
     rho = np.asarray(rho, dtype=float)
     k = 1j * rho
     edges = _step_edges(profile, float(np.max(rho)))
     left_edges, right_edges = _split_at_origin(edges)
-    a = profile.amplitude
+    dress = 0.5 * profile.amplitude / (1j * k)
     # first column of the left solution at x = -R: e^{ikR} (1, A/(2ik))
-    w1 = np.ones(rho.size, dtype=complex)
-    w2 = 0.5 * a / (1j * k) * np.ones(rho.size, dtype=complex)
+    w1, w2 = np.ones(rho.size, dtype=complex), dress
     xs, hs = _forward_steps(left_edges)
-    w1, _, w2, _ = _sweep(profile, k, xs, hs, w1, None, w2, None, rescale=True)
+    w1, _, w2, _, logs_w = _sweep(profile, k, xs, hs, w1, None, w2, None, rescale=True)
     # second column of the right solution at x = +R: e^{ikR} (A/(2ik), 1)
-    v1 = 0.5 * a / (1j * k) * np.ones(rho.size, dtype=complex)
-    v2 = np.ones(rho.size, dtype=complex)
+    v1, v2 = dress, np.ones(rho.size, dtype=complex)
     xs, hs = _backward_steps(right_edges)
-    v1, _, v2, _ = _sweep(profile, k, xs, hs, v1, None, v2, None, rescale=True)
-    return np.real(w1 * v2 - v1 * w2)
+    v1, _, v2, _, logs_v = _sweep(profile, k, xs, hs, v1, None, v2, None, rescale=True)
+    return np.real(w1 * v2 - v1 * w2) * np.exp(logs_w + logs_v)
 
 
-# refinement of the k1 bracket: nodes per sweep, and the bracket width
-# at which the search stops
+# refinement of the k1 bracket: Chebyshev-Lobatto nodes on [0, 1], the confirm
+# window's relative half-width, nodes per sweep, and the stopping width
+_K1_CHEB_NODES = np.sin(np.linspace(0.0, 0.5 * math.pi, 32)) ** 2
+_K1_CONFIRM = 1e-13
 _K1_SWEEP_NODES = 64
 _K1_XTOL = 1e-14
 
@@ -484,12 +486,13 @@ _K1_XTOL = 1e-14
 def find_k1(profile: InitialProfile) -> float:
     """Locate the zero of the transmission ``a1`` on the imaginary axis.
 
-    Scans ``[1e-3 A, 1e3 A]`` for the first sign change of the rescaled
-    Wronskian (64 geometric nodes up to ``8 A``, 16-node segments above),
-    shrinks that bracket by sweeps of 64 linearly spaced nodes to width
-    1e-14 (or adjacent floats) and returns its midpoint, or a node where
-    the Wronskian vanishes exactly.  Raises :class:`RootBracketError` when
-    the scan finds no sign change or a sweep loses it.
+    Scans ``[1e-3 A, 1e3 A]`` for the first sign change of ``a1(i rho)``
+    (64 geometric nodes up to ``8 A``, 16-node segments above).  Later
+    sweeps keep the scan bracket's step layout: 32 Chebyshev nodes on it,
+    64 nodes within a relative 1e-13 of the interpolant's root plus the
+    bracket's ends, then 64 linear nodes until the bracket is 1e-14 wide or
+    spans adjacent floats; returns its midpoint (or an exact zero node).
+    Raises :class:`RootBracketError` if the scan or a sweep finds no sign change.
     """
     a = profile.amplitude
     lo, hi = 1e-3 * a, 1e3 * a
@@ -499,16 +502,27 @@ def find_k1(profile: InitialProfile) -> float:
         scan.append(np.geomspace(top, min(hi, 4.0 * top), 16))
         top = min(hi, 4.0 * top)
     bracket = None
+    sweeps = 0  # sweeps since the scan
     while bracket is None or bracket[1] - bracket[0] > _K1_XTOL:
-        if bracket is not None:
-            rho = np.linspace(bracket[0], bracket[1], _K1_SWEEP_NODES)
-        elif scan:
+        if bracket is None:
+            if not scan:
+                raise RootBracketError(
+                    f"no transmission zero found on the imaginary axis in [{lo:g}, {hi:g}]"
+                )
             rho = scan.pop(0)
+            layout = rho[-1]
+        elif sweeps == 0:  # Chebyshev-Lobatto nodes; their top node fixes the layout
+            layout = bracket[1]
+            rho = bracket[0] + (layout - bracket[0]) * _K1_CHEB_NODES
+        elif sweeps == 1:  # confirm the interpolant's root
+            roots = np.polynomial.Chebyshev.fit(rho, vals, rho.size - 1).roots()
+            root = np.clip(roots[np.argmin(np.abs(roots - sum(bracket) / 2))].real, *bracket)
+            window = root * (1.0 + _K1_CONFIRM * np.linspace(-1.0, 1.0, _K1_SWEEP_NODES))
+            rho = np.r_[bracket[0], np.clip(window, *bracket), bracket[1]]
         else:
-            raise RootBracketError(
-                f"no transmission zero found on the imaginary axis in [{lo:g}, {hi:g}]"
-            )
-        vals = _imag_axis_transmission_batch(profile, rho)
+            rho = np.linspace(bracket[0], bracket[1], _K1_SWEEP_NODES)
+        sweeps += bracket is not None
+        vals = _imag_axis_transmission_batch(profile, np.append(rho, layout))[:-1]
         zeros = np.nonzero(vals == 0.0)[0]
         if zeros.size:
             return float(rho[zeros[0]])

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rgamma
 
 from .phases import (
     ErrorOrder,
@@ -290,6 +289,7 @@ def _parametrix_pair(nu: complex, r1: complex, r2: complex) -> tuple[complex, co
     """Parametrix connection pair (beta, gamma) for the winding index ``nu``
     and reflection values ``r1``, ``r2``; ``beta * gamma == nu`` identically
     when ``nu = -ln(1 + r1 r2) / (2 pi)``."""
+    from scipy.special import rgamma  # deferred: `scatter` never needs scipy
     beta = (
         _SQRT_2PI
         * cmath.exp(-0.5 * math.pi * nu - 0.75j * math.pi)
@@ -838,6 +838,7 @@ def matching_check(
 
 def _ray_mirror_constant(sd: SpectralData, s: float) -> complex:
     """Straight-ray mirror-term constant for the degenerate class."""
+    from scipy.special import rgamma  # deferred: `scatter` never needs scipy
     tracker = tracker_for(sd)
     nu_zero = tracker.nu_zero
     b_zero = tracker.b_at_zero

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -249,6 +252,30 @@ def test_scatter_synthetic_honours_kgrid(tmp_path):
     )
     cache = cmd_scatter(load_config(ini, out_dir=tmp_path / "out"))
     assert len(load_spectral_data(cache).k_grid) == 120
+
+
+def test_scatter_loads_no_scipy(tmp_path):
+    # a fresh interpreter: scipy loads on first use by the phase tracker or
+    # the parametrix, and `scatter` uses neither
+    ini = _write(
+        tmp_path,
+        "[profile]\nkind = pure-step\namplitude = 1.0\n"
+        "[kgrid]\nn_per_sign = 16\nk_min = 1e-2\nk_max = 10\n",
+    )
+    argv = ["scatter", "--config", str(ini), "--out", str(tmp_path / "out")]
+    script = (
+        "import sys\n"
+        "import nnlswedge.harness as harness\n"
+        f"code = harness.main({argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 @pytest.mark.parametrize("command", ["predict", "compare", "match"])

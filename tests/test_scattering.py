@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nnlswedge import scattering
 from nnlswedge.profiles import InitialProfile, ProfileKind
 from nnlswedge.scattering import (
     CaseClassificationError,
@@ -200,10 +201,39 @@ def test_classify_case_error_paths():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("amplitude", [0.3, 1.0, 2.0, 5.0])
+@pytest.mark.parametrize("amplitude", [0.3, 1.0, 2.0, 5.0, 1000.0])
 def test_pure_step_k1(amplitude):
+    # at A = 1000 the confirm sweep leaves a bracket wider than 1e-14, so a
+    # 63-fold sweep ends the search
     p = InitialProfile(ProfileKind.PURE_STEP, amplitude=amplitude)
     assert abs(find_k1(p) - 0.5 * amplitude) < 1e-12 * amplitude
+
+
+@pytest.mark.parametrize("amplitude", [0.3, 1.0, 5.0])
+def test_imag_axis_wronskian_is_the_transmission(amplitude):
+    # pure step: a1(i rho) = 1 - (A / 2 rho)^2 in size and sign, also at
+    # rho R = 2000, where the renormalization removes a factor near e^4000
+    rho = np.geomspace(0.05, 20.0, 9) * amplitude
+    p = InitialProfile(ProfileKind.PURE_STEP, amplitude=amplitude)
+    expected = 1.0 - (0.5 * amplitude / rho) ** 2
+    assert np.allclose(
+        scattering._imag_axis_transmission_batch(p, rho), expected, rtol=1e-12, atol=1e-12
+    )
+
+
+def test_smoothed_step_k1_takes_three_sweeps(monkeypatch):
+    # the scan, 32 Chebyshev nodes, and the confirm sweep around their root
+    sweeps = []
+    batch = scattering._imag_axis_transmission_batch
+
+    def counted(profile, rho):
+        sweeps.append(rho.size)
+        return batch(profile, rho)
+
+    monkeypatch.setattr(scattering, "_imag_axis_transmission_batch", counted)
+    k1 = find_k1(InitialProfile(ProfileKind.SMOOTHED_STEP))
+    assert len(sweeps) == 3
+    assert abs(k1 - 0.5) < 1e-12
 
 
 def test_find_k1_without_sign_change_raises(monkeypatch):
@@ -211,25 +241,31 @@ def test_find_k1_without_sign_change_raises(monkeypatch):
         "nnlswedge.scattering._imag_axis_transmission_batch",
         lambda profile, rho: 1.0 + rho * rho,
     )
-    with pytest.raises(RootBracketError):
+    with pytest.raises(RootBracketError, match="no transmission zero"):
         find_k1(InitialProfile(ProfileKind.PURE_STEP, amplitude=1.0))
 
 
 def test_find_k1_raises_when_refinement_loses_the_sign_change(monkeypatch):
-    calls = []
+    # sweep 2 samples the Chebyshev nodes, 3 confirms, 4 is a 63-fold sweep
+    for lost_at in (2, 3, 4):
+        calls = []
 
-    def flaky(profile, rho):  # the scan sees a zero at 0.5, the sweeps do not
-        calls.append(rho.size)
-        return np.where(rho < 0.5, -1.0, 1.0) if len(calls) == 1 else np.ones_like(rho)
+        def flaky(profile, rho):  # a jump at 0.5 before sweep `lost_at`, then none
+            calls.append(rho.size)
+            if len(calls) < lost_at:
+                return np.where(rho < 0.5, -1.0, 1.0)
+            return np.ones_like(rho)
 
-    monkeypatch.setattr("nnlswedge.scattering._imag_axis_transmission_batch", flaky)
-    with pytest.raises(RootBracketError, match="refinement lost"):
-        find_k1(InitialProfile(ProfileKind.PURE_STEP, amplitude=1.0))
-    assert len(calls) == 2  # no fall-through to the coarse ladder
+        monkeypatch.setattr("nnlswedge.scattering._imag_axis_transmission_batch", flaky)
+        with pytest.raises(RootBracketError, match="refinement lost"):
+            find_k1(InitialProfile(ProfileKind.PURE_STEP, amplitude=1.0))
+        assert len(calls) == lost_at  # no fall-through to the coarse ladder
 
 
 def test_find_k1_stops_at_adjacent_floats(monkeypatch):
-    # near 100 the float spacing (1.4e-14) exceeds the 1e-14 stopping width
+    # near 100 the float spacing (1.4e-14) exceeds the 1e-14 stopping width;
+    # the jump is no root of the Chebyshev interpolant, so the confirm sweep
+    # misses it and 63-fold sweeps go on to adjacent floats
     sweeps = []
 
     def step(profile, rho):  # a sign change at 100.1 with no exact zero
@@ -240,6 +276,7 @@ def test_find_k1_stops_at_adjacent_floats(monkeypatch):
     monkeypatch.setattr("nnlswedge.scattering._imag_axis_transmission_batch", step)
     k1 = find_k1(InitialProfile(ProfileKind.PURE_STEP, amplitude=1.0))
     assert abs(k1 - 100.1) <= 2 * np.spacing(100.1)
+    assert len(sweeps) > 5
 
 
 def test_smoothed_step_k1(sd_smoothed):
