@@ -35,10 +35,9 @@ from .pde import (
     symmetric_grid,
     write_snapshots_csv,
 )
-from .phases import EXPANSION_BAND, _K_FIT, _WINDOW_FRACTION
+from .phases import EXPANSION_BAND, _K_FIT, _WINDOW_FRACTION, tracker_for
 from .profiles import InitialProfile, ProfileKind
 from .scattering import (
-    CaseTag,
     SpectralData,
     compute_spectral_data,
     default_k_grid,
@@ -366,12 +365,13 @@ def _branch_rows(cfg: ExperimentConfig):
     ]
 
 
-def _rough_magnitude(pred: AsymptoticPrediction) -> float:
+def _rough_magnitude(pred: AsymptoticPrediction, h: int) -> float:
     """Coarse modulus scale of the branch with unit constants.
 
     Plus side: the plateau modulus itself.  Minus side: the pure decay
-    scale of the explicit term (generic class carries the slow square-root
-    factor), or of the recorded bound when no term is explicit.
+    scale of the explicit term, times its slow factor (ln t)**(h/2) (``h``
+    is the data's regularizing half-power, 1 in the generic class), or of
+    the recorded bound when no term is explicit.
     """
     point = pred.point
     alpha = point.alpha
@@ -379,8 +379,7 @@ def _rough_magnitude(pred: AsymptoticPrediction) -> float:
         return abs(pred.leading)
     if pred.correction != 0:
         log_scale = (4.0 - 3.0 * alpha) / (2.0 * alpha - 4.0) * point.ln_t
-        if pred.case is CaseTag.CASE_I:
-            log_scale += 0.5 * math.log(point.ln_t)
+        log_scale += 0.5 * h * math.log(point.ln_t)
     else:
         log_scale = point.ln_t / (alpha - 2.0) + math.log(point.ln_t)
     return math.exp(log_scale)
@@ -432,7 +431,7 @@ def _predict_row(sd: SpectralData, cell) -> str:
         _fmt(pred.total.real),
         _fmt(pred.total.imag),
         _fmt(abs(pred.total)),
-        _fmt(_rough_magnitude(pred)),
+        _fmt(_rough_magnitude(pred, tracker_for(sd).h)),
         _fmt(pred.error_order.t_exponent),
         _fmt(pred.error_order.log_power),
         *[_fmt(v) for v in led.vector()],
@@ -446,25 +445,26 @@ def _psi_fit_lines(sd: SpectralData, cfg: ExperimentConfig) -> list[str]:
 
     Generates the main slow phase over the ladder and fits the full
     five-term basis; the fitted leading coefficient must recover the
-    table's value within the relative tolerance ``_PSI_FIT_REL`` (5%).
+    ledger's value within the relative tolerance ``_PSI_FIT_REL`` (5%).
+    A ledger without a squared-log term (the degenerate class) has nothing
+    to re-extract.
     """
-    if sd.case is not CaseTag.CASE_I or len(cfg.wedge.t_ladder) < 5:
+    if len(cfg.wedge.t_ladder) < 5:
         return []
     lines = []
     for alpha in cfg.wedge.alphas:
         for s in cfg.wedge.s_values:
-            pc = phase_coefficients(sd, alpha, s)
+            ledger = phase_coefficients(sd, alpha, s).main
+            target = ledger.log_squared
+            if target == 0.0:
+                continue
             big_l = np.array([wedge_point(alpha, s, t).ln_4st for t in cfg.wedge.t_ladder])
-            ledger = predict_q(
-                sd, wedge_point(alpha, s, cfg.wedge.t_ladder[0], Side.PLUS_X)
-            ).ledger
             values = np.array([ledger.slow_phase(v) for v in big_l])
             basis = np.column_stack(
                 [big_l**2, big_l * np.log(big_l), big_l, np.log(big_l), np.ones_like(big_l)]
             )
             coef, *_ = np.linalg.lstsq(basis, values, rcond=None)
             fitted = float(coef[0])
-            target = -pc.psi
             rel = abs(fitted - target) / abs(target)
             status = "ok" if rel <= _PSI_FIT_REL else "off"
             lines.append(

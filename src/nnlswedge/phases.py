@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .scattering import CaseTag, SpectralData, _extrapolate_to_zero
+from .scattering import CaseTag, SpectralData, _extrapolate_to_zero, _rotation_too_large
 from .specfun import QuadratureSpec, Singularity, quad
 
 __all__ = [
@@ -216,10 +216,12 @@ def _tail_moment(n: int, k_edge: float) -> float:
 class PhaseTracker:
     """Branch-tracked evaluator of the phase functionals for one data set.
 
-    The data's small-k class enters only through ``h``, half the power of k
-    that regularizes a1 a2 at k = 0 (1 generic, 0 degenerate), and through
-    the k = 0 values chosen in the constructor; every method runs one
-    formula for both classes.
+    The data's small-k class enters only through the k = 0 values chosen in
+    the constructor; every method, and every wedge phase ledger, runs one
+    formula for both classes in ``h``, half the power of k that regularizes
+    a1 a2 at k = 0 (1 generic, 0 degenerate), and ``nu_one`` =
+    ln P(0) / (2 pi) (in the degenerate class the winding index at the
+    origin, ln(a11 a21) / (2 pi)).
     """
 
     def __init__(self, sd: SpectralData):
@@ -237,13 +239,13 @@ class PhaseTracker:
         # r1(u) = u*s1(u), r2(u) = s2(u)/u, and b(0), which is finite only
         # in the degenerate class.
         if sd.case is CaseTag.CASE_I:
-            self._h = 1
+            self.h = 1
             val0 = complex((0.5 * amp * sd.a2_at_zero) ** 2)
             s1_zero = -2.0j / amp
             s2_zero = -0.5j * amp
             self.b_at_zero = None
         else:
-            self._h = 0
+            self.h = 0
             val0 = complex((complex(sd.a11) * complex(sd.a21)).real)
             near = np.argsort(np.abs(k), kind="stable")[:10]
             self.b_at_zero = _extrapolate_to_zero(k[near], sd.b[near])
@@ -253,15 +255,11 @@ class PhaseTracker:
             raise RefinementRequiredError(
                 "regularized spectral product is not positive at k = 0"
             )
-        # nu_1 = ln P(0) / 2 pi; in the degenerate class it is the winding
-        # index at the origin, ln(a11 a21) / 2 pi.
-        self._nu_one = math.log(val0.real) / _TWO_PI
-        self.nu_zero = None if self._h else self._nu_one
+        self.nu_one = math.log(val0.real) / _TWO_PI
 
-        vals = kneg ** (2 * self._h) * (sd.a1[neg] * sd.a2[neg])
+        vals = kneg ** (2 * self.h) * (sd.a1[neg] * sd.a2[neg])
         allv = np.append(vals, val0)
-        rotation = np.angle(allv[1:] * np.conj(allv[:-1]))
-        if np.max(np.abs(rotation)) > 0.9 * math.pi:
+        if _rotation_too_large(allv):
             raise RefinementRequiredError(
                 "argument jump between adjacent nodes too close to pi; "
                 "refine the spectral grid"
@@ -286,7 +284,7 @@ class PhaseTracker:
             )
         u_fit = kneg[window]
         log_pn = np.log(np.abs(allv[:-1][window])) + 1j * theta[:-1][window]
-        l_fit = 2 * self._h * np.log(-u_fit) - log_pn
+        l_fit = 2 * self.h * np.log(-u_fit) - log_pn
         basis = np.stack([u_fit ** (-p) for p in _TAIL_POWERS], axis=1)
         coef, *_ = np.linalg.lstsq(basis, l_fit, rcond=None)
         self._tail_coef = coef
@@ -300,12 +298,12 @@ class PhaseTracker:
     def log_w(self, u):
         """Branch-tracked ln(1 + r1 r2) = 2h ln(-u) - ln P(u) on [-k_edge, 0)."""
         u = np.asarray(u, dtype=float)
-        return 2 * self._h * np.log(-u) - self._log_pn(u)
+        return 2 * self.h * np.log(-u) - self._log_pn(u)
 
     def _g0(self, u):
         """u * d/du ln(1 + r1 r2) = 2h - u (ln P)'(u): bounded on [-k_edge, 0]."""
         u = np.asarray(u, dtype=float)
-        return 2 * self._h - u * self._log_pn(u, 1)
+        return 2 * self.h - u * self._log_pn(u, 1)
 
     def _tail_l(self, u: float) -> complex:
         return complex(sum(c * u ** (-p) for c, p in zip(self._tail_coef, _TAIL_POWERS)))
@@ -467,12 +465,12 @@ class PhaseTracker:
     def chi_origin_const(self, s: float) -> complex:
         """Large-time constant of the origin value at slow variable s:
         i h ln(s)^2 / (2 pi) + C."""
-        return 1j * self._h * math.log(s) ** 2 / _TWO_PI + self.origin_constant
+        return 1j * self.h * math.log(s) ** 2 / _TWO_PI + self.origin_constant
 
     def chi_saddle_const(self, s: float) -> complex:
         """Large-time constant at the stationary point: the origin constant
         plus the exact dilogarithm offset i h pi / 6."""
-        return self.chi_origin_const(s) + 1j * self._h * math.pi / 6.0
+        return self.chi_origin_const(s) + 1j * self.h * math.pi / 6.0
 
     # -- result assembly -----------------------------------------------------------
 
@@ -491,7 +489,7 @@ class PhaseTracker:
                 ExpansionBandWarning,
                 stacklevel=2,
             )
-        h, nu_one = self._h, self._nu_one
+        h, nu_one = self.h, self.nu_one
         ratio = (1.0 - alpha) / (2.0 - alpha)
         nu = nu_one - h * point.ln_xi / math.pi
         chi0_s = self.chi_origin_const(s)
@@ -534,7 +532,7 @@ class PhaseTracker:
             raise ValueError("xi must be positive")
         ln_xi = math.log(xi)
         return cmath.exp(
-            1j * ln_xi * (self._nu_one - self._h * ln_xi / _TWO_PI)
+            1j * ln_xi * (self.nu_one - self.h * ln_xi / _TWO_PI)
             + self.origin_constant
         )
 

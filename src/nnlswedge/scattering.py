@@ -545,6 +545,13 @@ def find_k1(profile: InitialProfile) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _rotation_too_large(w: np.ndarray) -> bool:
+    """True when the argument of ``w`` turns by more than 0.9 pi between
+    adjacent entries, too close to pi to tell which way it wound."""
+    rotation = np.angle(w[1:] * np.conj(w[:-1]))
+    return bool(rotation.size) and float(np.max(np.abs(rotation))) > 0.9 * math.pi
+
+
 def check_assumption2(k_grid: np.ndarray, a1: np.ndarray, a2: np.ndarray, b: np.ndarray):
     """Winding check of ``1 + r1 r2`` as ``k -> 0^-``.
 
@@ -559,13 +566,12 @@ def check_assumption2(k_grid: np.ndarray, a1: np.ndarray, a2: np.ndarray, b: np.
     w = 1.0 - b * np.conj(b[::-1]) / (a1 * a2)
     neg = k_grid < 0
     w_neg = w[neg]  # ordered from the most negative node towards 0^-
-    phase = np.unwrap(np.angle(w_neg))
-    jumps = np.abs(np.diff(phase))
-    if jumps.size and float(np.max(jumps)) > math.pi:
+    if _rotation_too_large(w_neg):
         raise CaseClassificationError(
-            "phase of 1 + r1 r2 jumps by more than pi between adjacent nodes; "
-            "refine the wavenumber grid"
+            "phase of 1 + r1 r2 turns by more than 0.9 pi between adjacent "
+            "nodes; refine the wavenumber grid"
         )
+    phase = np.unwrap(np.angle(w_neg))
     limit = float(phase[-1] - 0.0)  # anchored at ~0 in the far field
     return limit, bool(abs(limit) <= 1e-2)
 

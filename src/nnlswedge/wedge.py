@@ -80,7 +80,7 @@ _REMAINDER_EDGE = 4.0 / 5.0
 
 
 # ---------------------------------------------------------------------------
-# phase ledgers and coefficient tables
+# phase ledgers
 
 
 @dataclass(frozen=True)
@@ -145,130 +145,99 @@ class PhaseLedger:
 
 @dataclass(frozen=True)
 class PhaseCoefficients:
-    """Frozen coefficient table of the wedge phases at one (alpha, s, data).
+    """Frozen phase ledgers of the wedge at one (alpha, s, data).
 
-    ``psi`` and ``phi1_hat`` store the positive reference magnitude
-    ``(1-alpha)**2 / (pi * (2-alpha)**2)``; they enter every assembled phase
-    negated (the squared-log term always retards the main phase).  All other
-    entries are assembly-ready: the ledgers built from this table use them
-    with exactly the signs carried here.  Entries that belong to the other
-    nondegeneracy class are zero -- e.g. reflectionless data has
-    ``phi51 == phi52 == phi5_hat == phi_ii == 0``.
+    One formula serves both small-k classes.  It reads two numbers of the
+    data's phase tracker: ``h`` (1 generic, 0 degenerate) and
+    nu_1 = ln P(0) / (2 pi).  With r = (1-alpha)/(2-alpha),
+    w = alpha r / (pi (2-alpha)), ``nu_s`` = nu_1 - h ln(s) / pi and
+    L = ln 4st, the terms of each ledger (fast, L**2, L ln L, L, ln L,
+    const) are::
 
-    Main phases:
-      generic      Psi   = -psi * L**2 + phi_i * L + main_constant
-      degenerate   Psi   = phi_ii * L + main_constant
-    Correction phases (j = 1, 2), sharing the fast term +/- phi0 * t**(a/(2-a)):
-      generic      Psi_j = phi1j * L**2 +/- phi2 * L ln L + phi3j * L +/- phi4 * ln L
-      degenerate   Psi_j = phi5j * L
+        main       0   -h r^2/pi         0        M        0         C
+        tilt       0   -h r^2/pi         h r/pi   T        h nu_s    0
+        forward    f   -h (r^2/pi + w)   h r/pi   F        h nu_s    0
+        backward  -f   -h (r^2/pi - w)  -h r/pi   2M - F  -h nu_s    0
+
+    where f = :func:`_fast_coefficient`, M = -2 r nu_s,
+    T = h (r/pi) (ln(r/pi) - 1 + ln(s/2)) - 2 r nu_1,
+    F = T - alpha nu_s / (2-alpha) and
+    C = 2 nu_1 ln s - 2 h ln(s)^2 / pi + 2 Im chi_origin_const(s).
+
+    ``main`` is the plateau phase, ``forward`` / ``backward`` the phases of
+    the two correction terms, and ``tilt`` the slow phase of the dressed
+    connection pair in :func:`beta_gamma`.  The amplitudes these ledgers go
+    with carry the slowly varying factor (ln t)**(h/2).  ``nu_s`` is the
+    winding index at which the frozen connection pair is dressed.
     """
 
     alpha: float
     s: float
-    case: CaseTag
-    psi: float
-    phi_i: float
-    phi_ii: float
-    phi0: float
-    phi11: float
-    phi12: float
-    phi2: float
-    phi31: float
-    phi32: float
-    phi4: float
-    phi51: float
-    phi52: float
-    phi3_tilde: float
-    phi1_hat: float
-    phi3_hat: float
-    phi5_hat: float
-    main_constant: float
+    h: int
+    nu_s: float
+    main: PhaseLedger
+    tilt: PhaseLedger
+    forward: PhaseLedger
+    backward: PhaseLedger
+
+
+def _fast_coefficient(alpha: float, s: float) -> float:
+    """Coefficient of the fast phase t**(alpha/(2-alpha)), i.e. s * x**alpha
+    over that power of t on the wedge."""
+    return 2.0 ** (2.0 * alpha / (2.0 - alpha)) * s ** (2.0 / (2.0 - alpha))
+
+
+def _ledger(*terms: float) -> PhaseLedger:
+    # + 0.0 turns the -0.0 of an h = 0 product into 0.0, so that a term
+    # absent from the degenerate class prints as 0
+    return PhaseLedger(*(term + 0.0 for term in terms))
 
 
 def phase_coefficients(sd: SpectralData, alpha: float, s: float) -> PhaseCoefficients:
-    """Evaluate the full coefficient table at one (alpha, s).
-
-    Universal entries (psi, phi0, phi1j, phi2, phi3_tilde, phi1_hat) depend
-    only on alpha and s; the remaining entries use the small-k limits of the
-    spectral data for the matching nondegeneracy class and are zero for the
-    other class.
-    """
+    """Evaluate the four phase ledgers at one (alpha, s); see
+    :class:`PhaseCoefficients` for the table."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if not s > 0.0:
         raise ValueError("s must be positive")
     tracker = tracker_for(sd)
-    nu0 = (1.0 - alpha) / (math.pi * (2.0 - alpha))
-    psi = (1.0 - alpha) ** 2 / (math.pi * (2.0 - alpha) ** 2)
-    phi0 = 2.0 ** (2.0 * alpha / (2.0 - alpha)) * s ** (2.0 / (2.0 - alpha))
-    shear = alpha * nu0 / (2.0 - alpha)
-    phi11 = -psi - shear
-    phi12 = -psi + shear
-    phi3_tilde = nu0 * (math.log(nu0) - 1.0)
-    if sd.case is CaseTag.CASE_I:
-        if sd.a2_at_zero is None:
-            raise ValueError("generic-class coefficients need a2_at_zero")
-        amp_half = 0.5 * sd.amplitude * abs(sd.a2_at_zero)
-        phi4 = math.log(amp_half / s) / math.pi
-        phi_i = 2.0 * nu0 * math.log(s / amp_half)
-        phi3_hat = nu0 * (
-            math.log(nu0) - 1.0 + math.log(2.0 * s) - 2.0 * math.log(2.0 * amp_half)
-        )
-        phi31 = phi3_hat - alpha * phi4 / (2.0 - alpha)
-        phi32 = 2.0 * phi_i - phi31
-        main_constant = (
-            2.0 / math.pi * math.log(s) * math.log(amp_half / s)
-            + 2.0 * tracker.chi_origin_const(s).imag
-        )
-        phi_ii = phi51 = phi52 = phi5_hat = 0.0
-    else:
-        nu_zero = tracker.nu_zero
-        phi5_hat = -nu_zero * (1.0 - alpha) / (2.0 - alpha)
-        phi_ii = 2.0 * phi5_hat
-        phi51 = -nu_zero
-        phi52 = nu_zero * (3.0 * alpha - 2.0) / (2.0 - alpha)
-        main_constant = (
-            2.0 * math.log(s) * nu_zero + 2.0 * tracker.origin_constant.imag
-        )
-        phi_i = phi4 = phi31 = phi32 = phi3_hat = 0.0
+    h, nu_one = tracker.h, tracker.nu_one
+    r = (1.0 - alpha) / (2.0 - alpha)
+    rate = r / math.pi
+    ln_s = math.log(s)
+    nu_s = nu_one - h * ln_s / math.pi
+    fast = _fast_coefficient(alpha, s)
+    squared = -h * r * rate
+    split = h * alpha * rate / (2.0 - alpha)
+    main_linear = -2.0 * r * nu_s
+    tilt_linear = (
+        h * rate * (math.log(rate) - 1.0 + math.log(0.5 * s)) - 2.0 * r * nu_one
+    )
+    forward_linear = tilt_linear - alpha * nu_s / (2.0 - alpha)
+    main_constant = (
+        2.0 * nu_one * ln_s
+        - 2.0 * h * ln_s * ln_s / math.pi
+        + 2.0 * tracker.chi_origin_const(s).imag
+    )
     return PhaseCoefficients(
         alpha=float(alpha),
         s=float(s),
-        case=sd.case,
-        psi=psi,
-        phi_i=phi_i,
-        phi_ii=phi_ii,
-        phi0=phi0,
-        phi11=phi11,
-        phi12=phi12,
-        phi2=nu0,
-        phi31=phi31,
-        phi32=phi32,
-        phi4=phi4,
-        phi51=phi51,
-        phi52=phi52,
-        phi3_tilde=phi3_tilde,
-        phi1_hat=psi,
-        phi3_hat=phi3_hat,
-        phi5_hat=phi5_hat,
-        main_constant=main_constant,
+        h=h,
+        nu_s=nu_s,
+        main=_ledger(0.0, squared, 0.0, main_linear, 0.0, main_constant),
+        tilt=_ledger(0.0, squared, h * rate, tilt_linear, h * nu_s, 0.0),
+        forward=_ledger(
+            fast, squared - split, h * rate, forward_linear, h * nu_s, 0.0
+        ),
+        backward=_ledger(
+            -fast,
+            squared + split,
+            -h * rate,
+            2.0 * main_linear - forward_linear,
+            -h * nu_s,
+            0.0,
+        ),
     )
-
-
-def _main_ledger(pc: PhaseCoefficients) -> PhaseLedger:
-    if pc.case is CaseTag.CASE_I:
-        return PhaseLedger(0.0, -pc.psi, 0.0, pc.phi_i, 0.0, pc.main_constant)
-    return PhaseLedger(0.0, 0.0, 0.0, pc.phi_ii, 0.0, pc.main_constant)
-
-
-def _correction_ledgers(pc: PhaseCoefficients) -> tuple[PhaseLedger, PhaseLedger]:
-    if pc.case is CaseTag.CASE_I:
-        forward = PhaseLedger(pc.phi0, pc.phi11, pc.phi2, pc.phi31, pc.phi4, 0.0)
-        backward = PhaseLedger(-pc.phi0, pc.phi12, -pc.phi2, pc.phi32, -pc.phi4, 0.0)
-    else:
-        forward = PhaseLedger(pc.phi0, 0.0, 0.0, pc.phi51, 0.0, 0.0)
-        backward = PhaseLedger(-pc.phi0, 0.0, 0.0, pc.phi52, 0.0, 0.0)
-    return forward, backward
 
 
 # ---------------------------------------------------------------------------
@@ -370,41 +339,36 @@ def _correction_constants(sd: SpectralData, pc: PhaseCoefficients) -> _Correctio
     the -x side.
     """
     tracker = tracker_for(sd)
-    alpha, s = pc.alpha, pc.s
+    alpha, s, nu = pc.alpha, pc.s, pc.nu_s
     k1 = sd.k1
     level = sd.amplitude
     if sd.case is CaseTag.CASE_I:
-        # the dressing at nu = phi4 of the frozen pair amplitudes
-        log_nu0 = math.log(pc.phi2)
-        beta_const, gamma_const = _dress(
-            level / (2.0 * k1 * cmath.exp((-1j * pc.phi4 - 0.5) * log_nu0)),
-            2.0 * k1 / (level * cmath.exp((1j * pc.phi4 - 0.5) * log_nu0)),
-            pc.phi4,
-            tracker.chi_saddle_const(s),
-            alpha,
-            s,
-        )
+        # the frozen pair: level / (2 k1) and its inverse, times
+        # (r/pi)**(1/2 +- i nu)
+        log_rate = math.log((1.0 - alpha) / (math.pi * (2.0 - alpha)))
+        beta_pair = level / (2.0 * k1 * cmath.exp((-1j * nu - 0.5) * log_rate))
+        gamma_pair = 2.0 * k1 / (level * cmath.exp((1j * nu - 0.5) * log_rate))
     else:
         b_zero = tracker.b_at_zero
         if abs(b_zero) < DEGENERATE_REFLECTION * max(1.0, level):
             zero = 0j
             return _CorrectionConstants(zero, zero, zero, zero, zero, True)
-        # the pair at nu = nu_zero with the k -> 0 limits of the dressed
+        # the parametrix pair with the k -> 0 limits of the dressed
         # reflection values
-        beta_par, gamma_par = _parametrix_pair(
-            tracker.nu_zero,
+        beta_pair, gamma_pair = _parametrix_pair(
+            nu,
             -1j * k1 * b_zero / complex(sd.a11),
             1j * b_zero.conjugate() / (k1 * complex(sd.a21)),
         )
-        beta_const, gamma_const = _dress(
-            beta_par, gamma_par, tracker.nu_zero, tracker.origin_constant, alpha, s
-        )
+    beta_const, gamma_const = _dress(
+        beta_pair, gamma_pair, nu, tracker.chi_saddle_const(s), alpha, s
+    )
     plateau_q = amplitude_Q(sd)
     amp_forward = -(2.0 * k1 / s) * beta_const
     amp_backward = (
         plateau_q
         * plateau_q
-        * cmath.exp(2j * pc.main_constant)
+        * cmath.exp(2j * pc.main.constant)
         * gamma_const
         / (2.0 * k1 * s)
     )
@@ -433,9 +397,9 @@ class BetaGamma:
     winding index ``nu`` identically); ``beta_tilde`` / ``gamma_tilde``
     absorb the phase-functional dressing.  The ``*_asymptotic`` entries
     re-evaluate the tilde pair from the frozen large-time constants and the
-    coefficient ledger; in the generic class they carry the slowly varying
-    square-root-of-log factor.  ``degenerate`` marks reflectionless data,
-    where every entry is exactly zero.
+    tilt ledger, times the slowly varying factor (ln t)**(h/2) (the square
+    root of ln t in the generic class).  ``degenerate`` marks reflectionless
+    data, where every entry is exactly zero.
     """
 
     beta: complex
@@ -463,13 +427,8 @@ def beta_gamma(sd: SpectralData, alpha: float, s: float, t: float) -> BetaGamma:
         return BetaGamma(zero, zero, zero, zero, zero, zero, zero, zero, True)
     pc = phase_coefficients(sd, alpha, s)
     constants = _correction_constants(sd, pc)
-    if pc.case is CaseTag.CASE_I:
-        tilt = PhaseLedger(0.0, -pc.phi1_hat, pc.phi2, pc.phi3_hat, pc.phi4, 0.0)
-        root = math.sqrt(point.ln_t)
-    else:
-        tilt = PhaseLedger(0.0, 0.0, 0.0, 2.0 * pc.phi5_hat, 0.0, 0.0)
-        root = 1.0
-    slow = tilt.slow_phase(point.ln_4st)
+    slow = pc.tilt.slow_phase(point.ln_4st)
+    root = point.ln_t ** (0.5 * pc.h)
     beta_tilde_asymptotic = constants.beta_const * cmath.exp(1j * slow) * root
     gamma_tilde_asymptotic = constants.gamma_const * cmath.exp(-1j * slow) * root
     return BetaGamma(
@@ -540,25 +499,23 @@ def predict_q(sd: SpectralData, point: WedgePoint) -> AsymptoticPrediction:
     """
     pc = phase_coefficients(sd, point.alpha, point.s)
     plateau_q = amplitude_Q(sd)
-    main = _main_ledger(pc)
     alpha = point.alpha
     tag = sd.case.value
     generic = sd.case is CaseTag.CASE_I
+    sqrt_log = 0.5 * pc.h * math.log(point.ln_t)
     if point.side is Side.PLUS_X:
-        leading = plateau_q * cmath.exp(1j * main.phase_at(point))
-        ledger = main
+        leading = plateau_q * cmath.exp(1j * pc.main.phase_at(point))
+        ledger = pc.main
         if alpha < _EXPLICIT_EDGE:
             constants = _correction_constants(sd, pc)
-            forward, backward = _correction_ledgers(pc)
-            prefactor = alpha / (2.0 * alpha - 4.0) * point.ln_t
-            if generic:
-                prefactor += 0.5 * math.log(point.ln_t)
+            decay = alpha / (2.0 * alpha - 4.0)
+            prefactor = decay * point.ln_t + sqrt_log
             correction = _evaluate_term(
-                constants.amp_forward, forward, point, prefactor
-            ) + _evaluate_term(constants.amp_backward, backward, point, prefactor)
+                constants.amp_forward, pc.forward, point, prefactor
+            ) + _evaluate_term(constants.amp_backward, pc.backward, point, prefactor)
             regime = f"{tag}+x/explicit-correction"
             if generic:
-                error = ErrorOrder(alpha / (2.0 * alpha - 4.0), -0.5)
+                error = ErrorOrder(decay, -0.5)
             elif alpha < 0.5:
                 error = ErrorOrder(alpha / (alpha - 2.0), 1.0)
             else:
@@ -571,15 +528,13 @@ def predict_q(sd: SpectralData, point: WedgePoint) -> AsymptoticPrediction:
         leading = 0j
         if alpha > _EXPLICIT_EDGE:
             constants = _correction_constants(sd, pc)
-            forward, _ = _correction_ledgers(pc)
-            ledger = forward
-            prefactor = (4.0 - 3.0 * alpha) / (2.0 * alpha - 4.0) * point.ln_t
-            if generic:
-                prefactor += 0.5 * math.log(point.ln_t)
-            correction = _evaluate_term(constants.amp_mirror, forward, point, prefactor)
+            ledger = pc.forward
+            decay = (4.0 - 3.0 * alpha) / (2.0 * alpha - 4.0)
+            prefactor = decay * point.ln_t + sqrt_log
+            correction = _evaluate_term(constants.amp_mirror, ledger, point, prefactor)
             regime = f"{tag}-x/explicit-correction"
             if generic:
-                error = ErrorOrder((4.0 - 3.0 * alpha) / (2.0 * alpha - 4.0), -0.5)
+                error = ErrorOrder(decay, -0.5)
             elif alpha <= _REMAINDER_EDGE:
                 error = ErrorOrder(1.0 / (alpha - 2.0), 1.0)
             else:
@@ -604,9 +559,9 @@ def gen_as_predict(sd: SpectralData, point: WedgePoint) -> AsymptoticPrediction:
     """Exact mid-level prediction at one wedge point.
 
     The ray-limit modulation and the connection coefficients are computed by
-    direct quadrature; nothing here uses the large-time coefficient table,
-    so the result is an independent target the expanded route must converge
-    to.  ``error_order`` records the parametrix remainder of this route.
+    direct quadrature; the large-time phase ledgers are only recorded, not
+    evaluated, so the result is an independent target the expanded route
+    must converge to.  ``error_order`` records the parametrix remainder of this route.
     """
     tracker = tracker_for(sd)
     alpha, s = point.alpha, point.s
@@ -628,14 +583,13 @@ def gen_as_predict(sd: SpectralData, point: WedgePoint) -> AsymptoticPrediction:
         forward_term = pair.beta_tilde * cmath.exp(rotation + decay)
         backward_term = pair.gamma_tilde * cmath.exp(-rotation + decay)
     tag = sd.case.value
-    generic = sd.case is CaseTag.CASE_I
     if point.side is Side.PLUS_X:
         leading = sd.amplitude * delta_sq
         correction = (
             sd.amplitude**2 / (2.0 * sd.k1 * s) * delta_sq * delta_sq * backward_term
             - 2.0 * sd.k1 / s * forward_term
         )
-        ledger = _main_ledger(pc)
+        ledger = pc.main
         regime = f"{tag}+x/exact-route"
         if alpha > _EXPLICIT_EDGE:
             error = ErrorOrder(-0.5, 0.5)
@@ -650,7 +604,7 @@ def gen_as_predict(sd: SpectralData, point: WedgePoint) -> AsymptoticPrediction:
             * math.exp((2.0 * alpha - 2.0) * point.ln_x)
             * backward_term.conjugate()
         )
-        ledger = _correction_ledgers(pc)[0]
+        ledger = pc.forward
         regime = f"{tag}-x/exact-route"
         if alpha > _REMAINDER_EDGE:
             error = ErrorOrder((6.0 - 5.0 * alpha) / (2.0 * alpha - 4.0), 0.5)
@@ -784,8 +738,7 @@ def matching_check(
     for point in points:
         alpha, lt = point.alpha, point.ln_t
         pc = phase_coefficients(sd, alpha, s)
-        main = _main_ledger(pc)
-        residual = abs(main.slow_phase(point.ln_4st) - pc.main_constant)
+        residual = abs(pc.main.slow_phase(point.ln_4st) - pc.main.constant)
         constants = _correction_constants(sd, pc)
         last_constants = constants
         mirror_log = None
@@ -794,10 +747,11 @@ def matching_check(
             mirror_log = (
                 math.log(abs(constants.amp_mirror))
                 + (4.0 - 3.0 * alpha) / (2.0 * alpha - 4.0) * lt
+                + 0.5 * pc.h * math.log(lt)
             )
             if generic:
-                mirror_log += 0.5 * math.log(lt)
-                ray_log = ray_const_log - 0.5 * lt + 0.5 * math.log(pc.phi2 * lt)
+                rate = (1.0 - alpha) / (math.pi * (2.0 - alpha))
+                ray_log = ray_const_log - 0.5 * lt + 0.5 * math.log(rate * lt)
             else:
                 ray_log = math.log(abs(_ray_mirror_constant(sd, s))) - 0.5 * lt
             fit_lnts.append(lt)
@@ -816,12 +770,12 @@ def matching_check(
         slope = np.polyfit(np.asarray(fit_lnts), np.asarray(fit_mags), 1)[0]
         mirror_exponent = float(slope)
     # fast-phase coefficient continued to the straight-ray edge alpha = 1
-    osc_limit = 2.0 ** (2.0 * 1.0 / (2.0 - 1.0)) * s ** (2.0 / (2.0 - 1.0))
+    osc_limit = _fast_coefficient(1.0, s)
     ratio = None
     if not generic and last_constants is not None and not last_constants.degenerate:
         ratio = (
             last_constants.amp_mirror
-            * cmath.exp(-1j * tracker.nu_zero * math.log(4.0 * s))
+            * cmath.exp(-1j * tracker.nu_one * math.log(4.0 * s))
             / _ray_mirror_constant(sd, s)
         )
     return MatchingReport(
@@ -840,7 +794,7 @@ def _ray_mirror_constant(sd: SpectralData, s: float) -> complex:
     """Straight-ray mirror-term constant for the degenerate class."""
     from scipy.special import rgamma  # deferred: `scatter` never needs scipy
     tracker = tracker_for(sd)
-    nu_zero = tracker.nu_zero
+    nu_one = tracker.nu_one
     b_zero = tracker.b_at_zero
     if abs(b_zero) < DEGENERATE_REFLECTION * max(1.0, sd.amplitude):
         raise ValueError("straight-ray mirror constant undefined for reflectionless data")
@@ -848,13 +802,13 @@ def _ray_mirror_constant(sd: SpectralData, s: float) -> complex:
     return (
         -math.sqrt(math.pi)
         * cmath.exp(
-            -0.5 * math.pi * nu_zero
+            -0.5 * math.pi * nu_one
             + 0.25j * math.pi
             - 2.0 * chi_one.conjugate()
-            - 3j * nu_zero * _LN2
+            - 3j * nu_one * _LN2
         )
         * s
         * complex(sd.a21)
-        * complex(rgamma(-1j * nu_zero))
+        * complex(rgamma(-1j * nu_one))
         / b_zero
     )

@@ -22,6 +22,7 @@ from nnlswedge.harness import (
     load_config,
     main,
 )
+from nnlswedge import wedge
 from nnlswedge.scattering import CaseTag, load_spectral_data
 from nnlswedge.wedge import Side
 
@@ -414,6 +415,30 @@ def test_match_report_fixed_product(tmp_path):
     assert len(decay) == 1
     fitted = float(decay[0].split("fitted=")[1].split()[0])
     assert fitted == pytest.approx(-0.5, abs=0.02)
+
+
+def test_match_fast_coefficient_line_reads_the_ledger_formula(tmp_path, monkeypatch):
+    # the limit line evaluates the ledgers' own fast coefficient at
+    # alpha = 1, so a wrong exponent there must read status=off
+    ini = _write(
+        tmp_path,
+        "[profile]\nkind = synthetic-case-i\n"
+        "[match]\nhold_product = 1.0\ns = 1.5\nalphas = 0.9, 0.99\n",
+    )
+    cfg = load_config(ini, out_dir=tmp_path / "out")
+
+    def status():
+        comments, _, _ = _table(cmd_match(cfg))
+        (line,) = [c for c in comments if c.startswith("# fast-coefficient-limit")]
+        return line.rsplit("status=", 1)[1]
+
+    assert status() == "ok"
+    monkeypatch.setattr(
+        wedge,
+        "_fast_coefficient",
+        lambda alpha, s: 2.0 ** (2.0 * alpha / (2.0 - alpha)) * s ** (3.0 / (2.0 - alpha)),
+    )
+    assert status() == "off"
 
 
 def test_match_requires_section(tmp_path):

@@ -48,7 +48,7 @@ from nnlswedge.scattering import (
     synthetic_case_ii,
 )
 from nnlswedge.specfun import QuadratureSpec, Singularity, quad
-from nnlswedge.wedge import _main_ledger, phase_coefficients
+from nnlswedge.wedge import phase_coefficients
 
 # Frozen oracle values (30-digit arbitrary-precision quadrature against
 # exact rational spectral data; see module docstring for the formulas).
@@ -363,9 +363,9 @@ def test_expansion_fields_and_convergence_degenerate(sd_synth_ii):
 
 
 def test_expansion_matches_coefficient_table(sd_synth_i, sd_synth_ii):
-    # the tracker's one expansion formula against the wedge coefficient
-    # table of each class: nu_hat = phi2 L + phi4 (generic) or nu_zero
-    # (degenerate), and 2 Re(nu) ln s + 2 Im chi(0) is the main slow phase
+    # the tracker's one expansion formula against the wedge ledgers:
+    # nu_hat = h (r/pi) L + nu_s, and 2 Re(nu) ln s + 2 Im chi(0) is the
+    # main slow phase
     for sd in (sd_synth_i, sd_synth_ii):
         tracker = tracker_for(sd)
         for alpha in (0.3, 0.6, 0.9):
@@ -375,12 +375,9 @@ def test_expansion_matches_coefficient_table(sd_synth_i, sd_synth_ii):
                     point = _point(alpha, s, t)
                     ln_4st = point.ln_4st
                     expansion = tracker.expansion(point)
-                    if sd.case is CaseTag.CASE_I:
-                        nu = pc.phi2 * ln_4st + pc.phi4
-                    else:
-                        nu = tracker.nu_zero
+                    nu = pc.tilt.log_times_loglog * ln_4st + pc.nu_s
                     assert abs(expansion.nu_hat - nu) <= 1e-13 * max(1.0, abs(nu))
-                    main = _main_ledger(pc).slow_phase(ln_4st)
+                    main = pc.main.slow_phase(ln_4st)
                     slow = (
                         2.0 * expansion.nu_hat.real * math.log(s)
                         + 2.0 * expansion.chi_at_origin.imag

@@ -299,6 +299,24 @@ def test_assumption2_small_for_steps(sd_smoothed, sd_perturbed):
     assert limit == pytest.approx(sd_smoothed.assumption2_limit)
 
 
+@pytest.mark.parametrize("turn,rejected", [(0.85, False), (0.95, True)])
+def test_assumption2_rejects_a_near_pi_turn(turn, rejected):
+    # 1 + r1 r2 = 1 - 1/a1 with b = a2 = 1; its argument turns by
+    # turn * pi between two adjacent negative nodes, a step that unwrapping
+    # alone keeps below pi and so cannot flag
+    k_grid = default_k_grid(6, 0.1, 10.0)
+    theta = np.where(k_grid < k_grid[2], 0.0, turn * math.pi)
+    w = 2.0 * np.exp(1j * theta)
+    ones = np.ones_like(w)
+    if rejected:
+        with pytest.raises(CaseClassificationError):
+            check_assumption2(k_grid, 1.0 / (1.0 - w), ones, ones)
+    else:
+        limit, reliable = check_assumption2(k_grid, 1.0 / (1.0 - w), ones, ones)
+        assert limit == pytest.approx(turn * math.pi)
+        assert not reliable
+
+
 # ---------------------------------------------------------------------------
 # synthetic families
 # ---------------------------------------------------------------------------

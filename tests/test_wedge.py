@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nnlswedge.phases import tracker_for
 from nnlswedge.scattering import CaseTag, synthetic_case_i, synthetic_case_ii
 from nnlswedge.wedge import (
     DEGENERATE_REFLECTION,
@@ -192,52 +193,134 @@ def test_plateau_amplitude_closed_forms(sd_i, sd_ii, sd_refl):
 
 
 # ---------------------------------------------------------------------------
-# coefficient table
+# phase ledgers
+
+
+def _reference_ledgers(sd, alpha, s):
+    """The (main, tilt, forward, backward) ledgers from the per-class
+    coefficient tables as the paper states them, one table per small-k
+    class: the oracle for the one formula of :func:`phase_coefficients`."""
+    tracker = tracker_for(sd)
+    nu0 = (1.0 - alpha) / (math.pi * (2.0 - alpha))
+    psi = (1.0 - alpha) ** 2 / (math.pi * (2.0 - alpha) ** 2)
+    phi0 = 2.0 ** (2.0 * alpha / (2.0 - alpha)) * s ** (2.0 / (2.0 - alpha))
+    shear = alpha * nu0 / (2.0 - alpha)
+    if sd.case is CaseTag.CASE_I:
+        amp_half = 0.5 * sd.amplitude * abs(sd.a2_at_zero)
+        phi4 = math.log(amp_half / s) / math.pi
+        phi_i = 2.0 * nu0 * math.log(s / amp_half)
+        phi3_hat = nu0 * (
+            math.log(nu0) - 1.0 + math.log(2.0 * s) - 2.0 * math.log(2.0 * amp_half)
+        )
+        phi31 = phi3_hat - alpha * phi4 / (2.0 - alpha)
+        main_constant = (
+            2.0 / math.pi * math.log(s) * math.log(amp_half / s)
+            + 2.0 * tracker.chi_origin_const(s).imag
+        )
+        return (
+            PhaseLedger(0.0, -psi, 0.0, phi_i, 0.0, main_constant),
+            PhaseLedger(0.0, -psi, nu0, phi3_hat, phi4, 0.0),
+            PhaseLedger(phi0, -psi - shear, nu0, phi31, phi4, 0.0),
+            PhaseLedger(-phi0, -psi + shear, -nu0, 2.0 * phi_i - phi31, -phi4, 0.0),
+        )
+    nu_zero = math.log((complex(sd.a11) * complex(sd.a21)).real) / (2.0 * math.pi)
+    phi5_hat = -nu_zero * (1.0 - alpha) / (2.0 - alpha)
+    main_constant = 2.0 * math.log(s) * nu_zero + 2.0 * tracker.origin_constant.imag
+    phi52 = nu_zero * (3.0 * alpha - 2.0) / (2.0 - alpha)
+    return (
+        PhaseLedger(0.0, 0.0, 0.0, 2.0 * phi5_hat, 0.0, main_constant),
+        PhaseLedger(0.0, 0.0, 0.0, 2.0 * phi5_hat, 0.0, 0.0),
+        PhaseLedger(phi0, 0.0, 0.0, -nu_zero, 0.0, 0.0),
+        PhaseLedger(-phi0, 0.0, 0.0, phi52, 0.0, 0.0),
+    )
+
+
+@st.composite
+def _ledger_cells(draw):
+    """A synthetic data set of either family (reflectionless included) and
+    a wedge ray (alpha, s), s drawn log-uniformly."""
+    k1 = draw(st.floats(0.3, 1.5))
+    if draw(st.booleans()):
+        sd = synthetic_case_i(k1=k1, d=draw(st.floats(0.3, 2.0)))
+    else:
+        pole = draw(st.floats(0.5, 2.0))
+        sd = synthetic_case_ii(k1=k1, pole=pole, coupling=draw(st.floats(0.0, 0.9)) * pole)
+    return sd, draw(st.floats(0.3, 0.99)), 10.0 ** draw(st.floats(-1.0, 1.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(_ledger_cells())
+def test_ledgers_match_per_class_tables(cell):
+    sd, alpha, s = cell
+    pc = phase_coefficients(sd, alpha, s)
+    reference = _reference_ledgers(sd, alpha, s)
+    for ledger, expected in zip((pc.main, pc.tilt, pc.forward, pc.backward), reference):
+        for got, want in zip(ledger.vector(), expected.vector()):
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
 
 def test_coefficient_table_reference_values(sd_i):
     pc = phase_coefficients(sd_i, 0.5, 1.0)
-    # universal entries at alpha = 1/2
-    assert pc.psi == pytest.approx(1.0 / (9.0 * math.pi), abs=1e-16)
-    assert pc.phi1_hat == pc.psi
-    assert pc.phi2 == pytest.approx(1.0 / (3.0 * math.pi), abs=1e-16)
-    # the squared-log corrections collapse onto a single side at alpha = 1/2
-    assert pc.phi12 == pytest.approx(0.0, abs=1e-16)
-    assert pc.phi11 == pytest.approx(-2.0 / (9.0 * math.pi), abs=1e-16)
+    assert pc.h == 1
+    psi = 1.0 / (9.0 * math.pi)
     nu0 = 1.0 / (3.0 * math.pi)
-    assert pc.phi3_tilde == pytest.approx(nu0 * (math.log(nu0) - 1.0), rel=1e-14)
+    # universal entries at alpha = 1/2
+    assert pc.main.log_squared == pytest.approx(-psi, abs=1e-16)
+    assert pc.tilt.log_squared == pc.main.log_squared
+    assert pc.tilt.log_times_loglog == pytest.approx(nu0, abs=1e-16)
+    assert pc.forward.log_times_loglog == pytest.approx(nu0, abs=1e-16)
+    # the squared-log corrections collapse onto a single side at alpha = 1/2
+    assert pc.backward.log_squared == pytest.approx(0.0, abs=1e-16)
+    assert pc.forward.log_squared == pytest.approx(-2.0 / (9.0 * math.pi), abs=1e-16)
     # data-bearing entries (half-level of the synthetic family is 0.9)
-    assert pc.phi4 == pytest.approx(math.log(0.9) / math.pi, rel=1e-12)
-    assert pc.phi_i == pytest.approx(2.0 * nu0 * math.log(1.0 / 0.9), rel=1e-12)
-    # generic class leaves the degenerate-class entries empty
-    assert pc.phi51 == pc.phi52 == pc.phi5_hat == pc.phi_ii == 0.0
+    phi4 = math.log(0.9) / math.pi
+    assert pc.nu_s == pytest.approx(phi4, rel=1e-12)
+    assert pc.tilt.loglog == pytest.approx(phi4, rel=1e-12)
+    assert pc.main.log_linear == pytest.approx(2.0 * nu0 * math.log(1.0 / 0.9), rel=1e-12)
+    # at s = 1 the tilt's linear term is nu0 (ln nu0 - 1) + nu0 ln(1/2) - 2 r nu_1
+    tilt_linear = nu0 * (math.log(nu0) - 1.0) - nu0 * math.log(2.0) - 2.0 / 3.0 * phi4
+    assert pc.tilt.log_linear == pytest.approx(tilt_linear, rel=1e-13)
 
     # fast-phase coefficient has an exact closed value at alpha = 1/2, s = 2
-    assert phase_coefficients(sd_i, 0.5, 2.0).phi0 == pytest.approx(4.0, rel=1e-14)
+    pc2 = phase_coefficients(sd_i, 0.5, 2.0)
+    assert pc2.forward.oscillation == pytest.approx(4.0, rel=1e-14)
+    assert pc2.backward.oscillation == -pc2.forward.oscillation
 
 
 def test_coefficient_pairings(sd_i, sd_ii):
-    for alpha in (0.35, 0.6, 0.85):
-        pc = phase_coefficients(sd_i, alpha, 1.3)
-        assert pc.phi11 + pc.phi12 == pytest.approx(-2.0 * pc.psi, rel=1e-13)
-        assert pc.phi31 + pc.phi32 == pytest.approx(2.0 * pc.phi_i, rel=1e-12)
-        pc2 = phase_coefficients(sd_ii, alpha, 0.7)
-        assert pc2.phi51 + pc2.phi52 == pytest.approx(4.0 * pc2.phi5_hat, rel=1e-13)
-        assert pc2.phi_ii == pytest.approx(2.0 * pc2.phi5_hat, rel=1e-13)
+    # one rule for both classes: the correction phases sum to twice the main
+    # phase on the L**2 and L terms and cancel on the others
+    for sd, s in ((sd_i, 1.3), (sd_ii, 0.7)):
+        for alpha in (0.35, 0.6, 0.85):
+            pc = phase_coefficients(sd, alpha, s)
+            forward, backward, main = pc.forward, pc.backward, pc.main
+            assert forward.log_squared + backward.log_squared == pytest.approx(
+                2.0 * main.log_squared, rel=1e-13
+            )
+            assert forward.log_linear + backward.log_linear == pytest.approx(
+                2.0 * main.log_linear, rel=1e-12
+            )
+            for term in ("oscillation", "log_times_loglog", "loglog"):
+                assert getattr(forward, term) == -getattr(backward, term)
 
 
 def test_coefficient_table_degenerate_class(sd_ii, sd_refl):
     pc = phase_coefficients(sd_ii, 0.75, 0.8)
-    nu_zero = math.log(0.75) / (2.0 * math.pi)  # product a11 a21 = 3/4
-    assert pc.phi51 == pytest.approx(-nu_zero, rel=1e-13)
-    assert pc.phi52 == pytest.approx(nu_zero * 0.25 / 1.25, rel=1e-13)
-    assert pc.phi5_hat == pytest.approx(-nu_zero * 0.25 / 1.25, rel=1e-13)
-    # generic-class entries are empty in the degenerate class
-    assert pc.phi_i == pc.phi4 == pc.phi31 == pc.phi32 == pc.phi3_hat == 0.0
+    nu_one = math.log(0.75) / (2.0 * math.pi)  # product a11 a21 = 3/4
+    assert pc.h == 0
+    assert pc.nu_s == pytest.approx(nu_one, rel=1e-13)
+    assert pc.forward.log_linear == pytest.approx(-nu_one, rel=1e-13)
+    assert pc.backward.log_linear == pytest.approx(nu_one * 0.25 / 1.25, rel=1e-13)
+    assert pc.main.log_linear == pytest.approx(-2.0 * nu_one * 0.25 / 1.25, rel=1e-13)
+    assert pc.tilt.log_linear == pytest.approx(pc.main.log_linear, rel=1e-13)
+    # every term carrying a factor h is empty in the degenerate class
+    for ledger in (pc.main, pc.tilt, pc.forward, pc.backward):
+        assert ledger.log_squared == ledger.log_times_loglog == ledger.loglog == 0.0
     # reflectionless data zeroes the whole data-bearing column
     pr = phase_coefficients(sd_refl, 0.75, 0.8)
-    assert pr.phi51 == pr.phi52 == pr.phi5_hat == pr.phi_ii == 0.0
-    assert abs(pr.main_constant) < 1e-10  # quadrature noise around exact zero
+    for ledger in (pr.main, pr.tilt, pr.forward, pr.backward):
+        assert ledger.log_linear == 0.0
+    assert abs(pr.main.constant) < 1e-10  # quadrature noise around exact zero
 
 
 def test_coefficient_validation(sd_i):
@@ -407,14 +490,12 @@ def test_regime_matrix_and_error_orders(sd_i, sd_ii):
 def test_prediction_ledger_selection(sd_i):
     pc = phase_coefficients(sd_i, 0.8, 1.0)
     plus = predict_q(sd_i, wedge_point(0.8, 1.0, 1.0e6, Side.PLUS_X))
-    assert plus.ledger.log_squared == pytest.approx(-pc.psi, rel=1e-14)
-    assert plus.ledger.log_linear == pytest.approx(pc.phi_i, rel=1e-14)
+    assert plus.ledger == pc.main
     assert plus.ledger.oscillation == 0.0
 
     minus = predict_q(sd_i, wedge_point(0.8, 1.0, 1.0e6, Side.MINUS_X))
     assert minus.leading == 0j
-    assert minus.ledger.oscillation == pytest.approx(pc.phi0, rel=1e-14)
-    assert minus.ledger.log_times_loglog == pytest.approx(pc.phi2, rel=1e-14)
+    assert minus.ledger == pc.forward
 
     bound = predict_q(sd_i, wedge_point(0.5, 1.0, 1.0e6, Side.MINUS_X))
     assert bound.total == 0j
