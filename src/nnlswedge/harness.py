@@ -41,7 +41,6 @@ from .scattering import (
     SpectralData,
     compute_spectral_data,
     default_k_grid,
-    load_spectral_data,
     save_spectral_data,
     synthetic_case_i,
     synthetic_case_ii,
@@ -53,7 +52,6 @@ from .wedge import (
     gen_as_predict,
     matching_check,
     matching_ladder,
-    phase_coefficients,
     predict_q,
     wedge_point,
 )
@@ -61,7 +59,6 @@ from .wedge import (
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "ComparisonRecord",
     "load_config",
     "spectral_data_for",
     "cmd_scatter",
@@ -70,10 +67,6 @@ __all__ = [
     "cmd_match",
     "main",
 ]
-
-# Relative error allowed when the ledger regression re-extracts the
-# squared-log coefficient from generated phase values.
-_PSI_FIT_REL = 0.05
 
 _SYNTHETIC_KINDS = ("synthetic-case-i", "synthetic-case-ii")
 
@@ -325,7 +318,19 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
 
 
 def _fmt(value) -> str:
-    return f"{float(value):.17g}"
+    """A float to 17 significant digits; ``None`` (not computed) is ``nan``."""
+    return "nan" if value is None else f"{float(value):.17g}"
+
+
+def _write_table(path: Path, schema: str, header: str, rows, head=(), tail=()) -> Path:
+    """Write a report table: the schema line, the ``head`` comment lines,
+    the header, one line per row of fields, then the ``tail`` comment lines."""
+    lines = [f"# schema: nnlswedge-{schema} v1", *head, header]
+    lines += [",".join(row) for row in rows]
+    lines += tail
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return path
 
 
 def spectral_data_for(cfg: ExperimentConfig, *, force: bool = False) -> SpectralData:
@@ -412,12 +417,11 @@ _PREDICT_HEADER = (
 )
 
 
-def _predict_row(sd: SpectralData, cell) -> str:
+def _predict_row(sd: SpectralData, cell) -> list[str]:
     alpha, s, t, side = cell
     pred = predict_q(sd, wedge_point(alpha, s, t, side))
-    led = pred.ledger
     in_band = int(EXPANSION_BAND[0] <= s <= EXPANSION_BAND[1])
-    fields = [
+    return [
         pred.regime,
         pred.case.value,
         side.value,
@@ -434,122 +438,21 @@ def _predict_row(sd: SpectralData, cell) -> str:
         _fmt(_rough_magnitude(pred, tracker_for(sd).h)),
         _fmt(pred.error_order.t_exponent),
         _fmt(pred.error_order.log_power),
-        *[_fmt(v) for v in led.vector()],
+        *[_fmt(v) for v in pred.ledger.vector()],
         str(in_band),
     ]
-    return ",".join(fields)
-
-
-def _psi_fit_lines(sd: SpectralData, cfg: ExperimentConfig) -> list[str]:
-    """Regression self-check: re-extract the squared-log coefficient.
-
-    Generates the main slow phase over the ladder and fits the full
-    five-term basis; the fitted leading coefficient must recover the
-    ledger's value within the relative tolerance ``_PSI_FIT_REL`` (5%).
-    A ledger without a squared-log term (the degenerate class) has nothing
-    to re-extract.
-    """
-    if len(cfg.wedge.t_ladder) < 5:
-        return []
-    lines = []
-    for alpha in cfg.wedge.alphas:
-        for s in cfg.wedge.s_values:
-            ledger = phase_coefficients(sd, alpha, s).main
-            target = ledger.log_squared
-            if target == 0.0:
-                continue
-            big_l = np.array([wedge_point(alpha, s, t).ln_4st for t in cfg.wedge.t_ladder])
-            values = np.array([ledger.slow_phase(v) for v in big_l])
-            basis = np.column_stack(
-                [big_l**2, big_l * np.log(big_l), big_l, np.log(big_l), np.ones_like(big_l)]
-            )
-            coef, *_ = np.linalg.lstsq(basis, values, rcond=None)
-            fitted = float(coef[0])
-            rel = abs(fitted - target) / abs(target)
-            status = "ok" if rel <= _PSI_FIT_REL else "off"
-            lines.append(
-                f"# logsq-fit alpha={_fmt(alpha)} s={_fmt(s)} "
-                f"fitted={_fmt(fitted)} target={_fmt(target)} "
-                f"rel={_fmt(rel)} status={status}"
-            )
-    return lines
 
 
 def cmd_predict(cfg: ExperimentConfig, sd: SpectralData | None = None) -> Path:
     """Write the expanded-prediction table; returns the CSV path."""
     sd = _tracked_data(cfg, sd)
     rows = [_predict_row(sd, cell) for cell in _branch_rows(cfg)]
-    cfg.output.directory.mkdir(parents=True, exist_ok=True)
     path = cfg.output.directory / cfg.output.predictions
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("# schema: nnlswedge-predictions v1\n")
-        fh.write(_PREDICT_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
-        for line in _psi_fit_lines(sd, cfg):
-            fh.write(line + "\n")
-    return path
+    return _write_table(path, "predictions", _PREDICT_HEADER, rows)
 
 
 # ---------------------------------------------------------------------------
 # compare
-
-
-@dataclass(frozen=True)
-class ComparisonRecord:
-    """One wedge cell joined across prediction routes and the evolution."""
-
-    branch: str
-    alpha: float
-    s: float
-    t: float
-    side: Side
-    x: float
-    expanded: complex
-    exact: complex
-    pde_value: complex | None
-    plateau_gap: float | None
-    phase_residual: float | None
-
-    @property
-    def gap_routes(self) -> float:
-        return abs(self.expanded - self.exact)
-
-    @property
-    def gap_pde(self) -> float | None:
-        if self.pde_value is None:
-            return None
-        return abs(self.pde_value - self.exact)
-
-    def row(self, level: float) -> str:
-        def opt(v):
-            return _fmt(v) if v is not None else "nan"
-
-        pde_re = _fmt(self.pde_value.real) if self.pde_value is not None else "nan"
-        pde_im = _fmt(self.pde_value.imag) if self.pde_value is not None else "nan"
-        gap_pde = self.gap_pde
-        return ",".join(
-            [
-                self.branch,
-                _fmt(self.alpha),
-                _fmt(self.s),
-                _fmt(self.t),
-                self.side.value,
-                _fmt(self.x),
-                _fmt(self.expanded.real),
-                _fmt(self.expanded.imag),
-                _fmt(self.exact.real),
-                _fmt(self.exact.imag),
-                pde_re,
-                pde_im,
-                _fmt(self.gap_routes),
-                _fmt(self.gap_routes / level),
-                opt(gap_pde),
-                opt(gap_pde / level if gap_pde is not None else None),
-                opt(self.plateau_gap),
-                opt(self.phase_residual),
-            ]
-        )
 
 
 _COMPARE_HEADER = (
@@ -624,114 +527,77 @@ def cmd_compare(
         )
     snapshots = {snap.t: snap.q for snap in run.snapshots}
 
-    def build(cell) -> ComparisonRecord:
-        alpha, s, t, side = cell
+    # one pass over the cells: each is evaluated once, written as a row and
+    # filed as (t, evolution gap, plateau gap) under its (alpha, s, side)
+    rows, groups = [], {}
+    for alpha, s, t, side in _branch_rows(cfg):
         point = wedge_point(alpha, s, t, side)
         expanded = predict_q(sd, point)
-        exact = gen_as_predict(sd, point)
-        x_signed = point.x if side is Side.PLUS_X else -point.x
-        pde_value = None
-        plateau_gap = None
-        phase_residual = None
+        exact = gen_as_predict(sd, point).total
+        x = point.x if side is Side.PLUS_X else -point.x
+        pde_re = pde_im = gap_pde = rel_gap_pde = plateau_gap = phase_residual = None
         if t in snapshots:
-            pde_value = interpolate_field(grid, snapshots[t], x_signed)
+            pde_value = interpolate_field(grid, snapshots[t], x)
+            pde_re, pde_im = pde_value.real, pde_value.imag
+            gap_pde = abs(pde_value - exact)
+            rel_gap_pde = gap_pde / level
             if side is Side.PLUS_X:
                 plateau_gap = abs(abs(pde_value) - level)
                 try:
                     ledger_phase = expanded.ledger.phase_at(point)
-                    phase_residual = abs(
-                        _wrap_phase(cmath.phase(pde_value) - ledger_phase)
-                    )
+                    phase_residual = abs(_wrap_phase(cmath.phase(pde_value) - ledger_phase))
                 except OverflowError:
-                    phase_residual = None
-        return ComparisonRecord(
-            branch=expanded.regime,
-            alpha=alpha,
-            s=s,
-            t=t,
-            side=side,
-            x=x_signed,
-            expanded=expanded.total,
-            exact=exact.total,
-            pde_value=pde_value,
-            plateau_gap=plateau_gap,
-            phase_residual=phase_residual,
+                    pass
+        gap_routes = abs(expanded.total - exact)
+        values = (
+            x, expanded.total.real, expanded.total.imag, exact.real, exact.imag,
+            pde_re, pde_im, gap_routes, gap_routes / level, gap_pde, rel_gap_pde,
+            plateau_gap, phase_residual,
         )
-
-    records = [build(cell) for cell in _branch_rows(cfg)]
-
-    cfg.output.directory.mkdir(parents=True, exist_ok=True)
+        rows.append(
+            [expanded.regime, _fmt(alpha), _fmt(s), _fmt(t), side.value, *map(_fmt, values)]
+        )
+        groups.setdefault((alpha, s, side), []).append((t, gap_pde, plateau_gap))
+    head = [f"# aborted: {abort_reason}"] if abort_reason else []
     path = cfg.output.directory / cfg.output.comparison
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("# schema: nnlswedge-comparison v1\n")
-        if abort_reason:
-            fh.write(f"# aborted: {abort_reason}\n")
-        fh.write(_COMPARE_HEADER + "\n")
-        for rec in records:
-            fh.write(rec.row(level) + "\n")
+    _write_table(path, "comparison", _COMPARE_HEADER, rows, head=head)
 
     # summary: per (alpha, s, side) fitted decay exponents of the gaps
-    summary_path = cfg.output.directory / cfg.output.summary
     lines = ["# schema: nnlswedge-comparison-summary v1"]
     lines.append(f"plateau_modulus={_fmt(level)}")
     lines.append(f"partial={'yes' if abort_reason else 'no'}")
     if abort_reason:
         lines.append(f"abort_reason={abort_reason}")
-    # the evolution's own diagnostics over the reached snapshots
-    edge_drift = max(
-        (max(s.left_drift, s.right_drift) for s in run.snapshots), default=0.0
-    )
-    mass_drift = max((abs(s.mirror_mass - mass0) for s in run.snapshots), default=0.0)
+    # the evolution's own diagnostics over the reached snapshots; the edge
+    # drifts are running maxima, so the last snapshot holds the largest
+    edge_drift = max(run.final.left_drift, run.final.right_drift) if run.snapshots else 0.0
+    mass_drift = max((abs(snap.mirror_mass - mass0) for snap in run.snapshots), default=0.0)
     lines.append(f"steps={run.steps}")
     lines.append(f"dt={_fmt(run.dt)}")
     lines.append(f"edge_drift={_fmt(edge_drift)}")
     lines.append(f"mirror_mass_drift={_fmt(mass_drift)}")
-    for alpha in w.alphas:
-        for s in w.s_values:
-            for side in w.sides:
-                sub = [
-                    r
-                    for r in records
-                    if r.alpha == alpha and r.s == s and r.side is side
-                ]
-                label = f"alpha={_fmt(alpha)} s={_fmt(s)} side={side.value}"
-                fitted = [
-                    (r.t, r.gap_pde)
-                    for r in sub
-                    if r.gap_pde is not None
-                    and math.isfinite(r.gap_pde)
-                    and r.gap_pde > 0.0
-                ]
-                gaps = [g for _, g in fitted]
-                ts = [t for t, _ in fitted]
-                if len(gaps) >= 2:
-                    slope = float(
-                        np.polyfit(np.log(ts), np.log(gaps), 1)[0]
-                    )
-                    lines.append(f"{label} pde_gap_exponent={_fmt(slope)}")
-                else:
-                    lines.append(f"{label} pde_gap_exponent=nan")
-                plateau = [
-                    (r.t, r.plateau_gap)
-                    for r in sub
-                    if r.plateau_gap is not None and math.isfinite(r.plateau_gap)
-                ]
-                if len(plateau) >= 2:
-                    vals = [g for _, g in plateau]
-                    trend = "decreasing" if all(
-                        a > b for a, b in zip(vals, vals[1:])
-                    ) else "mixed"
-                    lines.append(
-                        f"{label} plateau_gap_final={_fmt(vals[-1])} "
-                        f"plateau_trend={trend}"
-                    )
+    for alpha, s, side in itertools.product(w.alphas, w.s_values, w.sides):
+        group = groups[alpha, s, side]
+        label = f"alpha={_fmt(alpha)} s={_fmt(s)} side={side.value}"
+        fitted = [(t, g) for t, g, _ in group if g is not None and math.isfinite(g) and g > 0.0]
+        slope = None
+        if len(fitted) >= 2:
+            ts, gaps = zip(*fitted)
+            slope = float(np.polyfit(np.log(ts), np.log(gaps), 1)[0])
+        lines.append(f"{label} pde_gap_exponent={_fmt(slope)}")
+        plateau = [g for _, _, g in group if g is not None and math.isfinite(g)]
+        if len(plateau) >= 2:
+            decreasing = all(a > b for a, b in zip(plateau, plateau[1:]))
+            lines.append(
+                f"{label} plateau_gap_final={_fmt(plateau[-1])} "
+                f"plateau_trend={'decreasing' if decreasing else 'mixed'}"
+            )
     # fallback flag: with fewer than three evolved times the plateau trend
     # is not directly demonstrable and consumers must use the fitted
     # exponents instead
-    n_times = len(snapshots)
-    lines.append(f"fallback_fitted_exponents={'yes' if n_times < 3 else 'no'}")
-    with open(summary_path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines.append(f"fallback_fitted_exponents={'yes' if len(snapshots) < 3 else 'no'}")
+    summary_path = cfg.output.directory / cfg.output.summary
+    summary_path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
     # raw evolved fields, for reproducibility and plotting
     snap_path = cfg.output.directory / cfg.output.snapshots
@@ -761,45 +627,42 @@ def cmd_match(cfg: ExperimentConfig, sd: SpectralData | None = None) -> Path:
         t=m.time,
         hold_product=m.hold_product,
     )
-    cfg.output.directory.mkdir(parents=True, exist_ok=True)
-    path = cfg.output.directory / cfg.output.matching
     residuals = [row.phase_residual for row in report.rows]
     trend = "decreasing" if all(a > b for a, b in zip(residuals, residuals[1:])) else "mixed"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("# schema: nnlswedge-matching v1\n")
-        fh.write(f"# mode={report.mode} case={report.case.value} s={_fmt(report.s)}\n")
-        fh.write(_MATCH_HEADER + "\n")
-        for row in report.rows:
-            fields = [
-                _fmt(row.alpha),
-                _fmt(row.ln_t),
-                _fmt(row.phase_residual),
-                _fmt(row.mirror_log_magnitude)
-                if row.mirror_log_magnitude is not None
-                else "nan",
-                _fmt(row.ray_log_magnitude)
-                if row.ray_log_magnitude is not None
-                else "nan",
-            ]
-            fh.write(",".join(fields) + "\n")
-        fh.write(f"# residual-trend: {trend}\n")
-        fh.write(
-            f"# fast-coefficient-limit: value={_fmt(report.oscillation_coefficient_limit)} "
-            f"expected={_fmt(report.oscillation_coefficient_expected)} "
-            f"status={'ok' if report.oscillation_coefficient_limit == report.oscillation_coefficient_expected else 'off'}\n"
+    rows = [
+        [
+            _fmt(v)
+            for v in (
+                row.alpha,
+                row.ln_t,
+                row.phase_residual,
+                row.mirror_log_magnitude,
+                row.ray_log_magnitude,
+            )
+        ]
+        for row in report.rows
+    ]
+    # the limit comes from pow, which need not be correctly rounded, so it
+    # may sit a few ulps off the closed form 4 s**2
+    limit, expected = report.oscillation_coefficient_limit, report.oscillation_coefficient_expected
+    status = "ok" if math.isclose(limit, expected, rel_tol=4e-16) else "off"
+    tail = [
+        f"# residual-trend: {trend}",
+        f"# fast-coefficient-limit: value={_fmt(limit)} expected={_fmt(expected)} status={status}",
+    ]
+    if report.mirror_exponent is not None:
+        tail.append(
+            f"# mirror-decay-exponent: fitted={_fmt(report.mirror_exponent)} expected=-0.5"
         )
-        if report.mirror_exponent is not None:
-            fh.write(
-                f"# mirror-decay-exponent: fitted={_fmt(report.mirror_exponent)} "
-                f"expected=-0.5\n"
-            )
-        if report.mirror_amplitude_ratio is not None:
-            ratio = report.mirror_amplitude_ratio
-            fh.write(
-                f"# mirror-ray-ratio: re={_fmt(ratio.real)} im={_fmt(ratio.imag)} "
-                f"abs={_fmt(abs(ratio))} arg={_fmt(cmath.phase(ratio))}\n"
-            )
-    return path
+    if report.mirror_amplitude_ratio is not None:
+        ratio = report.mirror_amplitude_ratio
+        tail.append(
+            f"# mirror-ray-ratio: re={_fmt(ratio.real)} im={_fmt(ratio.imag)} "
+            f"abs={_fmt(abs(ratio))} arg={_fmt(cmath.phase(ratio))}"
+        )
+    head = [f"# mode={report.mode} case={report.case.value} s={_fmt(report.s)}"]
+    path = cfg.output.directory / cfg.output.matching
+    return _write_table(path, "matching", _MATCH_HEADER, rows, head=head, tail=tail)
 
 
 # ---------------------------------------------------------------------------

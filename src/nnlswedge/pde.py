@@ -121,11 +121,13 @@ class FieldSnapshot:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Completed evolution with its requested snapshots.
+    """Evolution with its requested snapshots.
 
-    ``snapshots`` always ends with the final-time state.  The drift
-    entries are running maxima of the deviation of the first interior
-    node from its initial value on each side.
+    A completed run's ``snapshots`` end with the final-time state; the
+    ``partial`` result an abort carries holds only the snapshots landed
+    before it, possibly none.  The drift entries are running maxima of the
+    deviation of the first interior node from its initial value on each
+    side.
     """
 
     grid: SpatialGrid

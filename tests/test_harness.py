@@ -182,10 +182,6 @@ def test_predict_table_layout_and_regimes(tmp_path):
         if r[2] == "+x":
             # the coarse magnitude of a plateau row is the plateau itself
             assert float(r[13]) == pytest.approx(1.2, abs=1e-12)
-    # ladder long enough for the squared-log regression self-check
-    fit_lines = [c for c in comments if c.startswith("# logsq-fit")]
-    assert len(fit_lines) == 2  # one per alpha
-    assert all(line.endswith("status=ok") for line in fit_lines)
 
 
 def test_predict_output_is_deterministic(tmp_path):
@@ -390,6 +386,49 @@ def test_compare_abort_yields_partial_report(tmp_path):
     assert times == {"3"}
 
 
+def test_compare_full_report_is_complete_and_deterministic(tmp_path):
+    # carrier phase pi blows up only past t = pi, so every ladder time is
+    # reached: the summary has no abort line, no fallback, one fitted
+    # exponent per (alpha, s, side) and a plateau line on +x only
+    ini = _write(
+        tmp_path,
+        "[profile]\nkind = soliton-snapshot\namplitude = 1.0\n"
+        "phase = 3.141592653589793\n"
+        "[kgrid]\nn_per_sign = 60\n"
+        "[wedge]\nalphas = 0.5, 0.75\ns_values = 1.0\nt_ladder = 2, 2.5, 3\n"
+        "sides = +x, -x\n"
+        "[pde]\nhalf_width = 16\nstep = 0.05\nt_final = 3\n",
+    )
+    cfg = load_config(ini, out_dir=tmp_path / "out")
+    paths = cmd_compare(cfg)
+    first = [path.read_bytes() for path in paths]
+
+    num = r"[-+.e0-9]+"  # a finite number: no nan, no inf
+    expected = [
+        "# schema: nnlswedge-comparison-summary v1",
+        rf"plateau_modulus={num}",
+        "partial=no",
+        r"steps=\d+",
+        rf"dt={num}",
+        rf"edge_drift={num}",
+        rf"mirror_mass_drift={num}",
+    ]
+    for alpha in ("0.5", "0.75"):
+        label = f"alpha={alpha} s=1 side="
+        expected += [
+            rf"{label}\+x pde_gap_exponent={num}",
+            rf"{label}\+x plateau_gap_final={num} plateau_trend=(decreasing|mixed)",
+            rf"{label}-x pde_gap_exponent={num}",
+        ]
+    expected.append("fallback_fitted_exponents=no")
+    lines = paths[1].read_text(encoding="ascii").splitlines()
+    assert len(lines) == len(expected)
+    for line, pattern in zip(lines, expected):
+        assert re.fullmatch(pattern, line), line
+
+    assert [path.read_bytes() for path in cmd_compare(cfg)] == first
+
+
 # ---------------------------------------------------------------------------
 # match
 
@@ -419,26 +458,38 @@ def test_match_report_fixed_product(tmp_path):
 
 def test_match_fast_coefficient_line_reads_the_ledger_formula(tmp_path, monkeypatch):
     # the limit line evaluates the ledgers' own fast coefficient at
-    # alpha = 1, so a wrong exponent there must read status=off
-    ini = _write(
-        tmp_path,
-        "[profile]\nkind = synthetic-case-i\n"
-        "[match]\nhold_product = 1.0\ns = 1.5\nalphas = 0.9, 0.99\n",
-    )
-    cfg = load_config(ini, out_dir=tmp_path / "out")
+    # alpha = 1, so a wrong exponent there must read status=off; at
+    # s = 2.759 the right formula's pow lands one ulp off 4 s**2 and must
+    # still read status=ok
+    cfgs = [
+        load_config(
+            _write(
+                tmp_path,
+                "[profile]\nkind = synthetic-case-i\n"
+                f"[match]\nhold_product = 1.0\ns = {s}\nalphas = 0.9, 0.99\n",
+            ),
+            out_dir=tmp_path / s,
+        )
+        for s in ("1.5", "2.759")
+    ]
 
-    def status():
-        comments, _, _ = _table(cmd_match(cfg))
-        (line,) = [c for c in comments if c.startswith("# fast-coefficient-limit")]
-        return line.rsplit("status=", 1)[1]
+    def limit_lines():
+        lines = []
+        for cfg in cfgs:
+            comments, _, _ = _table(cmd_match(cfg))
+            lines += [c for c in comments if c.startswith("# fast-coefficient-limit")]
+        return lines
 
-    assert status() == "ok"
+    assert limit_lines() == [
+        "# fast-coefficient-limit: value=9 expected=9 status=ok",
+        "# fast-coefficient-limit: value=30.448323999999996 expected=30.448324 status=ok",
+    ]
     monkeypatch.setattr(
         wedge,
         "_fast_coefficient",
         lambda alpha, s: 2.0 ** (2.0 * alpha / (2.0 - alpha)) * s ** (3.0 / (2.0 - alpha)),
     )
-    assert status() == "off"
+    assert [line.rsplit("status=", 1)[1] for line in limit_lines()] == ["off", "off"]
 
 
 def test_match_requires_section(tmp_path):
