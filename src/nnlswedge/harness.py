@@ -184,8 +184,8 @@ _CONFIG_KEYS = {
 
 def _parse_value(raw: str | None, default, what: str):
     """One config value, parsed by the type of its default; absent or blank
-    numbers take the default, blank strings and lists and non-finite numbers
-    are errors."""
+    numbers take the default, blank strings and lists, repeated list values
+    and non-finite numbers are errors."""
     if raw is None or (raw == "" and not isinstance(default, (str, tuple))):
         return default
     if isinstance(default, str):
@@ -193,12 +193,16 @@ def _parse_value(raw: str | None, default, what: str):
             raise ConfigError(f"{what}: empty")
         return raw
     if isinstance(default, tuple):
+        tokens = raw.replace(",", " ").split()
         try:
-            values = tuple(type(default[0])(tok) for tok in raw.replace(",", " ").split())
+            values = tuple(type(default[0])(tok) for tok in tokens)
         except ValueError as exc:
             raise ConfigError(f"{what}: cannot parse {raw!r}: {exc}") from exc
         if not values:
             raise ConfigError(f"{what}: empty list")
+        repeats = [tok for i, tok in enumerate(tokens) if values[i] in values[:i]]
+        if repeats:
+            raise ConfigError(f"{what}: {repeats[0]} is repeated")
     else:
         try:
             values = (float(raw),)

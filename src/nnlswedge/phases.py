@@ -20,8 +20,8 @@ The small-k class fixes only the k = 0 data (``P(0)``, the endpoint values
 of the regularized reflection coefficients, and ``b(0)`` where b is
 finite); every functional is one formula in h and
 ``nu_1 = ln P(0) / (2 pi)``, so ``ln W = 2h ln(-k) - ln P``.  The continuous
-logarithm of P is sampled on the scattering grid, splined, and anchored so
-that the accumulated argument tends to 0 as k -> -inf.
+logarithm of P is sampled on the scattering grid, splined (a not-a-knot cubic,
+built in numpy), and anchored so the accumulated argument tends to 0 as k -> -inf.
 Beyond the grid edge the logarithm is continued by a fitted algebraic
 tail ``c1/u + c2/u^2 + c3/u^3 + c4/u^4`` whose integrals close in
 elementary form.
@@ -213,6 +213,47 @@ def _tail_moment(n: int, k_edge: float) -> float:
     return (-k_edge) ** (1 - n) / (1 - n)
 
 
+class _NotAKnotSpline:
+    """Not-a-knot cubic spline, built in numpy, through the columns of ``y`` (n, m) at n >= 4
+    increasing nodes ``x``: ``CubicSpline``'s end rows, node slopes d from one tridiagonal
+    (Thomas) sweep, and ``c[:, j, i]`` = (c3, c2, c1, c0) of column j in powers of u - x[i]."""
+
+    def __init__(self, x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y).reshape(len(x), -1)
+        if x.size < 4 or not (np.diff(x) > 0.0).all() or not np.isfinite(np.r_[x, y.ravel()]).all():
+            raise ValueError("need >= 4 finite, strictly increasing nodes and finite data")
+        dx = np.diff(x)
+        h = dx[:, None]
+        s = np.diff(y, axis=0) / h
+        # equation i reads lower[i-1] d[i-1] + diag[i] d[i] + upper[i] d[i+1]
+        diag = np.r_[dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]]
+        upper, lower = np.r_[x[2] - x[0], dx[:-1]], np.r_[dx[1:], x[-1] - x[-3]]
+        d = np.empty_like(s, shape=y.shape)
+        d[0] = ((dx[0] + 2.0 * upper[0]) * dx[1] * s[0] + dx[0] ** 2 * s[1]) / upper[0]
+        d[1:-1] = 3.0 * (h[1:] * s[:-1] + h[:-1] * s[1:])
+        d[-1] = (dx[-1] ** 2 * s[-2] + (2.0 * lower[-1] + dx[-1]) * dx[-2] * s[-1]) / lower[-1]
+        for i in range(1, x.size):
+            w = lower[i - 1] / diag[i - 1]
+            diag[i] -= w * upper[i - 1]
+            d[i] -= w * d[i - 1]
+        d[-1] /= diag[-1]
+        for i in range(x.size - 2, -1, -1):
+            d[i] = (d[i] - upper[i] * d[i + 1]) / diag[i]
+        t = (d[:-1] + d[1:] - 2.0 * s) / h
+        self.x = x
+        self.c = np.stack([t / h, (s - d[:-1]) / h - t, d[:-1], y[:-1]]).transpose(0, 2, 1)
+
+    def __call__(self, u, derivative: int = 0, cols=slice(None)):
+        """Value (0) or first derivative (1) at u: shape (cols,) + u.shape."""
+        u = np.asarray(u, dtype=float)
+        i = np.searchsorted(self.x[1:-1], u, side="right")
+        z = u - self.x[i]
+        c3, c2, c1, c0 = self.c[:, cols, i]
+        if derivative:
+            return (3.0 * c3 * z + 2.0 * c2) * z + c1
+        return ((c3 * z + c2) * z + c1) * z + c0
+
+
 class PhaseTracker:
     """Branch-tracked evaluator of the phase functionals for one data set.
 
@@ -225,13 +266,11 @@ class PhaseTracker:
     """
 
     def __init__(self, sd: SpectralData):
-        from scipy.interpolate import CubicSpline  # deferred: `scatter` builds no tracker
         self.sd = sd
         k = sd.k_grid
         neg = k < 0.0
         kneg = k[neg]  # increasing, -k_max .. -k_min
         self.k_edge = float(-kneg[0])
-        self.k_min = float(-kneg[-1])
         amp = sd.amplitude
 
         # The small-k class picks h, the regularized product at 0, the
@@ -264,16 +303,12 @@ class PhaseTracker:
                 "argument jump between adjacent nodes too close to pi; "
                 "refine the spectral grid"
             )
-        nodes = np.append(kneg, 0.0)
-        theta = np.unwrap(np.angle(allv))
-        self._theta = CubicSpline(nodes, theta)
-        self._logabs = CubicSpline(nodes, np.log(np.abs(allv)))
-
+        # one spline of three columns: ln P = ln|P| + i theta, s1 and s2
+        log_p = np.log(np.abs(allv)) + 1j * np.unwrap(np.angle(allv))
         b_mirror = np.conj(sd.b[::-1][neg])  # conj(b(-k)) at the same nodes
-        s1_nodes = (sd.b[neg] / sd.a1[neg]) / kneg
-        s2_nodes = kneg * (b_mirror / sd.a2[neg])
-        self._s1 = CubicSpline(nodes, np.append(s1_nodes, s1_zero))
-        self._s2 = CubicSpline(nodes, np.append(s2_nodes, s2_zero))
+        s1 = np.append((sd.b[neg] / sd.a1[neg]) / kneg, s1_zero)
+        s2 = np.append(kneg * (b_mirror / sd.a2[neg]), s2_zero)
+        self._spline = _NotAKnotSpline(np.append(kneg, 0.0), np.stack([log_p, s1, s2], axis=1))
 
         # Algebraic tail of L = ln W fitted on the outermost window.
         window = kneg <= -_K_FIT
@@ -283,8 +318,7 @@ class PhaseTracker:
                 f"the tail fit needs samples with |k| >= {_K_FIT:g}"
             )
         u_fit = kneg[window]
-        log_pn = np.log(np.abs(allv[:-1][window])) + 1j * theta[:-1][window]
-        l_fit = 2 * self.h * np.log(-u_fit) - log_pn
+        l_fit = 2 * self.h * np.log(-u_fit) - log_p[:-1][window]
         basis = np.stack([u_fit ** (-p) for p in _TAIL_POWERS], axis=1)
         coef, *_ = np.linalg.lstsq(basis, l_fit, rcond=None)
         self._tail_coef = coef
@@ -293,16 +327,14 @@ class PhaseTracker:
     # -- elementary evaluations ----------------------------------------------
 
     def _log_pn(self, u, derivative: int = 0):
-        return self._logabs(u, derivative) + 1j * self._theta(u, derivative)
+        return self._spline(u, derivative, cols=0)
 
     def log_w(self, u):
         """Branch-tracked ln(1 + r1 r2) = 2h ln(-u) - ln P(u) on [-k_edge, 0)."""
-        u = np.asarray(u, dtype=float)
         return 2 * self.h * np.log(-u) - self._log_pn(u)
 
     def _g0(self, u):
         """u * d/du ln(1 + r1 r2) = 2h - u (ln P)'(u): bounded on [-k_edge, 0]."""
-        u = np.asarray(u, dtype=float)
         return 2 * self.h - u * self._log_pn(u, 1)
 
     def _tail_l(self, u: float) -> complex:
@@ -352,8 +384,9 @@ class PhaseTracker:
         xi = point.xi
         self._check_window(xi)
         dress = 1.0 + 1j * self.sd.k1 * math.exp((1.0 - point.alpha) * point.ln_x) / point.s
-        r1 = complex(self._s1(-xi)) * (-xi) * dress
-        r2 = complex(self._s2(-xi)) / (-xi) / dress
+        s1, s2 = self._spline(-xi, cols=slice(1, 3))
+        r1 = complex(s1) * (-xi) * dress
+        r2 = complex(s2) / (-xi) / dress
         return r1, r2
 
     def _log_w_tracked(self, w: complex, u: float) -> complex:
@@ -364,7 +397,7 @@ class PhaseTracker:
                 "1 + r1 r2 is within 1e-12 of zero; the logarithm is unstable"
             )
         principal = cmath.phase(w)
-        target = -float(self._theta(u))
+        target = -float(self._log_pn(u).imag)
         wind = round((target - principal) / _TWO_PI)
         return complex(math.log(abs(w)), principal + _TWO_PI * wind)
 
@@ -390,7 +423,6 @@ class PhaseTracker:
         scale_term = 1j * (1.0 - alpha) * ln_x / _TWO_PI * l_xi
         tail = self._tail_chi(z_hat)
 
-        g0 = self._g0
         ln_edge = math.log(self.k_edge)
 
         if at_saddle:
@@ -398,17 +430,15 @@ class PhaseTracker:
             # sits exactly at 0, where the singular map is lossless:
             # ln(-xi + e^(ln xi + v)) = ln(xi) + ln(expm1(v)).
             def integrand(v):
-                v = np.asarray(v, dtype=float)
                 grow = np.exp(v)
-                return (ln_xi + np.log(np.expm1(v))) * g0(-xi * grow)
+                return (ln_xi + np.log(np.expm1(v))) * self._g0(-xi * grow)
 
             lo, hi = 0.0, ln_edge - ln_xi
             kind = Singularity.LOG_AT_LEFT_END
         else:
 
             def integrand(tau):
-                tau = np.asarray(tau, dtype=float)
-                return np.log(z_hat + np.exp(tau)) * g0(-np.exp(tau))
+                return np.log(z_hat + np.exp(tau)) * self._g0(-np.exp(tau))
 
             lo, hi = ln_xi, ln_edge
             kind = Singularity.NONE
@@ -428,10 +458,9 @@ class PhaseTracker:
         """Limiting real part of the log-kernel functional: the weighted
         winding of W over the negative half-line."""
         tail = float(np.imag(self._tail_log_integral()))
-        theta = self._theta
 
         def integrand(tau):
-            return theta(-np.exp(np.asarray(tau, dtype=float)))
+            return self._log_pn(-np.exp(tau)).imag
 
         spec = QuadratureSpec(atol=5e-10, rtol=1e-9, max_subdivisions=800)
         mid = quad(integrand, _TAU_FLOOR, math.log(self.k_edge), spec).value
@@ -445,18 +474,14 @@ class PhaseTracker:
         integral is carried by the i h ln(s)^2 / (2 pi) term of
         :meth:`chi_origin_const`."""
         ln_k = math.log(self.k_edge)
-        g0 = self._g0
-        log_pn = self._log_pn
         spec = QuadratureSpec(atol=5e-10, rtol=1e-9, max_subdivisions=800)
 
         def outer(tau):
-            tau = np.asarray(tau, dtype=float)
-            return tau * g0(-np.exp(tau))
+            return tau * self._g0(-np.exp(tau))
 
         def inner(tau):
-            tau = np.asarray(tau, dtype=float)
             u = -np.exp(tau)
-            return tau * (u * log_pn(u, 1))
+            return tau * (u * self._log_pn(u, 1))
 
         mid = -quad(outer, 0.0, ln_k, spec).value
         inner_val = quad(inner, _TAU_FLOOR, 0.0, spec).value
@@ -516,10 +541,9 @@ class PhaseTracker:
         if not xi > 0.0:
             raise ValueError("xi must be positive")
         self._check_window(xi)
-        log_w = self.log_w
 
         def integrand(tau):
-            return log_w(-np.exp(np.asarray(tau, dtype=float)))
+            return self.log_w(-np.exp(tau))
 
         spec = QuadratureSpec(atol=1e-10, rtol=1e-9, max_subdivisions=600)
         mid = -quad(integrand, math.log(xi), math.log(self.k_edge), spec).value

@@ -682,6 +682,8 @@ def matching_ladder(
         raise ValueError("need at least one alpha")
     if any(not 0.0 < a < 1.0 for a in alphas):
         raise ValueError("alphas must lie in (0, 1)")
+    if any(a == b for a, b in zip(alphas, alphas[1:])):
+        raise ValueError(f"alphas repeat a value: {alphas}")
     if hold_product is not None:
         if not hold_product > 0.0:
             raise ValueError("hold_product must be positive")

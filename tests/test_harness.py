@@ -118,6 +118,27 @@ def test_unknown_key_error_names_section_and_key(tmp_path, capsys):
     assert "config error: unknown [kgrid] keys: ['n_persign']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("[wedge]\nalphas = 0.5, 0.75, 0.50\n", "wedge.alphas: 0.50 is repeated"),
+        ("[wedge]\ns_values = 1, 2, 1\n", "wedge.s_values: 1 is repeated"),
+        ("[wedge]\nsides = +x, -x, +x\n", "wedge.sides: +x is repeated"),
+        (
+            "[match]\nalphas = 0.9, 0.99, 0.9\nhold_product = 1\n",
+            "match.alphas: 0.9 is repeated",
+        ),
+    ],
+    ids=["wedge-alphas", "wedge-s-values", "wedge-sides", "match-alphas"],
+)
+def test_load_config_rejects_repeated_list_values(tmp_path, body, message):
+    # a repeated value would write duplicate rows and weigh twice in the
+    # compare summary's pde_gap_exponent fit
+    ini = _write(tmp_path, "[profile]\nkind = synthetic-case-i\n" + body)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(ini)
+
+
 def _doc_key_tables():
     """Keys listed in each table of docs/config-schema.md, by the section or
     profile family named in the table's heading."""
@@ -251,28 +272,58 @@ def test_scatter_synthetic_honours_kgrid(tmp_path):
     assert len(load_spectral_data(cache).k_grid) == 120
 
 
-def test_scatter_loads_no_scipy(tmp_path):
-    # a fresh interpreter: scipy loads on first use by the phase tracker or
-    # the parametrix, and `scatter` uses neither
-    ini = _write(
-        tmp_path,
-        "[profile]\nkind = pure-step\namplitude = 1.0\n"
-        "[kgrid]\nn_per_sign = 16\nk_min = 1e-2\nk_max = 10\n",
-    )
-    argv = ["scatter", "--config", str(ini), "--out", str(tmp_path / "out")]
-    script = (
-        "import sys\n"
-        "import nnlswedge.harness as harness\n"
-        f"code = harness.main({argv!r})\n"
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
+def _scipy_modules_after(script):
+    """Run ``script`` in a fresh interpreter with ``src`` on the path; return
+    its last stdout line with the sorted ``scipy*`` modules it loaded
+    appended."""
+    script += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_REPO / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_scatter_loads_no_scipy(tmp_path):
+    # a fresh interpreter: scipy loads only for the parametrix's rgamma on
+    # dressed data, and `scatter` builds no parametrix
+    ini = _write(
+        tmp_path,
+        "[profile]\nkind = pure-step\namplitude = 1.0\n"
+        "[kgrid]\nn_per_sign = 16\nk_min = 1e-2\nk_max = 10\n",
+    )
+    argv = ["scatter", "--config", str(ini), "--out", str(tmp_path / "out")]
+    script = f"import nnlswedge.harness as harness\nprint(harness.main({argv!r}), end=' ')"
+    assert _scipy_modules_after(script) == "0 []"
+
+
+def test_reflectionless_compare_loads_no_scipy(tmp_path):
+    # the phase tracker's spline is numpy's, and reflectionless data (the
+    # criterion-02 soliton, every dressed reflection value below 1e-10 here)
+    # have no dressed pair, so the parametrix's rgamma is never called
+    ini = _write(
+        tmp_path,
+        "[profile]\nkind = soliton-snapshot\namplitude = 1.0\n"
+        "phase = 3.141592653589793\nradius = 26.0\n"
+        "[kgrid]\nn_per_sign = 60\n"
+        "[wedge]\nalphas = 0.5, 0.75\ns_values = 1.0\nt_ladder = 2, 2.5, 3\n"
+        "[pde]\nhalf_width = 16\nstep = 0.05\nt_final = 3\n",
+    )
+    argv = ["compare", "--config", str(ini), "--out", str(tmp_path / "out")]
+    script = f"import nnlswedge.harness as harness\nprint(harness.main({argv!r}), end=' ')"
+    assert _scipy_modules_after(script) == "0 []"
+
+
+def test_phase_tracker_loads_no_scipy():
+    script = (
+        "from nnlswedge.phases import PhaseTracker, wedge_point\n"
+        "from nnlswedge.scattering import synthetic_case_i\n"
+        "value = PhaseTracker(synthetic_case_i()).chi_hat(0.0, wedge_point(0.5, 1.0, 1e4))\n"
+        "print(int(value == value), end=' ')"
+    )
+    assert _scipy_modules_after(script) == "1 []"
 
 
 @pytest.mark.parametrize("command", ["predict", "compare", "match"])

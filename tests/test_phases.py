@@ -17,6 +17,8 @@ Oracle strategy:
 * Reflectionless data must produce identically vanishing functionals.
 * The saddle/origin offset must approach i*pi/6 at the documented
   first-order rate in the scaled wedge variable.
+* The tracker's numpy not-a-knot spline must match scipy's ``CubicSpline``
+  at round-off.
 """
 
 import cmath
@@ -28,6 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 from scipy.special import spence
 
 from nnlswedge import phases
@@ -161,7 +164,7 @@ def test_dressing_cancels_in_product(sd_synth_ii):
     tracker = tracker_for(sd_synth_ii)
     xi = _point(0.7, 1.0, 1.0e3).xi
     r1, r2 = tracker.reflection_pair(_point(0.7, 1.0, 1.0e3))
-    bare = complex(tracker._s1(-xi)) * complex(tracker._s2(-xi))
+    bare = complex(tracker._spline(-xi, cols=1)) * complex(tracker._spline(-xi, cols=2))
     assert r1 * r2 == pytest.approx(bare, rel=1e-12)
 
 
@@ -538,3 +541,61 @@ def test_tracker_cache(sd_pure_a1, monkeypatch):
     assert len(phases._TRACKERS) == phases._TRACKER_CACHE_LIMIT
     for sd, tracker in zip(family[:-1], trackers):
         assert tracker_for(sd) is tracker
+
+
+# ---------------------------------------------------------------------------
+# the tracker's spline against scipy's CubicSpline (test-only oracle)
+# ---------------------------------------------------------------------------
+
+
+def _assert_matches_cubic_spline(spline, x, y, points):
+    """Values and first derivatives of every column agree with
+    ``CubicSpline(x, y)`` to 1e-13 * max(1, |oracle|)."""
+    oracle = CubicSpline(x, y)
+    for derivative in (0, 1):
+        want = oracle(points, derivative).T
+        got = spline(points, derivative)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("data", ["smoothed-step", "synthetic-case-i", "synthetic-case-ii"])
+def test_tracker_spline_matches_cubic_spline(request, monkeypatch, data):
+    # record the nodes and columns (ln P, s1, s2) the tracker splines
+    seen = []
+
+    class Recording(phases._NotAKnotSpline):
+        def __init__(self, x, y):
+            seen.append((x, y))
+            super().__init__(x, y)
+
+    monkeypatch.setattr(phases, "_NotAKnotSpline", Recording)
+    sd = {
+        "smoothed-step": lambda: request.getfixturevalue("sd_smoothed"),
+        "synthetic-case-i": synthetic_case_i,
+        "synthetic-case-ii": synthetic_case_ii,
+    }[data]()
+    tracker = PhaseTracker(sd)
+    (x, y), = seen
+    assert y.shape == (x.size, 3) and x[-1] == 0.0
+    # the knots, both ends (k = 0 included) and 1e4 points from the grid
+    # edge down to the quadrature floor tau = ln(-k) = _TAU_FLOOR
+    deep = -np.geomspace(tracker.k_edge, math.exp(phases._TAU_FLOOR), 10**4)
+    points = np.concatenate([x, [x[0], 0.0], deep])
+    _assert_matches_cubic_spline(tracker._spline, x, y, points)
+
+
+def test_spline_matches_cubic_spline_on_a_nonuniform_grid():
+    x = np.array([-40.0, -39.999, -3.0, -2.5, -1e-4, 0.0])
+    y = np.stack([np.cos(x) + 1j * x**2, np.exp(x / 10.0)], axis=1)
+    # two intervals of 1e-3 and 1e-4 next to ones of 37 and 2.5
+    points = np.concatenate([x, np.linspace(x[0], x[-1], 997)])
+    _assert_matches_cubic_spline(phases._NotAKnotSpline(x, y), x, y, points)
+
+
+@pytest.mark.parametrize(
+    "x", [[0.0, 1.0, 2.0], [0.0, 1.0, 1.0, 2.0, 3.0]], ids=["three-nodes", "repeated-node"]
+)
+def test_spline_rejects_short_or_unordered_nodes(x):
+    with pytest.raises(ValueError):
+        phases._NotAKnotSpline(x, np.ones((len(x), 1)))

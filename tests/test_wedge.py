@@ -26,6 +26,7 @@ from nnlswedge.wedge import (
     beta_gamma,
     gen_as_predict,
     matching_check,
+    matching_ladder,
     phase_coefficients,
     predict_q,
     wedge_point,
@@ -609,3 +610,9 @@ def test_matching_validation(sd_i, sd_refl):
     report = matching_check(sd_refl, 1.0, [0.9, 0.99], hold_product=1.0)
     assert report.mirror_amplitude_ratio is None
     assert all(row.mirror_log_magnitude is None for row in report.rows)
+
+
+def test_matching_ladder_rejects_repeated_alphas():
+    # a repeated rung would be matched, and reported, twice
+    with pytest.raises(ValueError, match="alphas repeat a value"):
+        matching_ladder(1.0, [0.9, 0.99, 0.9], hold_product=1.0)
