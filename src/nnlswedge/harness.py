@@ -39,6 +39,7 @@ from .phases import EXPANSION_BAND, _K_FIT, _WINDOW_FRACTION, tracker_for
 from .profiles import InitialProfile, ProfileKind
 from .scattering import (
     SpectralData,
+    _step_count,
     compute_spectral_data,
     default_k_grid,
     save_spectral_data,
@@ -68,13 +69,21 @@ __all__ = [
     "main",
 ]
 
-_SYNTHETIC_KINDS = ("synthetic-case-i", "synthetic-case-ii")
+# the closed-form families a config can name instead of a sampled profile
+_SYNTHETIC = {"synthetic-case-i": synthetic_case_i, "synthetic-case-ii": synthetic_case_ii}
 
-# Largest [kgrid] n_per_sign accepted: the Jost sweep's time and memory grow
-# linearly in the node count (2.5 ms per node per sign on the smoothed step,
-# 7 ms on the soliton; 2-vCPU host), so this size, 2500x the default 400, runs
-# for over half an hour; beyond it a value is a typo, not a finer grid.
+# Largest [kgrid] n_per_sign accepted: beyond 2500x the default 400 a value is
+# a typo, not a finer grid.  The synthetic families only evaluate closed forms
+# on the grid; a sampled profile is bounded further by the sweep budget below.
 _MAX_K_PER_SIGN = 10**6
+
+# Largest Jost grid sweep accepted for a sampled profile, in Magnus steps
+# (``scattering._step_count`` at k_max) times k nodes.  The sweep's time grows
+# linearly in both (1.6-1.9 ms per node per sign on the smoothed step,
+# 3.7-5.0 ms on the soliton, whose 17,826 steps x 800 nodes = 1.4e7 is the
+# benchmark's largest; 2-vCPU host, both halves swept at once), so the
+# budget, ~17x that, allows about half a minute of sweeping.
+_MAX_SWEEP_WORK = 2.5e8
 
 
 class ConfigError(ValueError):
@@ -231,10 +240,10 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
     if "profile" not in parser:
         raise ConfigError("config needs a [profile] section")
     kind = parser["profile"].get("kind", "")
-    kinds = [k.value for k in ProfileKind] + list(_SYNTHETIC_KINDS)
+    kinds = [k.value for k in ProfileKind] + list(_SYNTHETIC)
     if kind not in kinds:
         raise ConfigError(f"profile.kind must be one of {kinds}, got {kind!r}")
-    family = kind if kind in _SYNTHETIC_KINDS else "sampled"
+    family = kind if kind in _SYNTHETIC else "sampled"
 
     schema = {**_CONFIG_KEYS, "profile": {"kind": kind, **_CONFIG_KEYS["profile"][family]}}
     values = {}
@@ -251,14 +260,16 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
     prof = values["profile"]
     del prof["kind"]
     profile, synthetic_kind, synthetic_params = None, None, {}
-    if family == "sampled":
-        bump = complex(prof.pop("bump_amplitude_re"), prof.pop("bump_amplitude_im"))
-        try:
+    try:
+        if family == "sampled":
+            bump = complex(prof.pop("bump_amplitude_re"), prof.pop("bump_amplitude_im"))
             profile = InitialProfile(kind=ProfileKind(kind), bump_amplitude=bump, **prof)
-        except ValueError as exc:
-            raise ConfigError(f"invalid [profile]: {exc}") from exc
-    else:
-        synthetic_kind, synthetic_params = kind, prof
+        else:
+            # the family checks its own parameters; 8 nodes make that cheap
+            _SYNTHETIC[kind](**prof, k_grid=default_k_grid(4))
+            synthetic_kind, synthetic_params = kind, prof
+    except ValueError as exc:
+        raise ConfigError(f"invalid [profile]: {exc}") from exc
 
     kgrid = values["kgrid"]
     kgrid_n, kgrid_min, kgrid_max = kgrid["n_per_sign"], kgrid["k_min"], kgrid["k_max"]
@@ -268,6 +279,14 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
         )
     if not 0 < kgrid_min < kgrid_max:
         raise ConfigError("kgrid: need 0 < k_min < k_max")
+    if profile is not None:
+        steps, nodes = _step_count(profile, kgrid_max), 2 * int(kgrid_n)
+        if steps * nodes > _MAX_SWEEP_WORK:
+            raise ConfigError(
+                f"kgrid: the Jost sweep would take {steps} steps x {nodes} k nodes "
+                f"= {steps * nodes:.3g}, over the budget of {_MAX_SWEEP_WORK:.3g}; "
+                "lower k_max or n_per_sign"
+            )
 
     wedge = WedgeBlock(**values["wedge"])
     if any(b <= a for a, b in zip(wedge.t_ladder, wedge.t_ladder[1:])):
@@ -340,10 +359,8 @@ def _write_table(path: Path, schema: str, header: str, rows, head=(), tail=()) -
 def spectral_data_for(cfg: ExperimentConfig, *, force: bool = False) -> SpectralData:
     """Spectral data for the config: synthetic family or cached scattering run."""
     k_grid = default_k_grid(cfg.kgrid_n, cfg.kgrid_min, cfg.kgrid_max)
-    if cfg.synthetic_kind == "synthetic-case-i":
-        return synthetic_case_i(**cfg.synthetic_params, k_grid=k_grid)
-    if cfg.synthetic_kind == "synthetic-case-ii":
-        return synthetic_case_ii(**cfg.synthetic_params, k_grid=k_grid)
+    if cfg.synthetic_kind is not None:
+        return _SYNTHETIC[cfg.synthetic_kind](**cfg.synthetic_params, k_grid=k_grid)
     cache = cfg.output.directory / cfg.output.cache
     cfg.output.directory.mkdir(parents=True, exist_ok=True)
     return compute_spectral_data(

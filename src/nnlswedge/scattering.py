@@ -20,12 +20,20 @@ and the module also extracts the small-wavenumber data that controls
 the wedge asymptotics: either the finite limit ``a2(0)`` (generic case,
 tagged I) or the pole/zero coefficients ``a11 = lim k a1`` and
 ``a21 = lim a2 / k`` (degenerate case, tagged II).
+
+The halves ``[-R, 0]`` and ``[0, R]`` of every sweep are independent.  On
+POSIX a sweep uses a second process: a forked child integrates the right
+half while the caller integrates the left, and its result comes back
+bit-identical through a pipe.  Elsewhere both halves run in turn.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -114,28 +122,44 @@ def _core_halfwidth(profile: InitialProfile) -> float:
     return min(profile.radius, base)
 
 
-def _step_edges(profile: InitialProfile, k_scale: float) -> np.ndarray:
-    """Step-edge array on ``[-R, R]``.
+def _layout(profile: InitialProfile, k_scale: float):
+    """Core half-width and the step counts of one core half and one tail.
 
     The core (varying) region is resolved with a density that grows like
     ``sqrt(k)`` -- the scaling that keeps the fourth-order phase-sampling
     error of the Magnus rule at fixed accuracy -- while the saturated
     tails, where the clamped profile is constant and the rule is exact,
-    get a coarse grid.  ``x = 0`` is always an edge so that a jump of the
-    pure step never sits inside a step.
+    get a coarse grid (no tail when the core fills the radius).
     """
-    radius = profile.radius
     half = _core_halfwidth(profile)
     dens_core = 48.0 * math.sqrt(1.0 + 0.5 * k_scale)
     dens_tail = 8.0 * math.sqrt(1.0 + 0.125 * k_scale)
     n_half = max(2, int(math.ceil(half * dens_core)))
+    if half >= profile.radius:
+        return half, n_half, 0
+    return half, n_half, max(4, int(math.ceil((profile.radius - half) * dens_tail)))
+
+
+def _step_count(profile: InitialProfile, k_scale: float) -> int:
+    """Steps of the :func:`_step_edges` layout, without building it."""
+    _, n_half, n_tail = _layout(profile, k_scale)
+    return 2 * (n_half + n_tail)
+
+
+def _step_edges(profile: InitialProfile, k_scale: float) -> np.ndarray:
+    """Step-edge array on ``[-R, R]`` with the :func:`_layout` counts.
+
+    ``x = 0`` is always an edge so that a jump of the pure step never sits
+    inside a step.
+    """
+    radius = profile.radius
+    half, n_half, n_tail = _layout(profile, k_scale)
     # build each side separately so that x = 0 is an exact endpoint
     core_left = np.linspace(-half, 0.0, n_half + 1)
     core_right = np.linspace(0.0, half, n_half + 1)
     core = np.concatenate((core_left[:-1], core_right))
-    if half >= radius:
+    if not n_tail:
         return core
-    n_tail = max(4, int(math.ceil((radius - half) * dens_tail)))
     left = np.linspace(-radius, -half, n_tail + 1)
     right = np.linspace(half, radius, n_tail + 1)
     return np.concatenate((left[:-1], core, right[1:]))
@@ -209,6 +233,68 @@ def _sweep(profile, k, x_starts, h_steps, p11, p12, p21, p22, *, rescale=False):
     return p11, p12, p21, p22, logs
 
 
+def _sweep_child(read_fd: int, write_fd: int, profile, k, args, rescale: bool):
+    """Body of the forked child of :func:`_sweep_pair`; never returns.
+
+    Sends ``(True, result)`` or ``(False, exception)`` down the pipe and
+    leaves with ``os._exit``, so no atexit handler, buffered output or
+    caller's code runs in the child.  If even that fails, the child sends
+    nothing and the parent reads an empty pipe.
+    """
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            payload = (True, _sweep(profile, k, *args, rescale=rescale))
+        except BaseException as exc:
+            payload = (False, exc)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _sweep_pair(profile, k, left, right, *, rescale=False):
+    """``_sweep`` over two independent halves of a layout, concurrently.
+
+    ``left`` and ``right`` are ``_sweep``'s positional arguments after
+    ``k``.  A forked child sweeps ``right`` while this process sweeps
+    ``left``; the child's result comes back pickled over a pipe, so it is
+    bit-identical to an inline sweep.  An exception in the child is
+    re-raised here with its type, and the child is always reaped (killed
+    first if this process fails before reading its result).  Where
+    ``os.fork`` does not exist, both halves run inline.
+    """
+    if not hasattr(os, "fork"):
+        return (
+            _sweep(profile, k, *left, rescale=rescale),
+            _sweep(profile, k, *right, rescale=rescale),
+        )
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _sweep_child(read_fd, write_fd, profile, k, right, rescale)
+    os.close(write_fd)
+    reply = None
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            near = _sweep(profile, k, *left, rescale=rescale)
+            try:
+                reply = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                lost = ScatteringError("the sweep's child process ended without a result")
+                reply = (False, lost)
+    finally:
+        if reply is None:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    ok, far = reply
+    if not ok:
+        raise far
+    return near, far
+
+
 def _split_at_origin(edges: np.ndarray):
     """Edge sub-arrays ``[-R, 0]`` and ``[0, R]`` (0 is always an edge)."""
     izero = int(np.searchsorted(edges, 0.0))
@@ -244,17 +330,13 @@ def jost_at_origin(profile: InitialProfile, k):
     ep = np.exp(1j * k * radius)
     em = np.exp(-1j * k * radius)
 
-    # left solution: N_minus * exp(i k R sigma3) at x = -R, swept to 0
-    l11, l12 = ep, np.zeros_like(ep)
-    l21, l22 = dress * ep, em
-    xs, hs = _forward_steps(left_edges)
-    l11, l12, l21, l22, _ = _sweep(profile, k, xs, hs, l11, l12, l21, l22)
-
+    # left solution: N_minus * exp(i k R sigma3) at x = -R, swept to 0;
     # right solution: N_plus * exp(-i k R sigma3) at x = +R, swept to 0
-    r11, r12 = em, dress * ep
-    r21, r22 = np.zeros_like(ep), ep
-    xs, hs = _backward_steps(right_edges)
-    r11, r12, r21, r22, _ = _sweep(profile, k, xs, hs, r11, r12, r21, r22)
+    left_args = (*_forward_steps(left_edges), ep, np.zeros_like(ep), dress * ep, em)
+    right_args = (*_backward_steps(right_edges), em, dress * ep, np.zeros_like(ep), ep)
+    (l11, l12, l21, l22, _), (r11, r12, r21, r22, _) = _sweep_pair(
+        profile, k, left_args, right_args
+    )
 
     nk = k.size
     left = np.empty((nk, 2, 2), dtype=complex)
@@ -464,14 +546,14 @@ def _imag_axis_transmission_batch(profile: InitialProfile, rho: np.ndarray) -> n
     edges = _step_edges(profile, float(np.max(rho)))
     left_edges, right_edges = _split_at_origin(edges)
     dress = 0.5 * profile.amplitude / (1j * k)
-    # first column of the left solution at x = -R: e^{ikR} (1, A/(2ik))
-    w1, w2 = np.ones(rho.size, dtype=complex), dress
-    xs, hs = _forward_steps(left_edges)
-    w1, _, w2, _, logs_w = _sweep(profile, k, xs, hs, w1, None, w2, None, rescale=True)
+    ones = np.ones(rho.size, dtype=complex)
+    # first column of the left solution at x = -R: e^{ikR} (1, A/(2ik));
     # second column of the right solution at x = +R: e^{ikR} (A/(2ik), 1)
-    v1, v2 = dress, np.ones(rho.size, dtype=complex)
-    xs, hs = _backward_steps(right_edges)
-    v1, _, v2, _, logs_v = _sweep(profile, k, xs, hs, v1, None, v2, None, rescale=True)
+    left_args = (*_forward_steps(left_edges), ones, None, dress, None)
+    right_args = (*_backward_steps(right_edges), dress, None, ones, None)
+    (w1, _, w2, _, logs_w), (v1, _, v2, _, logs_v) = _sweep_pair(
+        profile, k, left_args, right_args, rescale=True
+    )
     return np.real(w1 * v2 - v1 * w2) * np.exp(logs_w + logs_v)
 
 
@@ -487,8 +569,10 @@ def find_k1(profile: InitialProfile) -> float:
     """Locate the zero of the transmission ``a1`` on the imaginary axis.
 
     Scans ``[1e-3 A, 1e3 A]`` for the first sign change of ``a1(i rho)``
-    (64 geometric nodes up to ``8 A``, 16-node segments above).  Later
-    sweeps keep the scan bracket's step layout: 32 Chebyshev nodes on it,
+    (64 geometric nodes up to ``8 A``, 16-node segments above).  The nodes
+    up to ``A`` are swept first, on their own layout; the rest of the 64,
+    from the last node up to ``A`` on, only if those hold no sign change.
+    Later sweeps keep the scan bracket's step layout: 32 Chebyshev nodes on it,
     64 nodes within a relative 1e-13 of the interpolant's root plus the
     bracket's ends, then 64 linear nodes until the bracket is 1e-14 wide or
     spans adjacent floats; returns its midpoint (or an exact zero node).
@@ -497,7 +581,9 @@ def find_k1(profile: InitialProfile) -> float:
     a = profile.amplitude
     lo, hi = 1e-3 * a, 1e3 * a
     top = 8.0 * a
-    scan = [np.geomspace(lo, top, 64)]
+    first = np.geomspace(lo, top, 64)
+    split = int(np.count_nonzero(first <= a))
+    scan = [first[:split], first[split - 1 :]]
     while top < hi:
         scan.append(np.geomspace(top, min(hi, 4.0 * top), 16))
         top = min(hi, 4.0 * top)

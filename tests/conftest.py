@@ -2,16 +2,31 @@
 
 Each fixture runs the full direct-scattering pipeline once per session;
 the heavier consumers (phase functionals, wedge predictions, acceptance
-suite) all reuse the same objects.
+suite) all reuse the same objects.  An autouse check fails the session if
+any test leaves a child process behind, running or unreaped.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 from nnlswedge.profiles import InitialProfile, ProfileKind
 from nnlswedge.scattering import compute_spectral_data
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_process_left():
+    """Fail the session if a child process outlives it (the Jost sweep forks
+    one per call and must reap it); a zombie found here is reaped."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no child at all
+    state = "still running" if pid == 0 else f"left unreaped (pid {pid}, status {status})"
+    pytest.fail(f"a test left a child process behind: {state}")
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ import pytest
 
 from nnlswedge.harness import (
     _CONFIG_KEYS,
+    _MAX_SWEEP_WORK,
     ConfigError,
     _validate_compare_geometry,
     cmd_compare,
@@ -23,7 +24,7 @@ from nnlswedge.harness import (
     main,
 )
 from nnlswedge import wedge
-from nnlswedge.scattering import CaseTag, load_spectral_data
+from nnlswedge.scattering import CaseTag, _step_count, _step_edges, load_spectral_data
 from nnlswedge.wedge import Side
 
 _REPO = Path(__file__).resolve().parents[1]
@@ -681,6 +682,44 @@ def test_cli_rejects_non_finite_and_blank_values(
         main([command, "--config", str(ini), "--out", str(tmp_path / "out"), *extra])
     assert err.value.code == 2
     assert f"config error: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("kind = synthetic-case-i\nd = -1\n", "invalid [profile]: k1 and d must be positive"),
+        (
+            "kind = synthetic-case-ii\ncoupling = 1.0\n",
+            "invalid [profile]: require k1 > 0, pole > 0, 0 <= coupling < pole",
+        ),
+        (
+            "kind = synthetic-case-ii\npole = 1e-9\n",
+            "invalid [profile]: require k1 > 0, pole > 0, 0 <= coupling < pole",
+        ),
+        (
+            "kind = smoothed-step\n[kgrid]\nk_max = 1e8\n",
+            "kgrid: the Jost sweep would take 6731658 steps x 800 k nodes = 5.39e+09, "
+            "over the budget of 2.5e+08; lower k_max or n_per_sign",
+        ),
+    ],
+    ids=["case-i-negative-d", "case-ii-coupling-at-pole", "case-ii-tiny-pole", "sweep-work"],
+)
+def test_cli_rejects_bad_profiles_at_load(tmp_path, capsys, body, message):
+    # each is checked before any spectral data or sweep is computed
+    ini = _write(tmp_path, "[profile]\n" + body)
+    with pytest.raises(SystemExit) as err:
+        main(["predict", "--config", str(ini), "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert f"config error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_budget_counts_the_layout(tmp_path):
+    # the count is the layout's own; the soliton bench config fits the budget
+    cfg = load_config(_REPO / "bench" / "configs" / "soliton.ini", out_dir=tmp_path)
+    steps = _step_count(cfg.profile, cfg.kgrid_max)
+    assert steps == _step_edges(cfg.profile, cfg.kgrid_max).size - 1 == 17_826
+    assert steps * 2 * cfg.kgrid_n <= _MAX_SWEEP_WORK
 
 
 def _readme_minimal_config() -> str:

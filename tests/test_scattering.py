@@ -12,6 +12,8 @@ Oracles used here:
 
 import json
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -282,6 +284,115 @@ def test_find_k1_stops_at_adjacent_floats(monkeypatch):
 def test_smoothed_step_k1(sd_smoothed):
     # the mirror-symmetric tanh step keeps the transmission zero at A/2
     assert abs(sd_smoothed.k1 - 0.5) < 1e-8
+
+
+@pytest.mark.parametrize("root, scan_sweeps", [(0.5, 1), (2.0, 2)])
+def test_find_k1_scan_lays_its_first_sweep_for_a(monkeypatch, root, scan_sweeps):
+    # the 64 scan nodes up to 8 A: those up to A first, on a layout for A; the
+    # rest, from the last node up to A on, only when no root lies below A
+    nodes = np.geomspace(1e-3, 8.0, 64)
+    swept = []
+
+    def linear(profile, rho):  # the layout node comes last
+        swept.append(rho)
+        return rho - root
+
+    monkeypatch.setattr(scattering, "_imag_axis_transmission_batch", linear)
+    k1 = find_k1(InitialProfile(ProfileKind.PURE_STEP, amplitude=1.0))
+    assert abs(k1 - root) < 1e-14
+    first = swept[0][:-1]
+    assert swept[0][-1] == first[-1] <= 1.0 < nodes[first.size]
+    assert np.array_equal(first, nodes[: first.size])
+    if scan_sweeps == 2:
+        second = swept[1][:-1]
+        assert np.array_equal(second, nodes[first.size - 1 :])
+    assert swept[scan_sweeps][-1] < swept[scan_sweeps - 1][-1]  # Chebyshev stage
+
+
+# ---------------------------------------------------------------------------
+# both halves of a layout swept at once
+# ---------------------------------------------------------------------------
+
+
+_PAIRED_PROFILES = {
+    "smoothed": InitialProfile(ProfileKind.SMOOTHED_STEP),
+    "soliton": InitialProfile(
+        ProfileKind.SOLITON_SNAPSHOT, amplitude=1.0, phase=math.pi, radius=26.0
+    ),
+    "compact": InitialProfile(ProfileKind.COMPACT_STEP),
+    "pure": InitialProfile(ProfileKind.PURE_STEP, amplitude=2.0),
+    "bumped": InitialProfile(
+        ProfileKind.SMOOTHED_STEP,
+        bump_amplitude=0.15 * np.exp(0.7j),
+        bump_center=1.5,
+        bump_width=1.2,
+    ),
+}
+
+
+def _inline_pair(profile, k, left, right, *, rescale=False):
+    return (
+        scattering._sweep(profile, k, *left, rescale=rescale),
+        scattering._sweep(profile, k, *right, rescale=rescale),
+    )
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name", list(_PAIRED_PROFILES))
+def test_paired_sweep_is_bit_equal_to_inline_sweeps(monkeypatch, name):
+    profile = _PAIRED_PROFILES[name]
+    k, rho = default_k_grid(8, 1e-2, 10.0), np.geomspace(0.05, 2.0, 12)
+
+    def both_sweep_sites():
+        left, right = scattering.jost_at_origin(profile, k)
+        return left, right, scattering._imag_axis_transmission_batch(profile, rho)
+
+    paired = both_sweep_sites()
+    _assert_no_child()
+    with monkeypatch.context() as m:
+        m.setattr(scattering, "_sweep_pair", _inline_pair)
+        inline = both_sweep_sites()
+    with monkeypatch.context() as m:  # a platform without fork sweeps inline
+        m.delattr(os, "fork")
+        no_fork = both_sweep_sites()
+    for got, want, fallback in zip(paired, inline, no_fork):
+        assert np.array_equal(got, want) and np.array_equal(fallback, want)
+
+
+@pytest.mark.parametrize(
+    "failing, error, message",
+    [
+        ("child", scattering.DegenerateJostError, "the child's half failed"),
+        ("parent", scattering.DegenerateJostError, "the parent's half failed"),
+        ("lost", scattering.ScatteringError, "child process ended without a result"),
+    ],
+)
+def test_paired_sweep_raises_either_halfs_error(monkeypatch, failing, error, message):
+    # the child's error comes back with its type, a child that dies without
+    # a word is an error too, and a parent's error kills the child at once
+    # (here the child would sleep for a minute); either way no child is left
+    parent = os.getpid()
+    sweep = scattering._sweep
+
+    def one_half_fails(*args, **kwargs):
+        if (os.getpid() == parent) == (failing == "parent"):
+            if failing == "lost":
+                os._exit(3)
+            raise scattering.DegenerateJostError(f"the {failing}'s half failed")
+        if failing == "parent":
+            time.sleep(60)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "_sweep", one_half_fails)
+    start = time.monotonic()
+    with pytest.raises(error, match=message):
+        scattering.jost_at_origin(_PAIRED_PROFILES["soliton"], default_k_grid(8))
+    assert time.monotonic() - start < 30
+    _assert_no_child()
 
 
 # ---------------------------------------------------------------------------
