@@ -36,7 +36,7 @@ from .pde import (
     write_snapshots_csv,
 )
 from .phases import EXPANSION_BAND, _K_FIT, _WINDOW_FRACTION, tracker_for
-from .profiles import InitialProfile, ProfileKind
+from .profiles import DomainError, InitialProfile, ProfileKind
 from .scattering import (
     SpectralData,
     _step_count,
@@ -725,6 +725,8 @@ def main(argv=None) -> int:
             paths = [cmd_match(cfg)]
     except ConfigError as exc:
         parser.exit(2, f"config error: {exc}\n")
+    except DomainError as exc:
+        parser.exit(3, f"error: {type(exc).__name__}: {exc}\n")
     for path in paths:
         print(f"wrote {path}")
     return 0

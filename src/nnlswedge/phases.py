@@ -43,6 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .profiles import DomainError
 from .scattering import CaseTag, SpectralData, _extrapolate_to_zero, _rotation_too_large
 from .specfun import QuadratureSpec, Singularity, quad
 
@@ -77,11 +78,11 @@ _TAU_FLOOR = -40.0
 EXPANSION_BAND = (0.05, 20.0)
 
 
-class LogSingularityError(ArithmeticError):
+class LogSingularityError(DomainError, ArithmeticError):
     """1 + r1 r2 is too close to its zero for a stable logarithm."""
 
 
-class RefinementRequiredError(RuntimeError):
+class RefinementRequiredError(DomainError, RuntimeError):
     """Branch tracking hit an argument jump too large to unwrap safely."""
 
 

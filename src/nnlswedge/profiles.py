@@ -23,6 +23,7 @@ from enum import Enum
 import numpy as np
 
 __all__ = [
+    "DomainError",
     "ProfileKind",
     "InitialProfile",
     "SolitonPoleError",
@@ -40,7 +41,15 @@ class ProfileKind(str, Enum):
     SOLITON_SNAPSHOT = "soliton-snapshot"
 
 
-class SolitonPoleError(ValueError):
+class DomainError(Exception):
+    """Base class of the package's domain errors: the data or the run left
+    the range the mathematics covers (the CLI reports these as
+    ``error: <Class>: <message>`` with exit code 3).  Each subclass also
+    keeps its builtin base, so ``except ValueError`` and the like still
+    catch it."""
+
+
+class SolitonPoleError(DomainError, ValueError):
     """Raised when the soliton denominator vanishes on the requested set."""
 
 

@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .profiles import InitialProfile, ProfileKind, fingerprint
+from .profiles import DomainError, InitialProfile, ProfileKind, fingerprint
 
 __all__ = [
     "CaseTag",
@@ -76,7 +76,7 @@ class CaseTag(str, Enum):
     CASE_II = "II"  # a1 has a simple pole, a2 a simple zero
 
 
-class ScatteringError(RuntimeError):
+class ScatteringError(DomainError, RuntimeError):
     """Base class for scattering-stage failures."""
 
 

@@ -17,6 +17,8 @@ from enum import Enum
 
 import numpy as np
 
+from .profiles import DomainError
+
 __all__ = [
     "Singularity",
     "QuadratureSpec",
@@ -117,7 +119,7 @@ class QuadResult:
     evaluations: int
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(DomainError, RuntimeError):
     """Raised when the subdivision budget is exhausted before converging."""
 
 

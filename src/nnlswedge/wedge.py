@@ -254,21 +254,48 @@ def amplitude_Q(sd: SpectralData) -> float:
     return sd.amplitude * math.exp(2.0 * tracker_for(sd).plateau)
 
 
+# Lanczos (1964) coefficients for g = 7, n = 9
+_LANCZOS = (
+    0.99999999999980993,
+    676.5203681218851,
+    -1259.1392167224028,
+    771.32342877765313,
+    -176.61502916214059,
+    12.507343278686905,
+    -0.13857109526572012,
+    9.9843695780195716e-6,
+    1.5056327351493116e-7,
+)
+
+
+def _rgamma(z: complex) -> complex:
+    """Reciprocal gamma function 1/Gamma(z), entire in z (exactly 0 at the
+    non-positive integers)."""
+    if z.real < 0.5:
+        # reflection 1/Gamma(z) = sin(pi z) Gamma(1 - z) / pi, with the sine's
+        # argument reduced by the nearest integer so the zeros are exact
+        n = round(z.real)
+        return (-1) ** n * cmath.sin(math.pi * (z - n)) / (math.pi * _rgamma(1.0 - z))
+    z -= 1.0
+    series = _LANCZOS[0] + sum(c / (z + i) for i, c in enumerate(_LANCZOS[1:], 1))
+    t = z + 7.5  # z + g + 1/2
+    return cmath.exp(t - (z + 0.5) * cmath.log(t)) / (_SQRT_2PI * series)
+
+
 def _parametrix_pair(nu: complex, r1: complex, r2: complex) -> tuple[complex, complex]:
     """Parametrix connection pair (beta, gamma) for the winding index ``nu``
     and reflection values ``r1``, ``r2``; ``beta * gamma == nu`` identically
     when ``nu = -ln(1 + r1 r2) / (2 pi)``."""
-    from scipy.special import rgamma  # deferred: `scatter` never needs scipy
     beta = (
         _SQRT_2PI
         * cmath.exp(-0.5 * math.pi * nu - 0.75j * math.pi)
-        * complex(rgamma(-1j * nu))
+        * _rgamma(-1j * nu)
         / r1
     )
     gamma = (
         _SQRT_2PI
         * cmath.exp(-0.5 * math.pi * nu - 0.25j * math.pi)
-        * complex(rgamma(1j * nu))
+        * _rgamma(1j * nu)
         / r2
     )
     return beta, gamma
@@ -794,7 +821,6 @@ def matching_check(
 
 def _ray_mirror_constant(sd: SpectralData, s: float) -> complex:
     """Straight-ray mirror-term constant for the degenerate class."""
-    from scipy.special import rgamma  # deferred: `scatter` never needs scipy
     tracker = tracker_for(sd)
     nu_one = tracker.nu_one
     b_zero = tracker.b_at_zero
@@ -811,6 +837,6 @@ def _ray_mirror_constant(sd: SpectralData, s: float) -> complex:
         )
         * s
         * complex(sd.a21)
-        * complex(rgamma(-1j * nu_one))
+        * _rgamma(-1j * nu_one)
         / b_zero
     )

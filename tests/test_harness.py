@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import os
 import re
@@ -325,6 +326,44 @@ def test_phase_tracker_loads_no_scipy():
         "print(int(value == value), end=' ')"
     )
     assert _scipy_modules_after(script) == "1 []"
+
+
+@pytest.mark.parametrize(
+    "profile",
+    ["kind = synthetic-case-ii\n", "kind = smoothed-step\n[kgrid]\nn_per_sign = 40\n"],
+    ids=["case-ii", "smoothed-step"],
+)
+def test_reflecting_predict_and_match_load_no_scipy(tmp_path, profile):
+    # case II data build the parametrix pair in both subcommands; its
+    # reciprocal gamma is the package's own
+    ini = _write(tmp_path, f"[profile]\n{profile}[match]\nhold_product = 2.0\n")
+    argvs = [
+        [command, "--config", str(ini), "--out", str(tmp_path / "out")]
+        for command in ("predict", "match")
+    ]
+    script = (
+        "import nnlswedge.harness as harness\n"
+        f"print(*[harness.main(argv) for argv in {argvs!r}], end=' ')"
+    )
+    assert _scipy_modules_after(script) == "0 0 []"
+
+
+def test_package_never_imports_scipy():
+    # scipy is the tests' oracle only: no module imports it, at the top or
+    # deferred inside a function
+    paths = sorted((_REPO / "src" / "nnlswedge").glob("*.py"))
+    assert len(paths) >= 8
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
 
 
 @pytest.mark.parametrize("command", ["predict", "compare", "match"])
@@ -712,6 +751,49 @@ def test_cli_rejects_bad_profiles_at_load(tmp_path, capsys, body, message):
     assert err.value.code == 2
     assert f"config error: {message}\n" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (
+            "amplitude = 1e4\n[kgrid]\nn_per_sign = 40\n",
+            "CaseClassificationError: a21 vanishes; data is not generic",
+        ),
+        (
+            "[kgrid]\nn_per_sign = 40\nk_min = 1e-300\n",
+            "SmallKMismatchError: grid extrapolation gives a2(0) ~ 0",
+        ),
+    ],
+    ids=["amplitude-1e4", "k-min-1e-300"],
+)
+def test_cli_reports_domain_errors_with_exit_3(tmp_path, capsys, body, message):
+    # the config is valid; the scattering stage finds data it cannot treat
+    ini = _write(tmp_path, "[profile]\nkind = smoothed-step\n" + body)
+    with pytest.raises(SystemExit) as err:
+        main(["predict", "--config", str(ini), "--out", str(tmp_path / "out")])
+    assert err.value.code == 3
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_domain_errors_share_one_base():
+    from nnlswedge.pde import BoundaryDriftError, FieldBlowUpError
+    from nnlswedge.phases import LogSingularityError, RefinementRequiredError
+    from nnlswedge.profiles import DomainError, SolitonPoleError
+    from nnlswedge.scattering import ScatteringError
+    from nnlswedge.specfun import QuadratureError
+
+    for cls, builtin in (
+        (ScatteringError, RuntimeError),
+        (FieldBlowUpError, RuntimeError),
+        (BoundaryDriftError, RuntimeError),
+        (LogSingularityError, ArithmeticError),
+        (RefinementRequiredError, RuntimeError),
+        (SolitonPoleError, ValueError),
+        (QuadratureError, RuntimeError),
+    ):
+        assert issubclass(cls, DomainError) and issubclass(cls, builtin)
+    assert not issubclass(ConfigError, DomainError)
 
 
 def test_sweep_budget_counts_the_layout(tmp_path):

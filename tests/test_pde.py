@@ -12,6 +12,7 @@ from nnlswedge.pde import (
     BoundaryDriftError,
     FieldBlowUpError,
     STABLE_DT_FACTOR,
+    _aligned_empty,
     evolve,
     interpolate_field,
     mirror_mass,
@@ -145,6 +146,16 @@ def test_stepper_matches_textbook_rk4(grid20):
     for snap, want in zip(res.snapshots, oracle):
         assert np.max(np.abs(snap.q - want)) <= 1e-12
         assert snap.q[0] == q0[0] and snap.q[-1] == q0[-1]
+
+
+def test_stepper_buffers_are_cache_line_aligned():
+    # the padded state keeps two ghost nodes before its aligned interior;
+    # each allocation may land at a different heap offset
+    for size, lead in ((9, 0), (3201, 0), (3205, 2)):
+        for _ in range(4):
+            buf = _aligned_empty(size, lead)
+            assert buf.shape == (size,) and buf.dtype == np.complex128
+            assert buf[lead:].ctypes.data % 64 == 0
 
 
 def test_blow_up_guard_catches_the_pole(grid20):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import rgamma
 
 from nnlswedge.phases import tracker_for
 from nnlswedge.scattering import CaseTag, synthetic_case_i, synthetic_case_ii
@@ -29,6 +30,7 @@ from nnlswedge.wedge import (
     matching_ladder,
     phase_coefficients,
     predict_q,
+    _rgamma,
     wedge_point,
 )
 
@@ -329,6 +331,25 @@ def test_coefficient_validation(sd_i):
         phase_coefficients(sd_i, 1.2, 1.0)
     with pytest.raises(ValueError):
         phase_coefficients(sd_i, 0.5, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# reciprocal gamma of the parametrix pair against the library routine (its
+# imaginary-axis identities are checked in test_specfun)
+
+
+def test_rgamma_matches_library():
+    # the square |Re z|, |Im z| <= 10 on a 1/8 grid, both reflection sides;
+    # at the poles of Gamma (z = 0, -1, ..., -10) the zeros are exact
+    axis = np.linspace(-10.0, 10.0, 161)
+    z = (axis[:, None] + 1j * axis[None, :]).ravel()
+    ours = np.array([_rgamma(complex(v)) for v in z])
+    ref = rgamma(z)
+    poles = ref == 0
+    assert np.count_nonzero(poles) == 11
+    assert np.all(ours[poles] == 0)
+    rel = np.abs(ours[~poles] - ref[~poles]) / np.abs(ref[~poles])
+    assert rel.max() <= 2e-13
 
 
 # ---------------------------------------------------------------------------
