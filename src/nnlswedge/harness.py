@@ -20,7 +20,7 @@ import cmath
 import configparser
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .pde import (
     symmetric_grid,
     write_snapshots_csv,
 )
-from .phases import EXPANSION_BAND, _K_FIT, _WINDOW_FRACTION, tracker_for
+from .phases import EXPANSION_BAND, _K_FIT, _WINDOW_FRACTION
 from .profiles import DomainError, InitialProfile, ProfileKind
 from .scattering import (
     SpectralData,
@@ -47,8 +47,8 @@ from .scattering import (
     synthetic_case_ii,
 )
 from .wedge import (
-    AsymptoticPrediction,
     Side,
+    _fast_coefficient,
     amplitude_Q,
     gen_as_predict,
     matching_check,
@@ -292,12 +292,13 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
     if any(b <= a for a, b in zip(wedge.t_ladder, wedge.t_ladder[1:])):
         raise ConfigError("wedge.t_ladder must be strictly increasing")
     for alpha, s, t in itertools.product(wedge.alphas, wedge.s_values, wedge.t_ladder):
+        cell = f"wedge cell alpha={alpha:g}, s={s:g}, t={t:g}"
         try:
-            wedge_point(alpha, s, t)
+            point = wedge_point(alpha, s, t)
         except ValueError as exc:
-            raise ConfigError(
-                f"wedge cell alpha={alpha:g}, s={s:g}, t={t:g}: {exc}"
-            ) from exc
+            raise ConfigError(f"{cell}: {exc}") from exc
+        if _fast_phase_overflows(alpha, s, point.ln_t):
+            raise ConfigError(f"{cell}: its fast phase overflows a double")
 
     pde = None
     if "pde" in parser:
@@ -336,6 +337,18 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
     )
 
 
+def _fast_phase_overflows(alpha: float, s: float, ln_t: float) -> bool:
+    """Whether the expanded route's fast phase, ``_fast_coefficient(alpha, s)``
+    times t**(alpha/(2-alpha)), leaves the double range; the power itself
+    may reach e**709 (the bound of ``PhaseLedger.phase_at``)."""
+    exponent = alpha / (2.0 - alpha) * ln_t
+    try:
+        phase = _fast_coefficient(alpha, s) * math.exp(exponent)
+    except OverflowError:
+        return True
+    return exponent > 709.0 or not math.isfinite(phase)
+
+
 # ---------------------------------------------------------------------------
 # shared plumbing
 
@@ -362,7 +375,7 @@ def spectral_data_for(cfg: ExperimentConfig, *, force: bool = False) -> Spectral
     if cfg.synthetic_kind is not None:
         return _SYNTHETIC[cfg.synthetic_kind](**cfg.synthetic_params, k_grid=k_grid)
     cache = cfg.output.directory / cfg.output.cache
-    cfg.output.directory.mkdir(parents=True, exist_ok=True)
+    cache.parent.mkdir(parents=True, exist_ok=True)
     return compute_spectral_data(
         cfg.profile, k_grid, cache_path=cache, force=force
     )
@@ -391,34 +404,14 @@ def _branch_rows(cfg: ExperimentConfig):
     ]
 
 
-def _rough_magnitude(pred: AsymptoticPrediction, h: int) -> float:
-    """Coarse modulus scale of the branch with unit constants.
-
-    Plus side: the plateau modulus itself.  Minus side: the pure decay
-    scale of the explicit term, times its slow factor (ln t)**(h/2) (``h``
-    is the data's regularizing half-power, 1 in the generic class), or of
-    the recorded bound when no term is explicit.
-    """
-    point = pred.point
-    alpha = point.alpha
-    if point.side is Side.PLUS_X:
-        return abs(pred.leading)
-    if pred.correction != 0:
-        log_scale = (4.0 - 3.0 * alpha) / (2.0 * alpha - 4.0) * point.ln_t
-        log_scale += 0.5 * h * math.log(point.ln_t)
-    else:
-        log_scale = point.ln_t / (alpha - 2.0) + math.log(point.ln_t)
-    return math.exp(log_scale)
-
-
 # ---------------------------------------------------------------------------
 # scatter
 
 
 def cmd_scatter(cfg: ExperimentConfig, *, force: bool = False) -> Path:
     """Compute (or reuse) the spectral cache; returns the cache path."""
-    cfg.output.directory.mkdir(parents=True, exist_ok=True)
     cache = cfg.output.directory / cfg.output.cache
+    cache.parent.mkdir(parents=True, exist_ok=True)
     sd = spectral_data_for(cfg, force=force)
     if cfg.synthetic_kind is not None:
         # synthetic families bypass compute_spectral_data's own caching
@@ -456,7 +449,7 @@ def _predict_row(sd: SpectralData, cell) -> list[str]:
         _fmt(pred.total.real),
         _fmt(pred.total.imag),
         _fmt(abs(pred.total)),
-        _fmt(_rough_magnitude(pred, tracker_for(sd).h)),
+        _fmt(pred.rough_magnitude),
         _fmt(pred.error_order.t_exponent),
         _fmt(pred.error_order.log_power),
         *[_fmt(v) for v in pred.ledger.vector()],
@@ -618,10 +611,12 @@ def cmd_compare(
     # exponents instead
     lines.append(f"fallback_fitted_exponents={'yes' if len(snapshots) < 3 else 'no'}")
     summary_path = cfg.output.directory / cfg.output.summary
+    summary_path.parent.mkdir(parents=True, exist_ok=True)
     summary_path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
     # raw evolved fields, for reproducibility and plotting
     snap_path = cfg.output.directory / cfg.output.snapshots
+    snap_path.parent.mkdir(parents=True, exist_ok=True)
     write_snapshots_csv(run, snap_path)
     return path, summary_path, snap_path
 
@@ -650,19 +645,8 @@ def cmd_match(cfg: ExperimentConfig, sd: SpectralData | None = None) -> Path:
     )
     residuals = [row.phase_residual for row in report.rows]
     trend = "decreasing" if all(a > b for a, b in zip(residuals, residuals[1:])) else "mixed"
-    rows = [
-        [
-            _fmt(v)
-            for v in (
-                row.alpha,
-                row.ln_t,
-                row.phase_residual,
-                row.mirror_log_magnitude,
-                row.ray_log_magnitude,
-            )
-        ]
-        for row in report.rows
-    ]
+    # a row's fields in order are the header's columns
+    rows = [[_fmt(v) for v in astuple(row)] for row in report.rows]
     # the limit comes from pow, which need not be correctly rounded, so it
     # may sit a few ulps off the closed form 4 s**2
     limit, expected = report.oscillation_coefficient_limit, report.oscillation_coefficient_expected

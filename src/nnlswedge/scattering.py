@@ -191,14 +191,14 @@ def _expm_traceless(o11, o12, o21):
     return c + s * o11, s * o12, s * o21, c - s * o11
 
 
-def _sweep(profile, k, x_starts, h_steps, p11, p12, p21, p22, *, rescale=False):
-    """Apply the Magnus steps ``(x_starts, h_steps)`` to the columns.
+def _sweep(profile, k, x_starts, h_steps, top, bottom, *, rescale=False):
+    """Apply the Magnus steps ``(x_starts, h_steps)`` to a stack of columns.
 
-    ``p11..p22`` are (nk,) arrays forming the propagated 2x2 solution
-    (or a single column when ``p12``/``p22`` are None).  With
-    ``rescale=True`` the first column is renormalized per element after
-    every step; the logs of the removed factors, each less the step's free
-    growth ``|h| Im k``, are summed and returned fifth (else 0).
+    ``top`` and ``bottom`` are (m, nk) arrays: the upper and lower rows of
+    m propagated solution columns.  Returns ``(top, bottom, logs)``.  With
+    ``rescale=True`` every column is renormalized per element after every
+    step; the logs of the removed factors, each less the step's free growth
+    ``|h| Im k``, are summed per column into ``logs`` (else 0).
     """
     xg1 = x_starts + _GAUSS_C1 * h_steps
     xg2 = x_starts + _GAUSS_C2 * h_steps
@@ -207,7 +207,7 @@ def _sweep(profile, k, x_starts, h_steps, p11, p12, p21, p22, *, rescale=False):
     qm1_all = np.conj(profile.sample(-xg1))
     qm2_all = np.conj(profile.sample(-xg2))
     mik = -1j * k
-    single = p12 is None
+    growth = np.ascontiguousarray(k.imag)  # a strided view costs more per step
     logs = 0.0
     for i in range(x_starts.size):
         h = h_steps[i]
@@ -217,20 +217,14 @@ def _sweep(profile, k, x_starts, h_steps, p11, p12, p21, p22, *, rescale=False):
         o12 = 0.5 * h * (q1 + q2) + _SQRT3_6 * h * h * mik * (q1 - q2)
         o21 = -0.5 * h * (qm1 + qm2) + _SQRT3_6 * h * h * mik * (qm1 - qm2)
         e11, e12, e21, e22 = _expm_traceless(o11, o12, o21)
-        n11 = e11 * p11 + e12 * p21
-        n21 = e21 * p11 + e22 * p21
-        p11, p21 = n11, n21
-        if not single:
-            n12 = e11 * p12 + e12 * p22
-            n22 = e21 * p12 + e22 * p22
-            p12, p22 = n12, n22
+        top, bottom = e11 * top + e12 * bottom, e21 * top + e22 * bottom
         if rescale:
-            scale = np.maximum(np.abs(p11), np.abs(p21))
+            scale = np.maximum(np.abs(top), np.abs(bottom))
             scale = np.where(scale > 0, scale, 1.0)
-            p11 = p11 / scale
-            p21 = p21 / scale
-            logs = logs + (np.log(scale) - abs(h) * k.imag)
-    return p11, p12, p21, p22, logs
+            top = top / scale
+            bottom = bottom / scale
+            logs = logs + (np.log(scale) - abs(h) * growth)
+    return top, bottom, logs
 
 
 def _sweep_child(read_fd: int, write_fd: int, profile, k, args, rescale: bool):
@@ -312,12 +306,11 @@ def _backward_steps(edges: np.ndarray):
 
 
 def jost_at_origin(profile: InitialProfile, k):
-    """Left and right Jost matrices at ``x = 0`` for the wavenumbers ``k``.
+    """Left and right Jost matrices at ``x = 0`` for the nonzero real
+    wavenumbers ``k``.
 
-    Returns ``(Phi_left, Phi_right)`` with shape ``(nk, 2, 2)``.  ``k``
-    may be any nonzero real array (complex values are accepted for
-    analytic continuation along the imaginary axis, but without growth
-    rescaling; use :func:`find_k1` for robust work there).
+    Returns ``(Phi_left, Phi_right)``, each of shape ``(2, 2, nk)``: entry
+    ``[i, j]`` is row i of column j over the wavenumbers.
     """
     k = np.atleast_1d(np.asarray(k))
     if np.any(k == 0):
@@ -329,49 +322,42 @@ def jost_at_origin(profile: InitialProfile, k):
     dress = 0.5 * a / (1j * k)
     ep = np.exp(1j * k * radius)
     em = np.exp(-1j * k * radius)
+    zero = np.zeros_like(ep)
 
     # left solution: N_minus * exp(i k R sigma3) at x = -R, swept to 0;
     # right solution: N_plus * exp(-i k R sigma3) at x = +R, swept to 0
-    left_args = (*_forward_steps(left_edges), ep, np.zeros_like(ep), dress * ep, em)
-    right_args = (*_backward_steps(right_edges), em, dress * ep, np.zeros_like(ep), ep)
-    (l11, l12, l21, l22, _), (r11, r12, r21, r22, _) = _sweep_pair(
+    left_args = (*_forward_steps(left_edges), np.stack((ep, zero)), np.stack((dress * ep, em)))
+    right_args = (*_backward_steps(right_edges), np.stack((em, dress * ep)), np.stack((zero, ep)))
+    (l_top, l_bottom, _), (r_top, r_bottom, _) = _sweep_pair(
         profile, k, left_args, right_args
     )
-
-    nk = k.size
-    left = np.empty((nk, 2, 2), dtype=complex)
-    right = np.empty((nk, 2, 2), dtype=complex)
-    left[:, 0, 0], left[:, 0, 1], left[:, 1, 0], left[:, 1, 1] = l11, l12, l21, l22
-    right[:, 0, 0], right[:, 0, 1], right[:, 1, 0], right[:, 1, 1] = r11, r12, r21, r22
-    return left, right
+    return np.stack((l_top, l_bottom)), np.stack((r_top, r_bottom))
 
 
 def _s_entries(k, left, right):
-    """Entries of ``Phi_right^{-1} Phi_left`` over a stack of wavenumbers.
+    """Rows of ``Phi_right^{-1} Phi_left`` over a stack of wavenumbers.
 
-    Returns ``(s11, s12, s21, s22, min_det)``; raises
-    :class:`DegenerateJostError` when the right Jost determinant drops
-    below 1e-12 anywhere.
+    Returns ``((s11, s12), (s21, s22), min_det)``, each row a (2, nk)
+    array; raises :class:`DegenerateJostError` when the right Jost
+    determinant drops below 1e-12 anywhere.
     """
-    det = right[:, 0, 0] * right[:, 1, 1] - right[:, 0, 1] * right[:, 1, 0]
+    det = right[0, 0] * right[1, 1] - right[0, 1] * right[1, 0]
     worst = int(np.argmin(np.abs(det)))
     min_det = float(abs(det[worst]))
     if min_det < 1e-12:
         raise DegenerateJostError(
             f"right Jost determinant dropped to {min_det:.3e} at k={k[worst]!r}"
         )
-    s11 = (right[:, 1, 1] * left[:, 0, 0] - right[:, 0, 1] * left[:, 1, 0]) / det
-    s21 = (-right[:, 1, 0] * left[:, 0, 0] + right[:, 0, 0] * left[:, 1, 0]) / det
-    s12 = (right[:, 1, 1] * left[:, 0, 1] - right[:, 0, 1] * left[:, 1, 1]) / det
-    s22 = (-right[:, 1, 0] * left[:, 0, 1] + right[:, 0, 0] * left[:, 1, 1]) / det
-    return s11, s12, s21, s22, min_det
+    top = (right[1, 1] * left[0] - right[0, 1] * left[1]) / det
+    bottom = (-right[1, 0] * left[0] + right[0, 0] * left[1]) / det
+    return top, bottom, min_det
 
 
 def scattering_matrix(profile: InitialProfile, k: float) -> np.ndarray:
     """Scattering matrix ``S(k) = Phi_right(0)^{-1} Phi_left(0)`` (2x2)."""
     k = np.array([float(k)])
-    s11, s12, s21, s22, _ = _s_entries(k, *jost_at_origin(profile, k))
-    return np.array([[s11[0], s12[0]], [s21[0], s22[0]]])
+    top, bottom, _ = _s_entries(k, *jost_at_origin(profile, k))
+    return np.array([top[:, 0], bottom[:, 0]])
 
 
 def scattering_grid(profile: InitialProfile, k_grid: np.ndarray):
@@ -382,8 +368,7 @@ def scattering_grid(profile: InitialProfile, k_grid: np.ndarray):
     """
     k_grid = np.asarray(k_grid, dtype=float)
     _require_symmetric(k_grid)
-    s11, s12, s21, s22, min_det = _s_entries(k_grid, *jost_at_origin(profile, k_grid))
-    a1, b, a2 = s11, s21, s22
+    (a1, s12), (b, a2), min_det = _s_entries(k_grid, *jost_at_origin(profile, k_grid))
     b_mirror = b[::-1]  # b(-k) on a symmetric grid
     unitarity = float(np.max(np.abs(a1 * a2 + b * np.conj(b_mirror) - 1.0)))
     sym_offdiag = float(np.max(np.abs(s12 + np.conj(b_mirror))))
@@ -491,6 +476,11 @@ def classify_case(small: SmallKData, amplitude: float):
     Returns ``(CaseTag, fields)`` where ``fields`` holds ``a2_at_zero``
     (case I) or the purified ``a11``/``a21`` pair (case II).
     """
+    if not math.isfinite(small.a2_zero_ode):
+        # every comparison below is False for NaN, so it must stop here
+        raise SmallKMismatchError(
+            f"the k = 0 auxiliary route gives a non-finite a2(0) = {small.a2_zero_ode!r}"
+        )
     eps_case = 1e-6 * max(1.0, amplitude)
     a2g = small.a2_zero_grid
     if abs(a2g) <= eps_case:
@@ -542,19 +532,19 @@ def _imag_axis_transmission_batch(profile: InitialProfile, rho: np.ndarray) -> n
     summed log-scales restore the true size.  ``max(rho)`` sets the layout.
     """
     rho = np.asarray(rho, dtype=float)
-    k = 1j * rho
+    k = 1j * rho[None]  # one-column (1, nk) stacks that the sweep need not broadcast
     edges = _step_edges(profile, float(np.max(rho)))
     left_edges, right_edges = _split_at_origin(edges)
     dress = 0.5 * profile.amplitude / (1j * k)
-    ones = np.ones(rho.size, dtype=complex)
+    ones = np.ones_like(dress)
     # first column of the left solution at x = -R: e^{ikR} (1, A/(2ik));
     # second column of the right solution at x = +R: e^{ikR} (A/(2ik), 1)
-    left_args = (*_forward_steps(left_edges), ones, None, dress, None)
-    right_args = (*_backward_steps(right_edges), dress, None, ones, None)
-    (w1, _, w2, _, logs_w), (v1, _, v2, _, logs_v) = _sweep_pair(
+    left_args = (*_forward_steps(left_edges), ones, dress)
+    right_args = (*_backward_steps(right_edges), dress, ones)
+    (w1, w2, logs_w), (v1, v2, logs_v) = _sweep_pair(
         profile, k, left_args, right_args, rescale=True
     )
-    return np.real(w1 * v2 - v1 * w2) * np.exp(logs_w + logs_v)
+    return (np.real(w1 * v2 - v1 * w2) * np.exp(logs_w + logs_v))[0]
 
 
 # refinement of the k1 bracket: Chebyshev-Lobatto nodes on [0, 1], the confirm
@@ -642,14 +632,15 @@ def check_assumption2(k_grid: np.ndarray, a1: np.ndarray, a2: np.ndarray, b: np.
     """Winding check of ``1 + r1 r2`` as ``k -> 0^-``.
 
     The phase of ``1 + r1(k) r2(k) = 1/(a1 a2)`` is unwrapped along the
-    negative axis starting from the far field (where it tends to zero)
-    and its limit at the origin is returned together with a reliability
-    flag (`False` when the limit exceeds 1e-2, signalling either a
-    genuine winding obstruction or an under-resolved grid).
+    negative axis starting from the far field (where it tends to zero) and
+    extrapolated linearly to ``k = 0`` through the two negative nodes
+    nearest it.  That limit is returned together with a reliability flag
+    (`False` when the limit exceeds 1e-2, signalling either a genuine
+    winding obstruction or an under-resolved grid).
     """
     k_grid = np.asarray(k_grid, dtype=float)
     _require_symmetric(k_grid)
-    w = 1.0 - b * np.conj(b[::-1]) / (a1 * a2)
+    w = 1.0 + b * np.conj(b[::-1]) / (a1 * a2)
     neg = k_grid < 0
     w_neg = w[neg]  # ordered from the most negative node towards 0^-
     if _rotation_too_large(w_neg):
@@ -657,8 +648,9 @@ def check_assumption2(k_grid: np.ndarray, a1: np.ndarray, a2: np.ndarray, b: np.
             "phase of 1 + r1 r2 turns by more than 0.9 pi between adjacent "
             "nodes; refine the wavenumber grid"
         )
-    phase = np.unwrap(np.angle(w_neg))
-    limit = float(phase[-1] - 0.0)  # anchored at ~0 in the far field
+    phase = np.unwrap(np.angle(w_neg))  # anchored at ~0 in the far field
+    k_near, k_last = k_grid[neg][-2:]
+    limit = float(phase[-1] - (phase[-1] - phase[-2]) * k_last / (k_last - k_near))
     return limit, bool(abs(limit) <= 1e-2)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -103,14 +103,7 @@ class PhaseLedger:
     constant: float
 
     def vector(self) -> tuple[float, float, float, float, float, float]:
-        return (
-            self.oscillation,
-            self.log_squared,
-            self.log_times_loglog,
-            self.log_linear,
-            self.loglog,
-            self.constant,
-        )
+        return astuple(self)
 
     def slow_phase(self, ln_4st: float) -> float:
         """Every term except the fast oscillation, at L = ln_4st."""
@@ -166,9 +159,13 @@ class PhaseCoefficients:
 
     ``main`` is the plateau phase, ``forward`` / ``backward`` the phases of
     the two correction terms, and ``tilt`` the slow phase of the dressed
-    connection pair in :func:`beta_gamma`.  The amplitudes these ledgers go
-    with carry the slowly varying factor (ln t)**(h/2).  ``nu_s`` is the
-    winding index at which the frozen connection pair is dressed.
+    connection pair in :func:`beta_gamma`.  ``nu_s`` is the winding index at
+    which the frozen connection pair is dressed.  The frozen amplitudes go
+    with these ledgers, each times the slowly varying factor (ln t)**(h/2):
+    ``beta_const`` / ``gamma_const`` of the dressed connection pair (with
+    ``tilt``), ``amp_forward`` / ``amp_backward`` of the two +x correction
+    terms, and ``amp_mirror`` of the -x explicit term (with ``forward``).
+    All are zero on reflectionless data, which ``degenerate`` marks.
     """
 
     alpha: float
@@ -179,6 +176,12 @@ class PhaseCoefficients:
     tilt: PhaseLedger
     forward: PhaseLedger
     backward: PhaseLedger
+    beta_const: complex
+    gamma_const: complex
+    amp_forward: complex
+    amp_backward: complex
+    amp_mirror: complex
+    degenerate: bool
 
 
 def _fast_coefficient(alpha: float, s: float) -> float:
@@ -194,8 +197,8 @@ def _ledger(*terms: float) -> PhaseLedger:
 
 
 def phase_coefficients(sd: SpectralData, alpha: float, s: float) -> PhaseCoefficients:
-    """Evaluate the four phase ledgers at one (alpha, s); see
-    :class:`PhaseCoefficients` for the table."""
+    """Evaluate the four phase ledgers and their frozen amplitudes at one
+    (alpha, s); see :class:`PhaseCoefficients` for the table."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if not s > 0.0:
@@ -219,12 +222,53 @@ def phase_coefficients(sd: SpectralData, alpha: float, s: float) -> PhaseCoeffic
         - 2.0 * h * ln_s * ln_s / math.pi
         + 2.0 * tracker.chi_origin_const(s).imag
     )
+    main = _ledger(0.0, squared, 0.0, main_linear, 0.0, main_constant)
+    k1, level = sd.k1, sd.amplitude
+    degenerate = _reflectionless(sd)
+    if degenerate:
+        beta_const = gamma_const = amp_forward = amp_backward = amp_mirror = 0j
+    else:
+        if sd.case is CaseTag.CASE_I:
+            # the frozen pair: level / (2 k1) and its inverse, times
+            # (r/pi)**(1/2 +- i nu)
+            log_rate = math.log((1.0 - alpha) / (math.pi * (2.0 - alpha)))
+            beta_pair = level / (2.0 * k1 * cmath.exp((-1j * nu_s - 0.5) * log_rate))
+            gamma_pair = 2.0 * k1 / (level * cmath.exp((1j * nu_s - 0.5) * log_rate))
+        else:
+            # the parametrix pair with the k -> 0 limits of the dressed
+            # reflection values
+            b_zero = tracker.b_at_zero
+            beta_pair, gamma_pair = _parametrix_pair(
+                nu_s,
+                -1j * k1 * b_zero / complex(sd.a11),
+                1j * b_zero.conjugate() / (k1 * complex(sd.a21)),
+            )
+        beta_const, gamma_const = _dress(
+            beta_pair, gamma_pair, nu_s, tracker.chi_saddle_const(s), alpha, s
+        )
+        plateau_q = amplitude_Q(sd)
+        amp_forward = -(2.0 * k1 / s) * beta_const
+        amp_backward = (
+            plateau_q
+            * plateau_q
+            * cmath.exp(2j * main.constant)
+            * gamma_const
+            / (2.0 * k1 * s)
+        )
+        amp_mirror = (
+            math.exp(
+                alpha / (2.0 - alpha) * ln_s
+                - (2.0 - 3.0 * alpha) / (2.0 - alpha) * _LN2
+            )
+            * gamma_const.conjugate()
+            / k1
+        )
     return PhaseCoefficients(
         alpha=float(alpha),
         s=float(s),
         h=h,
         nu_s=nu_s,
-        main=_ledger(0.0, squared, 0.0, main_linear, 0.0, main_constant),
+        main=main,
         tilt=_ledger(0.0, squared, h * rate, tilt_linear, h * nu_s, 0.0),
         forward=_ledger(
             fast, squared - split, h * rate, forward_linear, h * nu_s, 0.0
@@ -237,7 +281,20 @@ def phase_coefficients(sd: SpectralData, alpha: float, s: float) -> PhaseCoeffic
             -h * nu_s,
             0.0,
         ),
+        beta_const=beta_const,
+        gamma_const=gamma_const,
+        amp_forward=amp_forward,
+        amp_backward=amp_backward,
+        amp_mirror=amp_mirror,
+        degenerate=degenerate,
     )
+
+
+def _reflectionless(sd: SpectralData) -> bool:
+    """True for degenerate-class data whose reflection vanishes at k = 0,
+    where every connection coefficient of the expanded route is zero."""
+    b_zero = tracker_for(sd).b_at_zero
+    return b_zero is not None and abs(b_zero) < DEGENERATE_REFLECTION * max(1.0, sd.amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -344,74 +401,6 @@ def _dressed_pair(sd: SpectralData, point: WedgePoint) -> _DressedPair | None:
     return _DressedPair(nu, chi_saddle, beta, gamma, beta_tilde, gamma_tilde)
 
 
-@dataclass(frozen=True)
-class _CorrectionConstants:
-    """Frozen large-time constants of the correction terms."""
-
-    beta_const: complex
-    gamma_const: complex
-    amp_forward: complex
-    amp_backward: complex
-    amp_mirror: complex
-    degenerate: bool
-
-
-def _correction_constants(sd: SpectralData, pc: PhaseCoefficients) -> _CorrectionConstants:
-    """Assemble the frozen amplitude constants of the expanded route.
-
-    ``beta_const`` / ``gamma_const`` are the large-time constants of the
-    dressed connection pair (their slowly varying phase lives in the
-    ledgers); ``amp_forward`` / ``amp_backward`` multiply the two correction
-    phases on the +x side, ``amp_mirror`` multiplies the explicit term on
-    the -x side.
-    """
-    tracker = tracker_for(sd)
-    alpha, s, nu = pc.alpha, pc.s, pc.nu_s
-    k1 = sd.k1
-    level = sd.amplitude
-    if sd.case is CaseTag.CASE_I:
-        # the frozen pair: level / (2 k1) and its inverse, times
-        # (r/pi)**(1/2 +- i nu)
-        log_rate = math.log((1.0 - alpha) / (math.pi * (2.0 - alpha)))
-        beta_pair = level / (2.0 * k1 * cmath.exp((-1j * nu - 0.5) * log_rate))
-        gamma_pair = 2.0 * k1 / (level * cmath.exp((1j * nu - 0.5) * log_rate))
-    else:
-        b_zero = tracker.b_at_zero
-        if abs(b_zero) < DEGENERATE_REFLECTION * max(1.0, level):
-            zero = 0j
-            return _CorrectionConstants(zero, zero, zero, zero, zero, True)
-        # the parametrix pair with the k -> 0 limits of the dressed
-        # reflection values
-        beta_pair, gamma_pair = _parametrix_pair(
-            nu,
-            -1j * k1 * b_zero / complex(sd.a11),
-            1j * b_zero.conjugate() / (k1 * complex(sd.a21)),
-        )
-    beta_const, gamma_const = _dress(
-        beta_pair, gamma_pair, nu, tracker.chi_saddle_const(s), alpha, s
-    )
-    plateau_q = amplitude_Q(sd)
-    amp_forward = -(2.0 * k1 / s) * beta_const
-    amp_backward = (
-        plateau_q
-        * plateau_q
-        * cmath.exp(2j * pc.main.constant)
-        * gamma_const
-        / (2.0 * k1 * s)
-    )
-    amp_mirror = (
-        math.exp(
-            alpha / (2.0 - alpha) * math.log(s)
-            - (2.0 - 3.0 * alpha) / (2.0 - alpha) * _LN2
-        )
-        * gamma_const.conjugate()
-        / k1
-    )
-    return _CorrectionConstants(
-        beta_const, gamma_const, amp_forward, amp_backward, amp_mirror, False
-    )
-
-
 # ---------------------------------------------------------------------------
 # connection coefficients
 
@@ -453,11 +442,10 @@ def beta_gamma(sd: SpectralData, alpha: float, s: float, t: float) -> BetaGamma:
         zero = 0j
         return BetaGamma(zero, zero, zero, zero, zero, zero, zero, zero, True)
     pc = phase_coefficients(sd, alpha, s)
-    constants = _correction_constants(sd, pc)
     slow = pc.tilt.slow_phase(point.ln_4st)
     root = point.ln_t ** (0.5 * pc.h)
-    beta_tilde_asymptotic = constants.beta_const * cmath.exp(1j * slow) * root
-    gamma_tilde_asymptotic = constants.gamma_const * cmath.exp(-1j * slow) * root
+    beta_tilde_asymptotic = pc.beta_const * cmath.exp(1j * slow) * root
+    gamma_tilde_asymptotic = pc.gamma_const * cmath.exp(-1j * slow) * root
     return BetaGamma(
         beta=pair.beta,
         gamma=pair.gamma,
@@ -499,6 +487,30 @@ class AsymptoticPrediction:
     def total(self) -> complex:
         return self.leading + self.correction
 
+    @property
+    def rough_magnitude(self) -> float:
+        """Coarse modulus scale of the branch with unit constants: on the +x
+        side the plateau modulus; on the -x side the decay law of the explicit
+        term (h = 1 in case I, 0 in case II) or, where that term is zero, the
+        recorded bound t**(1/(alpha-2)) ln t."""
+        point = self.point
+        if point.side is Side.PLUS_X:
+            return abs(self.leading)
+        if self.correction != 0:
+            h = int(self.case is CaseTag.CASE_I)
+            return math.exp(_decay_law(Side.MINUS_X, point, h, 0.0)[1])
+        return math.exp(point.ln_t / (point.alpha - 2.0) + math.log(point.ln_t))
+
+
+def _decay_law(side: Side, point: WedgePoint, h: int, log_constant: float) -> tuple[float, float]:
+    """Decay law c t**p (ln t)**(h/2) of the explicit term on ``side`` at the
+    point's (alpha, t), with ln c = ``log_constant``: returns p and the log
+    of the law.  The +x correction pair has p = alpha/(2 alpha-4), the -x
+    mirror term p = (4-3 alpha)/(2 alpha-4)."""
+    alpha = point.alpha
+    p = (alpha if side is Side.PLUS_X else 4.0 - 3.0 * alpha) / (2.0 * alpha - 4.0)
+    return p, log_constant + p * point.ln_t + 0.5 * h * math.log(point.ln_t)
+
 
 _ZERO_LEDGER = PhaseLedger(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -525,21 +537,17 @@ def predict_q(sd: SpectralData, point: WedgePoint) -> AsymptoticPrediction:
     alpha above 2/3, otherwise only a bound recorded in ``error_order``.
     """
     pc = phase_coefficients(sd, point.alpha, point.s)
-    plateau_q = amplitude_Q(sd)
     alpha = point.alpha
     tag = sd.case.value
     generic = sd.case is CaseTag.CASE_I
-    sqrt_log = 0.5 * pc.h * math.log(point.ln_t)
+    decay, prefactor = _decay_law(point.side, point, pc.h, 0.0)
     if point.side is Side.PLUS_X:
-        leading = plateau_q * cmath.exp(1j * pc.main.phase_at(point))
+        leading = amplitude_Q(sd) * cmath.exp(1j * pc.main.phase_at(point))
         ledger = pc.main
         if alpha < _EXPLICIT_EDGE:
-            constants = _correction_constants(sd, pc)
-            decay = alpha / (2.0 * alpha - 4.0)
-            prefactor = decay * point.ln_t + sqrt_log
             correction = _evaluate_term(
-                constants.amp_forward, pc.forward, point, prefactor
-            ) + _evaluate_term(constants.amp_backward, pc.backward, point, prefactor)
+                pc.amp_forward, pc.forward, point, prefactor
+            ) + _evaluate_term(pc.amp_backward, pc.backward, point, prefactor)
             regime = f"{tag}+x/explicit-correction"
             if generic:
                 error = ErrorOrder(decay, -0.5)
@@ -554,11 +562,8 @@ def predict_q(sd: SpectralData, point: WedgePoint) -> AsymptoticPrediction:
     else:
         leading = 0j
         if alpha > _EXPLICIT_EDGE:
-            constants = _correction_constants(sd, pc)
             ledger = pc.forward
-            decay = (4.0 - 3.0 * alpha) / (2.0 * alpha - 4.0)
-            prefactor = decay * point.ln_t + sqrt_log
-            correction = _evaluate_term(constants.amp_mirror, ledger, point, prefactor)
+            correction = _evaluate_term(pc.amp_mirror, ledger, point, prefactor)
             regime = f"{tag}-x/explicit-correction"
             if generic:
                 error = ErrorOrder(decay, -0.5)
@@ -711,6 +716,8 @@ def matching_ladder(
         raise ValueError("alphas must lie in (0, 1)")
     if any(a == b for a, b in zip(alphas, alphas[1:])):
         raise ValueError(f"alphas repeat a value: {alphas}")
+    if not 4.0 * s * s < math.inf:  # the fast-phase coefficient at alpha = 1
+        raise ValueError(f"s = {s:g} is too large: the fast-phase coefficient 4 s**2 overflows")
     if hold_product is not None:
         if not hold_product > 0.0:
             raise ValueError("hold_product must be positive")
@@ -753,36 +760,31 @@ def matching_check(
     mode, points = matching_ladder(s, alphas, t=t, hold_product=hold_product)
     tracker = tracker_for(sd)
     generic = sd.case is CaseTag.CASE_I
-    level = sd.amplitude
     if generic:
         ray_const_log = (
-            math.log(4.0 * s / level)
+            math.log(4.0 * s / sd.amplitude)
             - 1.5 * _LN2
             - 2.0 * tracker.chi_saddle_const(s).real
         )
+    ray_mirror = None if generic or _reflectionless(sd) else _ray_mirror_constant(sd, s)
     rows = []
     fit_lnts: list[float] = []
     fit_mags: list[float] = []
-    last_constants: _CorrectionConstants | None = None
     for point in points:
         alpha, lt = point.alpha, point.ln_t
         pc = phase_coefficients(sd, alpha, s)
         residual = abs(pc.main.slow_phase(point.ln_4st) - pc.main.constant)
-        constants = _correction_constants(sd, pc)
-        last_constants = constants
         mirror_log = None
         ray_log = None
-        if alpha > _EXPLICIT_EDGE and not constants.degenerate:
-            mirror_log = (
-                math.log(abs(constants.amp_mirror))
-                + (4.0 - 3.0 * alpha) / (2.0 * alpha - 4.0) * lt
-                + 0.5 * pc.h * math.log(lt)
+        if alpha > _EXPLICIT_EDGE and not pc.degenerate:
+            _, mirror_log = _decay_law(
+                Side.MINUS_X, point, pc.h, math.log(abs(pc.amp_mirror))
             )
             if generic:
                 rate = (1.0 - alpha) / (math.pi * (2.0 - alpha))
                 ray_log = ray_const_log - 0.5 * lt + 0.5 * math.log(rate * lt)
             else:
-                ray_log = math.log(abs(_ray_mirror_constant(sd, s))) - 0.5 * lt
+                ray_log = math.log(abs(ray_mirror)) - 0.5 * lt
             fit_lnts.append(lt)
             fit_mags.append(mirror_log)
         rows.append(
@@ -801,11 +803,11 @@ def matching_check(
     # fast-phase coefficient continued to the straight-ray edge alpha = 1
     osc_limit = _fast_coefficient(1.0, s)
     ratio = None
-    if not generic and last_constants is not None and not last_constants.degenerate:
+    if ray_mirror is not None:  # pc is the top rung's
         ratio = (
-            last_constants.amp_mirror
+            pc.amp_mirror
             * cmath.exp(-1j * tracker.nu_one * math.log(4.0 * s))
-            / _ray_mirror_constant(sd, s)
+            / ray_mirror
         )
     return MatchingReport(
         case=sd.case,
@@ -820,12 +822,9 @@ def matching_check(
 
 
 def _ray_mirror_constant(sd: SpectralData, s: float) -> complex:
-    """Straight-ray mirror-term constant for the degenerate class."""
+    """Straight-ray mirror-term constant of reflecting degenerate-class data."""
     tracker = tracker_for(sd)
     nu_one = tracker.nu_one
-    b_zero = tracker.b_at_zero
-    if abs(b_zero) < DEGENERATE_REFLECTION * max(1.0, sd.amplitude):
-        raise ValueError("straight-ray mirror constant undefined for reflectionless data")
     chi_one = tracker.origin_constant
     return (
         -math.sqrt(math.pi)
@@ -838,5 +837,5 @@ def _ray_mirror_constant(sd: SpectralData, s: float) -> complex:
         * s
         * complex(sd.a21)
         * _rgamma(-1j * nu_one)
-        / b_zero
+        / tracker.b_at_zero
     )

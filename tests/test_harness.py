@@ -8,9 +8,12 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnlswedge.harness import (
     _CONFIG_KEYS,
@@ -23,8 +26,10 @@ from nnlswedge.harness import (
     cmd_scatter,
     load_config,
     main,
+    spectral_data_for,
 )
 from nnlswedge import wedge
+from nnlswedge.profiles import ProfileKind
 from nnlswedge.scattering import CaseTag, _step_count, _step_edges, load_spectral_data
 from nnlswedge.wedge import Side
 
@@ -241,6 +246,38 @@ def test_predict_flags_out_of_band_scale(tmp_path):
     cfg = load_config(ini, out_dir=tmp_path / "out")
     _, _, rows = _table(cmd_predict(cfg))
     assert rows and all(r[-1] == "0" for r in rows)
+
+
+@pytest.mark.parametrize("kind, h", [("synthetic-case-i", 1), ("synthetic-case-ii", 0)])
+def test_rough_magnitude_reads_the_regime_laws(tmp_path, kind, h):
+    # both sides of alpha = 2/3 reach all four expanded regimes
+    ini = _write(
+        tmp_path, f"[profile]\nkind = {kind}\n[wedge]\nalphas = 0.5, 0.9\nt_ladder = 1e4, 1e8\n"
+    )
+    cfg = load_config(ini, out_dir=tmp_path / "out")
+    _, header, rows = _table(cmd_predict(cfg))
+    sd = spectral_data_for(cfg)
+    column = dict(zip(header, range(len(header))))
+    regimes = set()
+    for row in rows:
+        alpha, s, t = (float(row[column[name]]) for name in ("alpha", "s", "t"))
+        side, regime = Side(row[column["side"]]), row[column["branch"]].split("/")[1]
+        pred = wedge.predict_q(sd, wedge.wedge_point(alpha, s, t, side))
+        if side is Side.PLUS_X:
+            expected = wedge.amplitude_Q(sd)
+        elif regime == "explicit-correction":
+            expected = t ** ((4.0 - 3.0 * alpha) / (2.0 * alpha - 4.0)) * math.log(t) ** (h / 2)
+        else:
+            expected = t ** (1.0 / (alpha - 2.0)) * math.log(t)
+        assert pred.rough_magnitude == pytest.approx(expected, rel=1e-14)
+        assert float(row[column["rough_magnitude"]]) == pred.rough_magnitude
+        regimes.add((side.value, regime))
+    assert regimes == {
+        ("+x", "explicit-correction"),
+        ("+x", "leading-only"),
+        ("-x", "explicit-correction"),
+        ("-x", "bound-only"),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +795,7 @@ def test_cli_rejects_bad_profiles_at_load(tmp_path, capsys, body, message):
     [
         (
             "amplitude = 1e4\n[kgrid]\nn_per_sign = 40\n",
-            "CaseClassificationError: a21 vanishes; data is not generic",
+            "SmallKMismatchError: the k = 0 auxiliary route gives a non-finite a2(0) = nan",
         ),
         (
             "[kgrid]\nn_per_sign = 40\nk_min = 1e-300\n",
@@ -774,6 +811,46 @@ def test_cli_reports_domain_errors_with_exit_3(tmp_path, capsys, body, message):
         main(["predict", "--config", str(ini), "--out", str(tmp_path / "out")])
     assert err.value.code == 3
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (
+            "[wedge]\ns_values = 1e300\n",
+            "wedge cell alpha=0.5, s=1e+300, t=10000: its fast phase overflows a double",
+        ),
+        (
+            "[wedge]\nalphas = 0.9999\nt_ladder = 1e308\nsides = -x\n",
+            "wedge cell alpha=0.9999, s=1, t=1e+308: its fast phase overflows a double",
+        ),
+        (
+            "[match]\ns = 1e200\ntime = 1e4\n",
+            "invalid [match]: s = 1e+200 is too large: the fast-phase coefficient 4 s**2 overflows",
+        ),
+    ],
+    ids=["wedge-s-1e300", "wedge-t-1e308", "match-s-1e200"],
+)
+def test_cli_rejects_overflowing_fast_phases(tmp_path, capsys, body, message):
+    # the expanded route cannot evaluate these cells; each used to end in
+    # an OverflowError traceback
+    ini = _write(tmp_path, "[profile]\nkind = synthetic-case-i\n" + body)
+    for command in ("predict", "match"):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--config", str(ini), "--out", str(tmp_path / "out")])
+        assert err.value.code == 2
+        assert f"config error: {message}\n" in capsys.readouterr().err
+
+
+def test_cli_makes_the_directory_of_a_nested_cache_name(tmp_path):
+    ini = _write(
+        tmp_path,
+        "[profile]\nkind = pure-step\nradius = 5\n[kgrid]\nn_per_sign = 40\n"
+        "[output]\ncache = sub/spectra.json\n",
+    )
+    out = tmp_path / "out"
+    assert main(["predict", "--config", str(ini), "--out", str(out)]) == 0
+    assert load_spectral_data(out / "sub" / "spectra.json").case is CaseTag.CASE_I
 
 
 def test_domain_errors_share_one_base():
@@ -843,3 +920,76 @@ def test_cli_compare_announces_all_reports(tmp_path, capsys):
         assert (out / name).exists()
     summary = (out / "comparison-summary.txt").read_text(encoding="ascii")
     assert "partial=no" in summary
+
+
+# ---------------------------------------------------------------------------
+# drawn configs: a result or a named error, never a traceback
+
+_EDGE_TOKENS = ("0", "-1", "1e-300", "1e300", "inf", "nan", "x1", "")
+
+
+def _value_text(default, edge: bool):
+    """Text for one config value: near its default, or else an edge case."""
+    if isinstance(default, str):
+        return st.sampled_from(["", "sub/b.json"] if edge else ["a.csv"])
+    if isinstance(default, tuple):
+        if edge:  # a repeat, a disorder or a bad token
+            tokens = ["x", "-x", "+x"] if isinstance(default[0], Side) else _EDGE_TOKENS[:-1]
+            return st.lists(st.sampled_from(tokens), min_size=1, max_size=3).map(", ".join)
+        if isinstance(default[0], Side):
+            return st.sampled_from(["+x", "-x", "+x, -x"])
+        values = [f * v for f in (1.0, 0.1, 2.0) for v in default]
+        distinct = st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True)
+        return distinct.map(lambda vs: ", ".join(map(repr, sorted(vs))))
+    if edge:
+        return st.sampled_from(_EDGE_TOKENS)
+    base = 1.0 if default is None else default
+    return st.sampled_from([repr(f * base) for f in (1.0, 0.1, 2.0)])
+
+
+@st.composite
+def _config_text(draw):
+    """A cheap valid config of a drawn kind with up to two keys per section
+    redrawn from _CONFIG_KEYS; about one value in six is an edge case."""
+    kinds = [k.value for k in ProfileKind] + ["synthetic-case-i", "synthetic-case-ii"]
+    kind = draw(st.sampled_from(kinds))
+    family = kind if kind.startswith("synthetic") else "sampled"
+    sections = {"profile": {"kind": kind}, "match": {"time": "1e4"}}
+    if family == "sampled":
+        sections["profile"]["phase"] = "3.0"  # a soliton at phase 0 has a pole
+        sections["kgrid"] = {"n_per_sign": "40"}
+    for name, keys in {**_CONFIG_KEYS, "profile": _CONFIG_KEYS["profile"][family]}.items():
+        section = sections.setdefault(name, {})
+        for key in draw(st.lists(st.sampled_from(sorted(keys)), unique=True, max_size=2)):
+            edge = draw(st.sampled_from([False] * 5 + [True]))
+            section[key] = draw(_value_text(keys[key], edge))
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+        if keys
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_config_text())
+def test_drawn_configs_end_in_a_result_or_a_named_error(text):
+    # every draw loads or is a ConfigError; a cheap one (a synthetic family,
+    # or a sampled kind with n_per_sign <= 60, radius <= 40 and k_max <= 100)
+    # runs predict and match to exit code 0, 2 (config) or 3 (domain error)
+    with tempfile.TemporaryDirectory() as tmp:
+        ini, out = _write(Path(tmp), text), Path(tmp) / "out"
+        try:
+            cfg = load_config(ini, out_dir=out)
+        except ConfigError:
+            return
+        profile = cfg.profile
+        if profile is not None and not (
+            cfg.kgrid_n <= 60 and profile.radius <= 40 and cfg.kgrid_max <= 100
+        ):
+            return
+        for command in ("predict", "match"):
+            try:
+                code = main([command, "--config", str(ini), "--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+            assert code in (0, 2, 3), text

@@ -198,6 +198,15 @@ def test_classify_case_error_paths():
         classify_case(small, 1.0)
 
 
+@pytest.mark.parametrize("a2_zero_grid", [0.0j, 0.6 + 0.0j], ids=["degenerate", "generic"])
+def test_classify_case_rejects_a_non_finite_auxiliary_limit(a2_zero_grid):
+    # an overflowed k = 0 integration gives NaN, which fails every
+    # comparison of either branch and so would otherwise be accepted
+    small = SmallKData(math.nan, a2_zero_grid, a11=-0.5j, a21=2.0j, ode_step_error=math.nan)
+    with pytest.raises(SmallKMismatchError, match=r"non-finite a2\(0\) = nan"):
+        classify_case(small, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # transmission zero on the imaginary axis
 # ---------------------------------------------------------------------------
@@ -412,20 +421,37 @@ def test_assumption2_small_for_steps(sd_smoothed, sd_perturbed):
 
 @pytest.mark.parametrize("turn,rejected", [(0.85, False), (0.95, True)])
 def test_assumption2_rejects_a_near_pi_turn(turn, rejected):
-    # 1 + r1 r2 = 1 - 1/a1 with b = a2 = 1; its argument turns by
-    # turn * pi between two adjacent negative nodes, a step that unwrapping
-    # alone keeps below pi and so cannot flag
+    # 1 + r1 r2 = 1 + 1/a1 = w with b = a2 = 1 and a1 = 1/(w - 1); its
+    # argument turns by turn * pi between two adjacent negative nodes, a
+    # step that unwrapping alone keeps below pi and so cannot flag
     k_grid = default_k_grid(6, 0.1, 10.0)
     theta = np.where(k_grid < k_grid[2], 0.0, turn * math.pi)
     w = 2.0 * np.exp(1j * theta)
     ones = np.ones_like(w)
     if rejected:
         with pytest.raises(CaseClassificationError):
-            check_assumption2(k_grid, 1.0 / (1.0 - w), ones, ones)
+            check_assumption2(k_grid, 1.0 / (w - 1.0), ones, ones)
     else:
-        limit, reliable = check_assumption2(k_grid, 1.0 / (1.0 - w), ones, ones)
+        limit, reliable = check_assumption2(k_grid, 1.0 / (w - 1.0), ones, ones)
         assert limit == pytest.approx(turn * math.pi)
         assert not reliable
+
+
+def test_assumption2_rejects_a_half_turn_towards_zero(monkeypatch):
+    # b = a2 = 1 and a1 = 1/(W - 1) give 1 + r1 r2 = W = (k - ic)/(k + ic),
+    # whose argument turns smoothly by pi from the far field to k = 0^-
+    k_grid = default_k_grid()
+    w = (k_grid - 0.5j) / (k_grid + 0.5j)
+    a1, ones = 1.0 / (w - 1.0), np.ones_like(w)
+    limit, reliable = check_assumption2(k_grid, a1, ones, ones)
+    assert abs(limit) == pytest.approx(math.pi, rel=1e-6)
+    assert not reliable
+    # so the pipeline refuses such data (a2 = 1 is the pure step's a2(0))
+    diagnostics = {"unitarity_residual": 0.0, "symmetry_residual": 0.0}
+    monkeypatch.setattr(scattering, "scattering_grid", lambda *_: (a1, ones, ones, diagnostics))
+    monkeypatch.setattr(scattering, "find_k1", lambda _: 0.5)
+    with pytest.raises(CaseClassificationError, match="reflection product winds by 3.142"):
+        compute_spectral_data(InitialProfile(ProfileKind.PURE_STEP), k_grid)
 
 
 # ---------------------------------------------------------------------------
