@@ -320,6 +320,9 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"invalid [match]: {exc}") from exc
 
+    for key, name in values["output"].items():
+        if key != "directory" and (Path(name).is_absolute() or ".." in Path(name).parts):
+            raise ConfigError(f"output.{key}: {name!r} must stay inside the output directory")
     directory = values["output"]["directory"] if out_dir is None else out_dir
     output = OutputBlock(**{**values["output"], "directory": Path(directory)})
 
@@ -358,14 +361,11 @@ def _fmt(value) -> str:
     return "nan" if value is None else f"{float(value):.17g}"
 
 
-def _write_table(path: Path, schema: str, header: str, rows, head=(), tail=()) -> Path:
-    """Write a report table: the schema line, the ``head`` comment lines,
-    the header, one line per row of fields, then the ``tail`` comment lines."""
-    lines = [f"# schema: nnlswedge-{schema} v1", *head, header]
-    lines += [",".join(row) for row in rows]
-    lines += tail
+def _write_report(path: Path, schema: str, lines) -> Path:
+    """Write a report: the line ``# schema: nnlswedge-<schema> v1``, then
+    ``lines``, making the parent directory."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    path.write_text("\n".join([f"# schema: nnlswedge-{schema} v1", *lines, ""]), encoding="ascii")
     return path
 
 
@@ -431,11 +431,11 @@ _PREDICT_HEADER = (
 )
 
 
-def _predict_row(sd: SpectralData, cell) -> list[str]:
+def _predict_row(sd: SpectralData, cell) -> str:
     alpha, s, t, side = cell
     pred = predict_q(sd, wedge_point(alpha, s, t, side))
     in_band = int(EXPANSION_BAND[0] <= s <= EXPANSION_BAND[1])
-    return [
+    return ",".join([
         pred.regime,
         pred.case.value,
         side.value,
@@ -454,7 +454,7 @@ def _predict_row(sd: SpectralData, cell) -> list[str]:
         _fmt(pred.error_order.log_power),
         *[_fmt(v) for v in pred.ledger.vector()],
         str(in_band),
-    ]
+    ])
 
 
 def cmd_predict(cfg: ExperimentConfig, sd: SpectralData | None = None) -> Path:
@@ -462,7 +462,7 @@ def cmd_predict(cfg: ExperimentConfig, sd: SpectralData | None = None) -> Path:
     sd = _tracked_data(cfg, sd)
     rows = [_predict_row(sd, cell) for cell in _branch_rows(cfg)]
     path = cfg.output.directory / cfg.output.predictions
-    return _write_table(path, "predictions", _PREDICT_HEADER, rows)
+    return _write_report(path, "predictions", [_PREDICT_HEADER, *rows])
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +544,19 @@ def cmd_compare(
     # one pass over the cells: each is evaluated once, written as a row and
     # filed as (t, evolution gap, plateau gap) under its (alpha, s, side)
     rows, groups = [], {}
+    head = [f"# aborted: {abort_reason}"] if abort_reason else []
     for alpha, s, t, side in _branch_rows(cfg):
         point = wedge_point(alpha, s, t, side)
         expanded = predict_q(sd, point)
-        exact = gen_as_predict(sd, point).total
+        try:
+            exact = gen_as_predict(sd, point).total
+        except DomainError as exc:
+            # one failing cell costs its exact-route columns, not the run
+            exact = complex(math.nan, math.nan)
+            head.append(
+                f"# exact-route failed: alpha={_fmt(alpha)} s={_fmt(s)} t={_fmt(t)} "
+                f"side={side.value}: {type(exc).__name__}: {exc}"
+            )
         x = point.x if side is Side.PLUS_X else -point.x
         pde_re = pde_im = gap_pde = rel_gap_pde = plateau_gap = phase_residual = None
         if t in snapshots:
@@ -568,17 +577,14 @@ def cmd_compare(
             pde_re, pde_im, gap_routes, gap_routes / level, gap_pde, rel_gap_pde,
             plateau_gap, phase_residual,
         )
-        rows.append(
-            [expanded.regime, _fmt(alpha), _fmt(s), _fmt(t), side.value, *map(_fmt, values)]
-        )
+        cell = [expanded.regime, _fmt(alpha), _fmt(s), _fmt(t), side.value]
+        rows.append(",".join(cell + [_fmt(v) for v in values]))
         groups.setdefault((alpha, s, side), []).append((t, gap_pde, plateau_gap))
-    head = [f"# aborted: {abort_reason}"] if abort_reason else []
     path = cfg.output.directory / cfg.output.comparison
-    _write_table(path, "comparison", _COMPARE_HEADER, rows, head=head)
+    _write_report(path, "comparison", [*head, _COMPARE_HEADER, *rows])
 
     # summary: per (alpha, s, side) fitted decay exponents of the gaps
-    lines = ["# schema: nnlswedge-comparison-summary v1"]
-    lines.append(f"plateau_modulus={_fmt(level)}")
+    lines = [f"plateau_modulus={_fmt(level)}"]
     lines.append(f"partial={'yes' if abort_reason else 'no'}")
     if abort_reason:
         lines.append(f"abort_reason={abort_reason}")
@@ -610,9 +616,9 @@ def cmd_compare(
     # is not directly demonstrable and consumers must use the fitted
     # exponents instead
     lines.append(f"fallback_fitted_exponents={'yes' if len(snapshots) < 3 else 'no'}")
-    summary_path = cfg.output.directory / cfg.output.summary
-    summary_path.parent.mkdir(parents=True, exist_ok=True)
-    summary_path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    summary_path = _write_report(
+        cfg.output.directory / cfg.output.summary, "comparison-summary", lines
+    )
 
     # raw evolved fields, for reproducibility and plotting
     snap_path = cfg.output.directory / cfg.output.snapshots
@@ -646,7 +652,7 @@ def cmd_match(cfg: ExperimentConfig, sd: SpectralData | None = None) -> Path:
     residuals = [row.phase_residual for row in report.rows]
     trend = "decreasing" if all(a > b for a, b in zip(residuals, residuals[1:])) else "mixed"
     # a row's fields in order are the header's columns
-    rows = [[_fmt(v) for v in astuple(row)] for row in report.rows]
+    rows = [",".join(_fmt(v) for v in astuple(row)) for row in report.rows]
     # the limit comes from pow, which need not be correctly rounded, so it
     # may sit a few ulps off the closed form 4 s**2
     limit, expected = report.oscillation_coefficient_limit, report.oscillation_coefficient_expected
@@ -665,9 +671,9 @@ def cmd_match(cfg: ExperimentConfig, sd: SpectralData | None = None) -> Path:
             f"# mirror-ray-ratio: re={_fmt(ratio.real)} im={_fmt(ratio.imag)} "
             f"abs={_fmt(abs(ratio))} arg={_fmt(cmath.phase(ratio))}"
         )
-    head = [f"# mode={report.mode} case={report.case.value} s={_fmt(report.s)}"]
+    head = f"# mode={report.mode} case={report.case.value} s={_fmt(report.s)}"
     path = cfg.output.directory / cfg.output.matching
-    return _write_table(path, "matching", _MATCH_HEADER, rows, head=head, tail=tail)
+    return _write_report(path, "matching", [head, _MATCH_HEADER, *rows, *tail])
 
 
 # ---------------------------------------------------------------------------

@@ -263,11 +263,14 @@ class PhaseTracker:
     formula for both classes in ``h``, half the power of k that regularizes
     a1 a2 at k = 0 (1 generic, 0 degenerate), and ``nu_one`` =
     ln P(0) / (2 pi) (in the degenerate class the winding index at the
-    origin, ln(a11 a21) / (2 pi)).
+    origin, ln(a11 a21) / (2 pi)).  It keeps the data's ``k1`` and ``case``
+    but no reference to them, so :func:`tracker_for` stores it on them
+    without a reference cycle.
     """
 
     def __init__(self, sd: SpectralData):
-        self.sd = sd
+        self.k1 = sd.k1
+        self.case = sd.case
         k = sd.k_grid
         neg = k < 0.0
         kneg = k[neg]  # increasing, -k_max .. -k_min
@@ -384,7 +387,7 @@ class PhaseTracker:
         """
         xi = point.xi
         self._check_window(xi)
-        dress = 1.0 + 1j * self.sd.k1 * math.exp((1.0 - point.alpha) * point.ln_x) / point.s
+        dress = 1.0 + 1j * self.k1 * math.exp((1.0 - point.alpha) * point.ln_x) / point.s
         s1, s2 = self._spline(-xi, cols=slice(1, 3))
         r1 = complex(s1) * (-xi) * dress
         r2 = complex(s2) / (-xi) / dress
@@ -532,7 +535,7 @@ class PhaseTracker:
             chi_saddle_const=self.chi_saddle_const(s),
             plateau=self.plateau,
             error_order=ErrorOrder((1.0 - alpha) / (alpha - 2.0), 1),
-            case=self.sd.case,
+            case=self.case,
         )
 
     # -- ray-limit modulation -----------------------------------------------------
@@ -564,25 +567,12 @@ class PhaseTracker:
 
 # -- module-level convenience API ------------------------------------------------
 
-_TRACKERS: dict[tuple, PhaseTracker] = {}
-_TRACKER_CACHE_LIMIT = 8
-
 
 def tracker_for(sd: SpectralData) -> PhaseTracker:
-    """Return a (cached) PhaseTracker for the given spectral data."""
-    key = (
-        sd.profile_fingerprint,
-        sd.k_grid.size,
-        float(sd.k_grid[0]),
-        float(sd.k_grid[-1]),
-        sd.case.value,
-    )
-    tracker = _TRACKERS.get(key)
-    if tracker is None or tracker.sd is not sd:
+    """The PhaseTracker of ``sd``: built on first use and kept on the data
+    themselves, so it lives exactly as long as they do."""
+    tracker = vars(sd).get("_tracker")
+    if tracker is None:
         tracker = PhaseTracker(sd)
-        # a fresh data set under a cached key replaces its entry in place
-        if key not in _TRACKERS and len(_TRACKERS) >= _TRACKER_CACHE_LIMIT:
-            _TRACKERS.pop(next(iter(_TRACKERS)))
-        _TRACKERS[key] = tracker
+        object.__setattr__(sd, "_tracker", tracker)
     return tracker
-

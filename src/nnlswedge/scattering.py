@@ -426,15 +426,17 @@ def _a2_zero_ode(profile: InitialProfile, n_steps: int) -> complex:
     def rhs(idx, w1, w2):
         return qv[idx] * w2, -qmv[idx] * w1
 
-    for i in range(n_steps):
-        i0, i1, i2 = 2 * i, 2 * i + 1, 2 * i + 2
-        k1a, k1b = rhs(i0, v1, v2)
-        k2a, k2b = rhs(i1, v1 + 0.5 * h * k1a, v2 + 0.5 * h * k1b)
-        k3a, k3b = rhs(i1, v1 + 0.5 * h * k2a, v2 + 0.5 * h * k2b)
-        k4a, k4b = rhs(i2, v1 + h * k3a, v2 + h * k3b)
-        v1 += (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        v2 += (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-    return 4.0 * (abs(v2) ** 2 - abs(v1) ** 2) / a**2
+    # an overflow ends in a NaN, which classify_case names; no warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            i0, i1, i2 = 2 * i, 2 * i + 1, 2 * i + 2
+            k1a, k1b = rhs(i0, v1, v2)
+            k2a, k2b = rhs(i1, v1 + 0.5 * h * k1a, v2 + 0.5 * h * k1b)
+            k3a, k3b = rhs(i1, v1 + 0.5 * h * k2a, v2 + 0.5 * h * k2b)
+            k4a, k4b = rhs(i2, v1 + h * k3a, v2 + h * k3b)
+            v1 += (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+            v2 += (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        return 4.0 * (abs(v2) ** 2 - abs(v1) ** 2) / a**2
 
 
 def _extrapolate_to_zero(k_nodes: np.ndarray, values: np.ndarray) -> complex:

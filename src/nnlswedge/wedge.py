@@ -373,34 +373,6 @@ def _dress(
     )
 
 
-@dataclass(frozen=True)
-class _DressedPair:
-    """The connection pair at one wedge point and its phase-functional
-    inputs, before and after the dressing."""
-
-    nu: complex
-    chi_saddle: complex
-    beta: complex
-    gamma: complex
-    beta_tilde: complex
-    gamma_tilde: complex
-
-
-def _dressed_pair(sd: SpectralData, point: WedgePoint) -> _DressedPair | None:
-    """Connection pair at ``point`` from the dressed reflection values, with
-    ``nu`` and ``chi`` at the saddle by direct quadrature; ``None`` on
-    reflectionless data, where every connection coefficient vanishes."""
-    tracker = tracker_for(sd)
-    r1_dressed, r2_dressed = tracker.reflection_pair(point)
-    if min(abs(r1_dressed), abs(r2_dressed)) < DEGENERATE_REFLECTION:
-        return None
-    nu = tracker.nu_hat(point)
-    chi_saddle = tracker.chi_hat(-point.s, point)
-    beta, gamma = _parametrix_pair(nu, r1_dressed, r2_dressed)
-    beta_tilde, gamma_tilde = _dress(beta, gamma, nu, chi_saddle, point.alpha, point.s)
-    return _DressedPair(nu, chi_saddle, beta, gamma, beta_tilde, gamma_tilde)
-
-
 # ---------------------------------------------------------------------------
 # connection coefficients
 
@@ -409,13 +381,15 @@ def _dressed_pair(sd: SpectralData, point: WedgePoint) -> _DressedPair | None:
 class BetaGamma:
     """Connection coefficients at one wedge point.
 
-    ``beta`` / ``gamma`` are the parametrix pair (their product equals the
-    winding index ``nu`` identically); ``beta_tilde`` / ``gamma_tilde``
-    absorb the phase-functional dressing.  The ``*_asymptotic`` entries
-    re-evaluate the tilde pair from the frozen large-time constants and the
-    tilt ledger, times the slowly varying factor (ln t)**(h/2) (the square
-    root of ln t in the generic class).  ``degenerate`` marks reflectionless
-    data, where every entry is exactly zero.
+    ``beta`` / ``gamma`` are the parametrix pair from the dressed reflection
+    values, with ``nu`` and ``chi_saddle`` (``chi`` at the stationary point)
+    by direct quadrature; their product equals ``nu`` identically.
+    ``beta_tilde`` / ``gamma_tilde`` absorb the phase-functional dressing.
+    The ``*_asymptotic`` entries re-evaluate the tilde pair from the frozen
+    large-time constants and the tilt ledger, times the slowly varying factor
+    (ln t)**(h/2) (the square root of ln t in the generic class).
+    ``degenerate`` marks reflectionless data, where every entry is exactly
+    zero.
     """
 
     beta: complex
@@ -429,34 +403,37 @@ class BetaGamma:
     degenerate: bool
 
 
-def beta_gamma(sd: SpectralData, alpha: float, s: float, t: float) -> BetaGamma:
-    """Evaluate the connection coefficients at the +x wedge point (alpha, s, t).
-
-    The tilde pair is dressed with direct-quadrature values of ``nu`` and of
-    ``chi`` at the stationary point, the same inputs :func:`gen_as_predict`
-    uses.
-    """
-    point = wedge_point(alpha, s, t)
-    pair = _dressed_pair(sd, point)
-    if pair is None:
-        zero = 0j
-        return BetaGamma(zero, zero, zero, zero, zero, zero, zero, zero, True)
-    pc = phase_coefficients(sd, alpha, s)
+def _connection(sd: SpectralData, point: WedgePoint, pc: PhaseCoefficients) -> BetaGamma:
+    """Connection coefficients at ``point``, with the frozen pair of ``pc``
+    (the phase coefficients at the point's alpha and s) on the tilt ledger;
+    the all-zero record where the dressed reflection vanishes."""
+    tracker = tracker_for(sd)
+    r1_dressed, r2_dressed = tracker.reflection_pair(point)
+    if min(abs(r1_dressed), abs(r2_dressed)) < DEGENERATE_REFLECTION:
+        return BetaGamma(0j, 0j, 0j, 0j, 0j, 0j, 0j, 0j, degenerate=True)
+    nu = tracker.nu_hat(point)
+    chi_saddle = tracker.chi_hat(-point.s, point)
+    beta, gamma = _parametrix_pair(nu, r1_dressed, r2_dressed)
+    beta_tilde, gamma_tilde = _dress(beta, gamma, nu, chi_saddle, point.alpha, point.s)
     slow = pc.tilt.slow_phase(point.ln_4st)
     root = point.ln_t ** (0.5 * pc.h)
-    beta_tilde_asymptotic = pc.beta_const * cmath.exp(1j * slow) * root
-    gamma_tilde_asymptotic = pc.gamma_const * cmath.exp(-1j * slow) * root
     return BetaGamma(
-        beta=pair.beta,
-        gamma=pair.gamma,
-        beta_tilde=pair.beta_tilde,
-        gamma_tilde=pair.gamma_tilde,
-        beta_tilde_asymptotic=beta_tilde_asymptotic,
-        gamma_tilde_asymptotic=gamma_tilde_asymptotic,
-        nu=pair.nu,
-        chi_saddle=pair.chi_saddle,
+        beta=beta,
+        gamma=gamma,
+        beta_tilde=beta_tilde,
+        gamma_tilde=gamma_tilde,
+        beta_tilde_asymptotic=pc.beta_const * cmath.exp(1j * slow) * root,
+        gamma_tilde_asymptotic=pc.gamma_const * cmath.exp(-1j * slow) * root,
+        nu=nu,
+        chi_saddle=chi_saddle,
         degenerate=False,
     )
+
+
+def beta_gamma(sd: SpectralData, alpha: float, s: float, t: float) -> BetaGamma:
+    """Evaluate the connection coefficients at the +x wedge point (alpha, s, t),
+    with the same direct-quadrature inputs :func:`gen_as_predict` uses."""
+    return _connection(sd, wedge_point(alpha, s, t), phase_coefficients(sd, alpha, s))
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +578,10 @@ def gen_as_predict(sd: SpectralData, point: WedgePoint) -> AsymptoticPrediction:
     # the origin value first: a cell whose quadrature fails there never
     # pays for the saddle one
     chi_origin = tracker.chi_hat(0.0, point)
-    pair = _dressed_pair(sd, point)
-    nu = tracker.nu_hat(point) if pair is None else pair.nu
+    pair = _connection(sd, point, pc)
+    nu = tracker.nu_hat(point) if pair.degenerate else pair.nu
     delta_sq = cmath.exp(2.0 * (1j * nu * math.log(s) + chi_origin))
-    if pair is None:
+    if pair.degenerate:
         forward_term = backward_term = 0j
     else:
         fast = alpha * point.ln_x

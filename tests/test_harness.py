@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -28,9 +29,10 @@ from nnlswedge.harness import (
     main,
     spectral_data_for,
 )
-from nnlswedge import wedge
+from nnlswedge import harness, wedge
 from nnlswedge.profiles import ProfileKind
 from nnlswedge.scattering import CaseTag, _step_count, _step_edges, load_spectral_data
+from nnlswedge.specfun import QuadratureError
 from nnlswedge.wedge import Side
 
 _REPO = Path(__file__).resolve().parents[1]
@@ -453,10 +455,11 @@ def test_compare_geometry_rejections(tmp_path):
     assert not (tmp_path / "out" / "spectra.json").exists()
 
 
-def test_compare_abort_yields_partial_report(tmp_path):
+def test_compare_abort_yields_partial_report(tmp_path, monkeypatch):
     # carrier phase pi drives the field into a finite-time singularity
     # between the two ladder times: the run must keep the reached rows,
-    # mark the report partial, and carry NaN columns for the rest
+    # mark the report partial, and carry NaN columns for the rest; an
+    # exact-route cell that fails costs only that row's exact-route columns
     ini = _write(
         tmp_path,
         "[profile]\nkind = soliton-snapshot\namplitude = 1.0\n"
@@ -512,6 +515,30 @@ def test_compare_abort_yields_partial_report(tmp_path):
         if not line.startswith("#")
     }
     assert times == {"3"}
+
+    real_exact_route = harness.gen_as_predict
+
+    def failing_exact_route(sd, point):
+        if math.isclose(point.t, 3.0) and point.side is Side.PLUS_X:
+            raise QuadratureError("subdivision budget exhausted")
+        return real_exact_route(sd, point)
+
+    monkeypatch.setattr(harness, "gen_as_predict", failing_exact_route)
+    assert main(["compare", "--config", str(ini), "--out", str(tmp_path / "out")]) == 0
+    failed_comments, _, failed_rows = _table(csv_path)
+    assert failed_comments == comments + [
+        "# exact-route failed: alpha=0.75 s=1 t=3 side=+x: "
+        "QuadratureError: subdivision budget exhausted"
+    ]
+    exact_and_gaps = {8, 9, 12, 13, 14, 15}
+    for row in failed_rows:
+        expected = by_key[row[3], row[4]]
+        if (row[3], row[4]) == ("3", "+x"):
+            assert all(row[i] == "nan" for i in exact_and_gaps)
+            expected = [v for i, v in enumerate(expected) if i not in exact_and_gaps]
+            row = [v for i, v in enumerate(row) if i not in exact_and_gaps]
+        assert row == expected
+    assert summary_path.read_text(encoding="ascii") == summary
 
 
 def test_compare_full_report_is_complete_and_deterministic(tmp_path):
@@ -791,23 +818,28 @@ def test_cli_rejects_bad_profiles_at_load(tmp_path, capsys, body, message):
 
 
 @pytest.mark.parametrize(
-    "body, message",
+    "body, message, quiet",
     [
         (
             "amplitude = 1e4\n[kgrid]\nn_per_sign = 40\n",
             "SmallKMismatchError: the k = 0 auxiliary route gives a non-finite a2(0) = nan",
+            True,
         ),
         (
             "[kgrid]\nn_per_sign = 40\nk_min = 1e-300\n",
             "SmallKMismatchError: grid extrapolation gives a2(0) ~ 0",
+            False,
         ),
     ],
     ids=["amplitude-1e4", "k-min-1e-300"],
 )
-def test_cli_reports_domain_errors_with_exit_3(tmp_path, capsys, body, message):
-    # the config is valid; the scattering stage finds data it cannot treat
+def test_cli_reports_domain_errors_with_exit_3(tmp_path, capsys, body, message, quiet):
+    # the config is valid; the scattering stage finds data it cannot treat.
+    # A quiet case names its cause with no numpy RuntimeWarning before it.
     ini = _write(tmp_path, "[profile]\nkind = smoothed-step\n" + body)
-    with pytest.raises(SystemExit) as err:
+    with pytest.raises(SystemExit) as err, warnings.catch_warnings():
+        if quiet:
+            warnings.simplefilter("error", RuntimeWarning)
         main(["predict", "--config", str(ini), "--out", str(tmp_path / "out")])
     assert err.value.code == 3
     assert f"error: {message}" in capsys.readouterr().err
@@ -840,6 +872,38 @@ def test_cli_rejects_overflowing_fast_phases(tmp_path, capsys, body, message):
             main([command, "--config", str(ini), "--out", str(tmp_path / "out")])
         assert err.value.code == 2
         assert f"config error: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, name, rejected",
+    [
+        ("predictions", "../p.csv", True),
+        ("predictions", "{tmp}/p.csv", True),
+        ("cache", "sub/../../spectra.json", True),
+        ("predictions", "sub/p.csv", False),
+    ],
+    ids=["parent", "absolute", "parent-inside-nested", "nested"],
+)
+def test_output_names_stay_inside_the_output_directory(tmp_path, capsys, key, name, rejected):
+    name = name.format(tmp=tmp_path)
+    ini = _write(
+        tmp_path,
+        "[profile]\nkind = synthetic-case-i\n[wedge]\nalphas = 0.5\nt_ladder = 1e4\n"
+        f"[output]\n{key} = {name}\n",
+    )
+    out = tmp_path / "out"
+    argv = ["predict", "--config", str(ini), "--out", str(out)]
+    if not rejected:
+        assert main(argv) == 0
+        assert (out / "sub" / "p.csv").is_file()
+        return
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err == (
+        f"config error: output.{key}: {name!r} must stay inside the output directory\n"
+    )
+    assert not any(tmp_path.rglob("p.csv")) and not any(tmp_path.rglob("spectra.json"))
 
 
 def test_cli_makes_the_directory_of_a_nested_cache_name(tmp_path):

@@ -23,8 +23,10 @@ Oracle strategy:
 
 import cmath
 import dataclasses
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -524,23 +526,20 @@ def test_tail_fit_quality(sd_pure_a1, sd_smoothed, sd_perturbed, sd_soliton, sd_
         assert tracker_for(sd).tail_residual < 1e-7
 
 
-def test_tracker_cache(sd_pure_a1, monkeypatch):
+def test_tracker_cache(sd_pure_a1):
     assert tracker_for(sd_pure_a1) is tracker_for(sd_pure_a1)
     # same fingerprint and grid, other data: never the cached tracker
     other = dataclasses.replace(sd_pure_a1, b=0.5 * sd_pure_a1.b)
     assert tracker_for(other) is not tracker_for(sd_pure_a1)
-    # on a full cache, fresh data under a cached key replaces that entry
-    # alone: no other tracker is evicted
-    monkeypatch.setattr(phases, "_TRACKERS", {})
-    family = [
-        synthetic_case_i(d=0.5 + 0.1 * i) for i in range(phases._TRACKER_CACHE_LIMIT)
-    ]
-    trackers = [tracker_for(sd) for sd in family]
-    fresh = dataclasses.replace(family[-1], b=0.5 * family[-1].b)
-    assert tracker_for(fresh) is not trackers[-1]
-    assert len(phases._TRACKERS) == phases._TRACKER_CACHE_LIMIT
-    for sd, tracker in zip(family[:-1], trackers):
-        assert tracker_for(sd) is tracker
+
+
+def test_tracker_is_freed_with_its_data():
+    sd = synthetic_case_i()
+    tracker = weakref.ref(tracker_for(sd))
+    assert tracker() is tracker_for(sd)
+    del sd
+    gc.collect()
+    assert tracker() is None
 
 
 # ---------------------------------------------------------------------------
