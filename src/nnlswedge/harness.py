@@ -381,7 +381,7 @@ def spectral_data_for(cfg: ExperimentConfig, *, force: bool = False) -> Spectral
     )
 
 
-def _tracked_data(cfg: ExperimentConfig, sd: SpectralData | None) -> SpectralData:
+def _tracked_data(cfg: ExperimentConfig) -> SpectralData:
     """Spectral data for a subcommand that builds a phase tracker, whose
     tail fit needs nodes with |k| >= _K_FIT; checked before any scattering."""
     if cfg.kgrid_max < _K_FIT:
@@ -389,7 +389,7 @@ def _tracked_data(cfg: ExperimentConfig, sd: SpectralData | None) -> SpectralDat
             f"kgrid.k_max = {cfg.kgrid_max:g} is below the phase tracker's "
             f"tail-fit window |k| >= {_K_FIT:g}"
         )
-    return spectral_data_for(cfg) if sd is None else sd
+    return spectral_data_for(cfg)
 
 
 def _branch_rows(cfg: ExperimentConfig):
@@ -452,14 +452,14 @@ def _predict_row(sd: SpectralData, cell) -> str:
         _fmt(pred.rough_magnitude),
         _fmt(pred.error_order.t_exponent),
         _fmt(pred.error_order.log_power),
-        *[_fmt(v) for v in pred.ledger.vector()],
+        *[_fmt(v) for v in astuple(pred.ledger)],
         str(in_band),
     ])
 
 
-def cmd_predict(cfg: ExperimentConfig, sd: SpectralData | None = None) -> Path:
-    """Write the expanded-prediction table; returns the CSV path."""
-    sd = _tracked_data(cfg, sd)
+def cmd_predict(cfg: ExperimentConfig) -> Path:
+    """Write the expanded-prediction table of the config's cells; returns its path."""
+    sd = _tracked_data(cfg)
     rows = [_predict_row(sd, cell) for cell in _branch_rows(cfg)]
     path = cfg.output.directory / cfg.output.predictions
     return _write_report(path, "predictions", [_PREDICT_HEADER, *rows])
@@ -510,17 +510,15 @@ def _wrap_phase(value: float) -> float:
     return math.remainder(value, 2.0 * math.pi)
 
 
-def cmd_compare(
-    cfg: ExperimentConfig, sd: SpectralData | None = None
-) -> tuple[Path, Path, Path]:
-    """Run the evolution and join it against both prediction routes.
+def cmd_compare(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
+    """Run the evolution and join it against both prediction routes at the config's cells.
 
     Returns (comparison CSV, summary, snapshots CSV).  A blow-up or boundary
     abort mid-ladder is not fatal: rows for unreached times carry NaN
     evolution columns and the summary flags the run as partial.
     """
     _validate_compare_geometry(cfg)
-    sd = _tracked_data(cfg, sd)
+    sd = _tracked_data(cfg)
     level = amplitude_Q(sd)
     w, p = cfg.wedge, cfg.pde
     grid = symmetric_grid(p.half_width, p.step)
@@ -636,11 +634,11 @@ _MATCH_HEADER = (
 )
 
 
-def cmd_match(cfg: ExperimentConfig, sd: SpectralData | None = None) -> Path:
-    """Write the straight-ray matching report; returns the CSV path."""
+def cmd_match(cfg: ExperimentConfig) -> Path:
+    """Write the straight-ray matching report of ``[match]``; returns its path."""
     if cfg.match is None:
         raise ConfigError("match needs a [match] section")
-    sd = _tracked_data(cfg, sd)
+    sd = _tracked_data(cfg)
     m = cfg.match
     report = matching_check(
         sd,

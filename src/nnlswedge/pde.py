@@ -52,6 +52,10 @@ __all__ = [
 # default fraction actually used
 STABLE_DT_FACTOR = 3.0 * 2.0 * math.sqrt(2.0) / 16.0  # = 0.5303...
 DEFAULT_DT_FACTOR = 0.4
+# evolve's blow-up and edge-drift guards (see its docstring)
+BLOW_UP_FACTOR = 1.0e3
+DRIFT_ABORT = 1.0e-3
+CHECK_EVERY = 25
 # Largest grid symmetric_grid builds: the grid and the stepper's buffers take
 # ~110 bytes per node (~1.1 GB at this size), and dt ~ h**2 makes a finer
 # grid far too slow to evolve anyway.
@@ -220,20 +224,18 @@ def evolve(
     *,
     dt: float | None = None,
     snapshot_times: tuple[float, ...] = (),
-    blow_up_factor: float = 1.0e3,
-    drift_abort: float = 1.0e-3,
-    check_every: int = 25,
 ) -> EvolutionResult:
     """Evolve initial data ``q0`` (array on ``grid.x`` or callable of x).
 
     Snapshot times are landed on exactly by shortening the step inside
     each segment; the returned snapshots end with the ``t_final`` state.
-    Raises :class:`FieldBlowUpError` when the field magnitude exceeds
-    ``blow_up_factor`` times its initial maximum, and
-    :class:`BoundaryDriftError` when the first interior node on either
-    side moves more than ``drift_abort`` from its initial value.  The
-    error's ``partial`` :class:`EvolutionResult` keeps the snapshots landed
-    before the abort and counts every step taken.
+    Repeated snapshot times raise ValueError.  Raises
+    :class:`FieldBlowUpError` when |q| exceeds ``BLOW_UP_FACTOR`` times its
+    initial maximum (looked at every ``CHECK_EVERY`` steps), and
+    :class:`BoundaryDriftError` when the first interior node on either side
+    moves more than ``DRIFT_ABORT`` from its initial value.  The error's
+    ``partial`` :class:`EvolutionResult` keeps the snapshots landed before
+    the abort and counts every step taken.
     """
     if callable(q0):
         q0 = q0(grid.x)
@@ -247,6 +249,8 @@ def evolve(
     times = sorted(float(s) for s in snapshot_times)
     if times and (times[0] <= 0.0 or times[-1] > t_final * (1.0 + 1e-12)):
         raise ValueError("snapshot times must lie in (0, t_final]")
+    if any(a == b for a, b in zip(times, times[1:])):
+        raise ValueError("snapshot times must not repeat")
     if not times or times[-1] < t_final * (1.0 - 1e-12):
         times.append(t_final)
 
@@ -268,7 +272,7 @@ def evolve(
     slope = _aligned_empty(q0.size)
     work = _aligned_empty(q0.size)
     magnitude = np.empty(q0.size)
-    blow_limit = blow_up_factor * max(float(np.max(np.abs(q0))), 1e-30)
+    blow_limit = BLOW_UP_FACTOR * max(float(np.max(np.abs(q0))), 1e-30)
     left0, right0 = q0[1], q0[-2]
     left_drift = right_drift = 0.0
     snapshots: list[FieldSnapshot] = []
@@ -278,12 +282,6 @@ def evolve(
     try:
         for target in times:
             span = target - t
-            if span <= 0.0:
-                # duplicate or out-of-order request collapses onto current state
-                snapshots.append(
-                    FieldSnapshot(target, q.copy(), mirror_mass(q, h), left_drift, right_drift)
-                )
-                continue
             n_steps = max(1, int(math.ceil(span / dt - 1e-12)))
             dt_seg = span / n_steps
             # the rhs omits its factor i, so the stage and update coefficients
@@ -315,14 +313,14 @@ def evolve(
                     step_left = abs(q[1] - left0)
                     step_right = abs(q[-2] - right0)
                     # "not <=" also catches NaN reaching the boundary nodes
-                    if not (step_left <= drift_abort and step_right <= drift_abort):
+                    if not (step_left <= DRIFT_ABORT and step_right <= DRIFT_ABORT):
                         raise BoundaryDriftError(
                             f"edge drift {max(step_left, step_right):.3e} at "
                             f"t={t + (i + 1) * dt_seg:.6g}; enlarge the interval"
                         )
                     left_drift = max(left_drift, step_left)
                     right_drift = max(right_drift, step_right)
-                    if total_steps % check_every == 0:
+                    if total_steps % CHECK_EVERY == 0:
                         np.abs(q, out=magnitude)
                         peak = float(np.max(magnitude))
                         # "not <=" also catches NaN from a passed singularity

@@ -348,8 +348,10 @@ def _s_entries(k, left, right):
         raise DegenerateJostError(
             f"right Jost determinant dropped to {min_det:.3e} at k={k[worst]!r}"
         )
-    top = (right[1, 1] * left[0] - right[0, 1] * left[1]) / det
-    bottom = (-right[1, 0] * left[0] + right[0, 0] * left[1]) / det
+    # an overflow ends in a non-finite entry, which scattering_grid names
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = (right[1, 1] * left[0] - right[0, 1] * left[1]) / det
+        bottom = (-right[1, 0] * left[0] + right[0, 0] * left[1]) / det
     return top, bottom, min_det
 
 
@@ -365,10 +367,16 @@ def scattering_grid(profile: InitialProfile, k_grid: np.ndarray):
 
     Returns ``(a1, a2, b, diagnostics)`` where the diagnostics dict
     carries the worst unitarity and symmetry residuals over the grid.
+    Raises :class:`ScatteringError` naming the first node where a1, a2 or
+    b is not finite (a k_min so small that the sweep overflows).
     """
     k_grid = np.asarray(k_grid, dtype=float)
     _require_symmetric(k_grid)
     (a1, s12), (b, a2), min_det = _s_entries(k_grid, *jost_at_origin(profile, k_grid))
+    bad = ~(np.isfinite(a1) & np.isfinite(a2) & np.isfinite(b))
+    if bad.any():
+        node = float(k_grid[np.argmax(bad)])
+        raise ScatteringError(f"scattering coefficients are not finite at k = {node}")
     b_mirror = b[::-1]  # b(-k) on a symmetric grid
     unitarity = float(np.max(np.abs(a1 * a2 + b * np.conj(b_mirror) - 1.0)))
     sym_offdiag = float(np.max(np.abs(s12 + np.conj(b_mirror))))
@@ -717,58 +725,39 @@ class SpectralData:
 
 _SCHEMA = "spectral-data/1"
 
+# the saved SpectralData fields, in file order after the schema
+_SAVED_FIELDS = (
+    "amplitude", "k1", "case", "a2_at_zero", "a11", "a21", "profile_fingerprint",
+    "assumption2_limit", "unitarity_residual", "symmetry_residual", "k_grid", "a1", "a2", "b",
+)
 
-def _c2pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
+
+def _to_json(value):
+    """Complex values as ``[re, im]`` pairs, arrays as lists, anything else as is."""
+    if np.iscomplexobj(value):
+        return np.stack((np.real(value), np.imag(value)), axis=-1).tolist()
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def save_spectral_data(sd: SpectralData, path) -> None:
-    """Serialize to JSON with exact float round-trip."""
-    payload = {
-        "schema": _SCHEMA,
-        "amplitude": sd.amplitude,
-        "k1": sd.k1,
-        "case": sd.case.value,
-        "a2_at_zero": sd.a2_at_zero,
-        "a11": None if sd.a11 is None else _c2pair(sd.a11),
-        "a21": None if sd.a21 is None else _c2pair(sd.a21),
-        "profile_fingerprint": sd.profile_fingerprint,
-        "assumption2_limit": sd.assumption2_limit,
-        "unitarity_residual": sd.unitarity_residual,
-        "symmetry_residual": sd.symmetry_residual,
-        "k_grid": sd.k_grid.tolist(),
-        "a1": [_c2pair(z) for z in sd.a1],
-        "a2": [_c2pair(z) for z in sd.a2],
-        "b": [_c2pair(z) for z in sd.b],
-    }
+    """Serialize the :data:`_SAVED_FIELDS` to JSON with exact float round-trip."""
+    payload = {"schema": _SCHEMA}
+    payload.update((name, _to_json(getattr(sd, name))) for name in _SAVED_FIELDS)
     Path(path).write_text(json.dumps(payload), encoding="ascii")
 
 
 def load_spectral_data(path) -> SpectralData:
+    """Read back what :func:`save_spectral_data` wrote."""
     payload = json.loads(Path(path).read_text(encoding="ascii"))
     if payload.get("schema") != _SCHEMA:
         raise ValueError(f"unrecognized spectral data schema {payload.get('schema')!r}")
-
-    def pairs(name):
-        return np.array([complex(re, im) for re, im in payload[name]])
-
-    return SpectralData(
-        k_grid=np.array(payload["k_grid"], dtype=float),
-        a1=pairs("a1"),
-        a2=pairs("a2"),
-        b=pairs("b"),
-        amplitude=payload["amplitude"],
-        k1=payload["k1"],
-        case=CaseTag(payload["case"]),
-        a2_at_zero=payload["a2_at_zero"],
-        a11=None if payload["a11"] is None else complex(*payload["a11"]),
-        a21=None if payload["a21"] is None else complex(*payload["a21"]),
-        profile_fingerprint=payload["profile_fingerprint"],
-        assumption2_limit=payload["assumption2_limit"],
-        unitarity_residual=payload["unitarity_residual"],
-        symmetry_residual=payload["symmetry_residual"],
-    )
+    fields = {name: payload[name] for name in _SAVED_FIELDS}
+    for name in ("a11", "a21"):
+        if fields[name] is not None:
+            fields[name] = complex(*fields[name])
+    for name in ("a1", "a2", "b"):
+        fields[name] = np.array([complex(re, im) for re, im in fields[name]])
+    return SpectralData(**fields)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,8 +73,7 @@ DEGENERATE_REFLECTION = 1e-10
 # returned as exact zeros rather than denormals.
 _UNDERFLOW_LOG = -700.0
 
-# alpha edges separating the regimes with explicit correction terms from
-# the leading-only / bound-only regimes.
+# alpha edges of the branch table (see _branch)
 _EXPLICIT_EDGE = 2.0 / 3.0
 _REMAINDER_EDGE = 4.0 / 5.0
 
@@ -93,6 +92,7 @@ class PhaseLedger:
 
     The oscillation entry multiplies the fast power of t (it equals s * x**alpha
     on the wedge); all other terms vary on logarithmic scales only.
+    ``dataclasses.astuple`` gives the six coefficients in this order.
     """
 
     oscillation: float
@@ -101,9 +101,6 @@ class PhaseLedger:
     log_linear: float
     loglog: float
     constant: float
-
-    def vector(self) -> tuple[float, float, float, float, float, float]:
-        return astuple(self)
 
     def slow_phase(self, ln_4st: float) -> float:
         """Every term except the fast oscillation, at L = ln_4st."""
@@ -505,61 +502,70 @@ def _evaluate_term(
     return math.exp(magnitude_log) * cmath.exp(1j * phase)
 
 
-def predict_q(sd: SpectralData, point: WedgePoint) -> AsymptoticPrediction:
-    """Fully expanded prediction at one wedge point.
+def _branch(point: WedgePoint, case: CaseTag) -> tuple[str, ErrorOrder, ErrorOrder]:
+    """The paper's branch table: the expanded route's branch at ``point`` of
+    the small-k ``case``, its remainder O(t**e ln(t)**m) as (e, m), and the
+    exact route's remainder (a = alpha, p the power of :func:`_decay_law`)::
 
-    Each regime returns exactly the terms that are explicit for it: the
-    plateau term on the +x side, plus (for alpha below 2/3) the pair of
-    decaying correction terms; on the -x side the explicit mirror term for
-    alpha above 2/3, otherwise only a bound recorded in ``error_order``.
+        side  alpha       branch               expanded, I  expanded, II          exact
+        +x    < 1/2       explicit-correction  (p, -1/2)    (a/(a-2), 1)          (a/(a-2), 1)
+        +x    [1/2, 2/3)  explicit-correction  (p, -1/2)    ((1-a)/(a-2), 1)      (a/(a-2), 1)
+        +x    2/3         leading-only         ((1-a)/(a-2), 1) in both classes   (a/(a-2), 1)
+        +x    > 2/3       leading-only         ((1-a)/(a-2), 1) in both classes   (-1/2, 1/2)
+        -x    <= 2/3      bound-only           (1/(a-2), 1) in both classes       (1/(a-2), 1)
+        -x    (2/3, 4/5]  explicit-correction  (p, -1/2)    (1/(a-2), 1)          (1/(a-2), 1)
+        -x    > 4/5       explicit-correction  (p, -1/2)    ((6-5a)/(2a-4), 1/2)  the same
+
+    In class II the expanded -x remainder is the exact one, and so is the
+    +x one for alpha < 1/2.
     """
-    pc = phase_coefficients(sd, point.alpha, point.s)
     alpha = point.alpha
-    tag = sd.case.value
-    generic = sd.case is CaseTag.CASE_I
-    decay, prefactor = _decay_law(point.side, point, pc.h, 0.0)
+    plus = point.side is Side.PLUS_X
+    if plus and alpha > _EXPLICIT_EDGE:
+        exact = ErrorOrder(-0.5, 0.5)
+    elif plus:
+        exact = ErrorOrder(alpha / (alpha - 2.0), 1.0)
+    elif alpha > _REMAINDER_EDGE:
+        exact = ErrorOrder((6.0 - 5.0 * alpha) / (2.0 * alpha - 4.0), 0.5)
+    else:
+        exact = ErrorOrder(1.0 / (alpha - 2.0), 1.0)
+    plateau = ErrorOrder((1.0 - alpha) / (alpha - 2.0), 1.0)
+    if plus and not alpha < _EXPLICIT_EDGE:
+        return "leading-only", plateau, exact
+    if not plus and not alpha > _EXPLICIT_EDGE:
+        return "bound-only", exact, exact
+    if case is CaseTag.CASE_I:
+        p, _ = _decay_law(point.side, point, 0, 0.0)
+        return "explicit-correction", ErrorOrder(p, -0.5), exact
+    return "explicit-correction", plateau if plus and not alpha < 0.5 else exact, exact
+
+
+def predict_q(sd: SpectralData, point: WedgePoint) -> AsymptoticPrediction:
+    """Fully expanded prediction at one wedge point: the terms explicit in its
+    :func:`_branch`, with that branch's remainder in ``error_order``."""
+    pc = phase_coefficients(sd, point.alpha, point.s)
+    branch, error, _ = _branch(point, sd.case)
+    explicit = branch == "explicit-correction"
+    _, prefactor = _decay_law(point.side, point, pc.h, 0.0)
     if point.side is Side.PLUS_X:
         leading = amplitude_Q(sd) * cmath.exp(1j * pc.main.phase_at(point))
         ledger = pc.main
-        if alpha < _EXPLICIT_EDGE:
+        correction = 0j
+        if explicit:
             correction = _evaluate_term(
                 pc.amp_forward, pc.forward, point, prefactor
             ) + _evaluate_term(pc.amp_backward, pc.backward, point, prefactor)
-            regime = f"{tag}+x/explicit-correction"
-            if generic:
-                error = ErrorOrder(decay, -0.5)
-            elif alpha < 0.5:
-                error = ErrorOrder(alpha / (alpha - 2.0), 1.0)
-            else:
-                error = ErrorOrder((1.0 - alpha) / (alpha - 2.0), 1.0)
-        else:
-            correction = 0j
-            regime = f"{tag}+x/leading-only"
-            error = ErrorOrder((1.0 - alpha) / (alpha - 2.0), 1.0)
     else:
         leading = 0j
-        if alpha > _EXPLICIT_EDGE:
-            ledger = pc.forward
-            correction = _evaluate_term(pc.amp_mirror, ledger, point, prefactor)
-            regime = f"{tag}-x/explicit-correction"
-            if generic:
-                error = ErrorOrder(decay, -0.5)
-            elif alpha <= _REMAINDER_EDGE:
-                error = ErrorOrder(1.0 / (alpha - 2.0), 1.0)
-            else:
-                error = ErrorOrder((6.0 - 5.0 * alpha) / (2.0 * alpha - 4.0), 0.5)
-        else:
-            correction = 0j
-            ledger = _ZERO_LEDGER
-            regime = f"{tag}-x/bound-only"
-            error = ErrorOrder(1.0 / (alpha - 2.0), 1.0)
+        ledger = pc.forward if explicit else _ZERO_LEDGER
+        correction = _evaluate_term(pc.amp_mirror, ledger, point, prefactor) if explicit else 0j
     return AsymptoticPrediction(
         leading=leading,
         correction=correction,
         ledger=ledger,
         error_order=error,
         case=sd.case,
-        regime=regime,
+        regime=f"{sd.case.value}{point.side.value}/{branch}",
         point=point,
     )
 
@@ -591,7 +597,6 @@ def gen_as_predict(sd: SpectralData, point: WedgePoint) -> AsymptoticPrediction:
         decay = alpha / (2.0 * alpha - 4.0) * point.ln_t
         forward_term = pair.beta_tilde * cmath.exp(rotation + decay)
         backward_term = pair.gamma_tilde * cmath.exp(-rotation + decay)
-    tag = sd.case.value
     if point.side is Side.PLUS_X:
         leading = sd.amplitude * delta_sq
         correction = (
@@ -599,11 +604,6 @@ def gen_as_predict(sd: SpectralData, point: WedgePoint) -> AsymptoticPrediction:
             - 2.0 * sd.k1 / s * forward_term
         )
         ledger = pc.main
-        regime = f"{tag}+x/exact-route"
-        if alpha > _EXPLICIT_EDGE:
-            error = ErrorOrder(-0.5, 0.5)
-        else:
-            error = ErrorOrder(alpha / (alpha - 2.0), 1.0)
     else:
         leading = 0j
         correction = (
@@ -614,18 +614,13 @@ def gen_as_predict(sd: SpectralData, point: WedgePoint) -> AsymptoticPrediction:
             * backward_term.conjugate()
         )
         ledger = pc.forward
-        regime = f"{tag}-x/exact-route"
-        if alpha > _REMAINDER_EDGE:
-            error = ErrorOrder((6.0 - 5.0 * alpha) / (2.0 * alpha - 4.0), 0.5)
-        else:
-            error = ErrorOrder(1.0 / (alpha - 2.0), 1.0)
     return AsymptoticPrediction(
         leading=leading,
         correction=correction,
         ledger=ledger,
-        error_order=error,
+        error_order=_branch(point, sd.case)[2],
         case=sd.case,
-        regime=regime,
+        regime=f"{sd.case.value}{point.side.value}/exact-route",
         point=point,
     )
 

@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 import pytest
@@ -111,6 +110,7 @@ def test_load_config_synthetic_params(tmp_path):
         "[profile]\nkind = pure-step\n[output]\ndirectori = elsewhere\n",
         "[profile]\nkind = synthetic-case-i\namplitude = 1\n",
         "[profile]\nkind = smoothed-step\nd = 0.9\n",
+        "kind = pure-step\n[profile]\n",  # a key before any section
     ],
 )
 def test_load_config_rejections(tmp_path, body):
@@ -764,6 +764,20 @@ def test_cli_rejects_bad_numbers_as_config_errors(tmp_path, capsys, body, extra)
             [],
             "unknown config sections: ['tolerances']",
         ),
+        (
+            "predict",
+            "[wedge]\nt_ladder = 1e6, 1e4\n",
+            [],
+            "wedge.t_ladder must be strictly increasing",
+        ),
+        ("predict", "[wedge]\nalphas =\n", [], "wedge.alphas: empty list"),
+        (
+            "predict",
+            "[profile]\nk1 = 0.6\n",
+            [],
+            "cannot parse {ini}: While reading from {ini!r} [line  3]: "
+            "section 'profile' already exists",
+        ),
     ],
     ids=[
         "kgrid-k-max-inf",
@@ -775,6 +789,9 @@ def test_cli_rejects_bad_numbers_as_config_errors(tmp_path, capsys, body, extra)
         "pde-grid-oversized",
         "kgrid-oversized",
         "tolerances-section",
+        "wedge-t-ladder-decreasing",
+        "wedge-alphas-blank",
+        "profile-section-repeated",
     ],
 )
 def test_cli_rejects_non_finite_and_blank_values(
@@ -784,7 +801,7 @@ def test_cli_rejects_non_finite_and_blank_values(
     with pytest.raises(SystemExit) as err:
         main([command, "--config", str(ini), "--out", str(tmp_path / "out"), *extra])
     assert err.value.code == 2
-    assert f"config error: {message}\n" in capsys.readouterr().err
+    assert f"config error: {message.format(ini=ini)}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -818,28 +835,26 @@ def test_cli_rejects_bad_profiles_at_load(tmp_path, capsys, body, message):
 
 
 @pytest.mark.parametrize(
-    "body, message, quiet",
+    "body, message",
     [
         (
             "amplitude = 1e4\n[kgrid]\nn_per_sign = 40\n",
             "SmallKMismatchError: the k = 0 auxiliary route gives a non-finite a2(0) = nan",
-            True,
         ),
         (
             "[kgrid]\nn_per_sign = 40\nk_min = 1e-300\n",
-            "SmallKMismatchError: grid extrapolation gives a2(0) ~ 0",
-            False,
+            "ScatteringError: scattering coefficients are not finite at k = "
+            "-2.4244620170823408e-161",
         ),
     ],
     ids=["amplitude-1e4", "k-min-1e-300"],
 )
-def test_cli_reports_domain_errors_with_exit_3(tmp_path, capsys, body, message, quiet):
-    # the config is valid; the scattering stage finds data it cannot treat.
-    # A quiet case names its cause with no numpy RuntimeWarning before it.
+def test_cli_reports_domain_errors_with_exit_3(tmp_path, capsys, body, message):
+    # the config is valid; the scattering stage finds data it cannot treat
+    # and names its cause with no numpy RuntimeWarning before it (the suite
+    # turns every RuntimeWarning into an error)
     ini = _write(tmp_path, "[profile]\nkind = smoothed-step\n" + body)
-    with pytest.raises(SystemExit) as err, warnings.catch_warnings():
-        if quiet:
-            warnings.simplefilter("error", RuntimeWarning)
+    with pytest.raises(SystemExit) as err:
         main(["predict", "--config", str(ini), "--out", str(tmp_path / "out")])
     assert err.value.code == 3
     assert f"error: {message}" in capsys.readouterr().err

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from nnlswedge import pde
 from nnlswedge.pde import (
     BoundaryDriftError,
     FieldBlowUpError,
@@ -129,7 +130,7 @@ def _textbook_rk4(q0, grid, dt, snapshot_times):
     return states
 
 
-def test_stepper_matches_textbook_rk4(grid20):
+def test_stepper_matches_textbook_rk4(grid20, monkeypatch):
     # a step between two different nonzero levels with an off-centre
     # complex bump: no mirror symmetry, so the conj(q(-x)) coupling, the
     # ghost nodes on both sides and both pins all enter the result
@@ -141,7 +142,8 @@ def test_stepper_matches_textbook_rk4(grid20):
         + 0.3 * np.exp(0.4j) * np.exp(-((x - 2.0) ** 2))
     )
     times = (0.05, 0.1)
-    res = evolve(q0, grid20, 0.1, dt=0.004, snapshot_times=times, drift_abort=1.0)
+    monkeypatch.setattr(pde, "DRIFT_ABORT", 1.0)
+    res = evolve(q0, grid20, 0.1, dt=0.004, snapshot_times=times)
     oracle = _textbook_rk4(q0, grid20, 0.004, times)
     for snap, want in zip(res.snapshots, oracle):
         assert np.max(np.abs(snap.q - want)) <= 1e-12
@@ -158,26 +160,30 @@ def test_stepper_buffers_are_cache_line_aligned():
             assert buf[lead:].ctypes.data % 64 == 0
 
 
-def test_blow_up_guard_catches_the_pole(grid20):
+def test_blow_up_guard_catches_the_pole(grid20, monkeypatch):
     # with carrier phase pi the exact solution has a finite-time pole at
     # (x, t) = (0, pi); the magnitude guard must abort on approach
+    monkeypatch.setattr(pde, "BLOW_UP_FACTOR", 3.0)
+    monkeypatch.setattr(pde, "CHECK_EVERY", 5)
     with pytest.raises(FieldBlowUpError):
-        evolve(_soliton0, grid20, 3.0, blow_up_factor=3.0, check_every=5)
+        evolve(_soliton0, grid20, 3.0)
 
 
-def test_boundary_drift_guard(grid20):
+def test_boundary_drift_guard(grid20, monkeypatch):
+    monkeypatch.setattr(pde, "DRIFT_ABORT", 1e-10)
     with pytest.raises(BoundaryDriftError) as err:
-        evolve(_soliton0, grid20, 0.5, drift_abort=1e-10)
+        evolve(_soliton0, grid20, 0.5)
     partial = err.value.partial
     assert partial.snapshots == () and 0 < partial.steps * partial.dt < 0.5
 
 
-def test_abort_keeps_the_snapshots_landed_before_it(grid20):
+def test_abort_keeps_the_snapshots_landed_before_it(grid20, monkeypatch):
     # |q| passes 3 max|q0| near t = 2.81, inside the 2.5 -> 3 segment; the
     # partial run keeps every earlier snapshot and counts every step taken
     times = (1.0, 2.0, 2.5, 3.0)
+    monkeypatch.setattr(pde, "BLOW_UP_FACTOR", 3.0)
     with pytest.raises(FieldBlowUpError) as err:
-        evolve(_soliton0, grid20, 3.0, snapshot_times=times, blow_up_factor=3.0)
+        evolve(_soliton0, grid20, 3.0, snapshot_times=times)
     partial = err.value.partial
     assert [s.t for s in partial.snapshots] == [1.0, 2.0, 2.5]
     abort_t = float(re.search(r"at t=(\S+)$", str(err.value)).group(1))
@@ -195,7 +201,7 @@ def test_singularity_aborts_instead_of_returning_nan():
     # a silent return full of NaN is the regression this pins down
     fine = symmetric_grid(16.0, 0.05)
     with pytest.raises(FieldBlowUpError, match="reached nan"):
-        evolve(_soliton0, fine, 3.5, check_every=25)
+        evolve(_soliton0, fine, 3.5)
 
 
 def test_evolve_validation(grid20):
@@ -207,6 +213,8 @@ def test_evolve_validation(grid20):
         evolve(_soliton0, grid20, 0.5, dt=STABLE_DT_FACTOR * 0.1**2 * 1.5)
     with pytest.raises(ValueError):
         evolve(_soliton0, grid20, 0.5, snapshot_times=(0.7,))  # past t_final
+    with pytest.raises(ValueError, match="must not repeat"):
+        evolve(_soliton0, grid20, 0.5, snapshot_times=(0.2, 0.1, 0.2))
 
 
 def test_final_state_always_snapshotted(grid20):

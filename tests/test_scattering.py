@@ -10,6 +10,7 @@ Oracles used here:
 * the synthetic rational families satisfy unitarity identically.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from nnlswedge.scattering import (
     RootBracketError,
     SmallKData,
     SmallKMismatchError,
+    SpectralData,
     check_assumption2,
     classify_case,
     compute_spectral_data,
@@ -560,17 +562,20 @@ def test_reflection_coefficients_on_synthetic():
 
 
 def test_json_round_trip(tmp_path, sd_smoothed):
-    path = tmp_path / "sd.json"
-    save_spectral_data(sd_smoothed, path)
-    back = load_spectral_data(path)
-    assert np.array_equal(back.k_grid, sd_smoothed.k_grid)
-    assert np.array_equal(back.a1, sd_smoothed.a1)
-    assert np.array_equal(back.a2, sd_smoothed.a2)
-    assert np.array_equal(back.b, sd_smoothed.b)
-    assert back.k1 == sd_smoothed.k1
-    assert back.a2_at_zero == sd_smoothed.a2_at_zero
-    assert back.case is sd_smoothed.case
-    assert back.profile_fingerprint == sd_smoothed.profile_fingerprint
+    # case I from the solver, and case II with a11/a21 set and a2_at_zero null
+    path, again = tmp_path / "sd.json", tmp_path / "again.json"
+    for sd in (sd_smoothed, synthetic_case_ii()):
+        save_spectral_data(sd, path)
+        back = load_spectral_data(path)
+        for field in dataclasses.fields(SpectralData):
+            want, got = getattr(sd, field.name), getattr(back, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+            else:
+                assert type(got) is type(want) and got == want, field.name
+        assert json.loads(path.read_text(encoding="ascii"))["a2_at_zero"] == sd.a2_at_zero
+        save_spectral_data(back, again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_cache_hit(tmp_path):
@@ -596,7 +601,10 @@ def test_cache_miss_on_other_grid(tmp_path):
     assert load_spectral_data(path).k_grid.size == 800
 
 
-@pytest.mark.parametrize("content", ['{"schema": "spectral-data/0"}', "not json"])
+@pytest.mark.parametrize(
+    "content",
+    ['{"schema": "spectral-data/0"}', "not json", '{"schema": "spectral-data/1"}', "[1, 2]"],
+)
 def test_unreadable_cache_is_a_miss(tmp_path, content):
     p = InitialProfile(ProfileKind.PURE_STEP, amplitude=1.0)
     path = tmp_path / "cache.json"

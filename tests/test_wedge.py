@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -162,7 +163,7 @@ def test_phase_ledger_term_arithmetic():
         + 0.75
     )
     assert ledger.slow_phase(big_l) == pytest.approx(expected, rel=1e-15)
-    assert ledger.vector() == (0.0, -0.25, 0.125, 2.0, -1.5, 0.75)
+    assert astuple(ledger) == (0.0, -0.25, 0.125, 2.0, -1.5, 0.75)
     with pytest.raises(ValueError):
         ledger.slow_phase(0.0)
 
@@ -258,7 +259,7 @@ def test_ledgers_match_per_class_tables(cell):
     pc = phase_coefficients(sd, alpha, s)
     reference = _reference_ledgers(sd, alpha, s)
     for ledger, expected in zip((pc.main, pc.tilt, pc.forward, pc.backward), reference):
-        for got, want in zip(ledger.vector(), expected.vector()):
+        for got, want in zip(astuple(ledger), astuple(expected)):
             assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
 
@@ -521,7 +522,7 @@ def test_prediction_ledger_selection(sd_i):
 
     bound = predict_q(sd_i, wedge_point(0.5, 1.0, 1.0e6, Side.MINUS_X))
     assert bound.total == 0j
-    assert bound.ledger.vector() == (0.0,) * 6
+    assert astuple(bound.ledger) == (0.0,) * 6
 
 
 def test_leading_phase_tracks_exact_route(sd_i):
