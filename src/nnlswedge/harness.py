@@ -85,6 +85,12 @@ _MAX_K_PER_SIGN = 10**6
 # budget, ~17x that, allows about half a minute of sweeping.
 _MAX_SWEEP_WORK = 2.5e8
 
+# Largest evolution accepted by ``compare``, in grid nodes times RK4 steps to
+# the last ladder time.  The stepper runs 1.7-2.4e7 node-steps per second
+# (2-vCPU host), so the budget allows 7 to 10 minutes; the soliton bench
+# config needs 3,201 nodes x 14,000 steps = 4.5e7.
+_MAX_EVOLVE_WORK = 1e10
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
@@ -485,6 +491,15 @@ def _validate_compare_geometry(cfg: ExperimentConfig) -> None:
     if w.t_ladder and w.t_ladder[-1] > p.t_final * (1.0 + 1e-12):
         raise ConfigError(
             f"wedge ladder reaches t={w.t_ladder[-1]:g} beyond pde.t_final={p.t_final:g}"
+        )
+    grid = symmetric_grid(p.half_width, p.step)
+    steps = w.t_ladder[-1] / resolve_dt(grid, p.dt)
+    steps = math.ceil(steps) if math.isfinite(steps) else steps  # a tiny dt overflows
+    if grid.size * steps > _MAX_EVOLVE_WORK:
+        raise ConfigError(
+            f"pde: the evolution would take {grid.size} nodes x {steps:.0f} steps "
+            f"= {grid.size * steps:.3g}, over the budget of {_MAX_EVOLVE_WORK:.3g}; "
+            "lower half_width, t_ladder or the grid resolution"
         )
     clearance = 4.0 * max(cfg.profile.width, 1.0)
     xi_edge = _WINDOW_FRACTION * cfg.kgrid_max

@@ -327,6 +327,7 @@ class PhaseTracker:
         coef, *_ = np.linalg.lstsq(basis, l_fit, rcond=None)
         self._tail_coef = coef
         self.tail_residual = float(np.max(np.abs(basis @ coef - l_fit)))
+        self._chi_values: dict[tuple[float, float, float, float], complex] = {}
 
     # -- elementary evaluations ----------------------------------------------
 
@@ -411,7 +412,21 @@ class PhaseTracker:
         return -self._log_w_tracked(1.0 + r1 * r2, -point.xi) / _TWO_PI
 
     def chi_hat(self, z: float, point: WedgePoint) -> complex:
-        """Direct quadrature of the log-kernel functional at height z >= -s."""
+        """Direct quadrature of the log-kernel functional at height z >= -s.
+
+        Each value is kept in a dict on the tracker keyed by
+        ``(z, alpha, s, ln_t)``, everything the integral reads; the side is
+        not in the key because it never enters, so the +x and -x cells of
+        one wedge rung share their quadratures.  Only returned values are
+        stored: a call that raises stores nothing and raises again when
+        repeated.  The dict lives as long as the tracker, hence as long as
+        its data (:func:`tracker_for`), and grows with the distinct rungs
+        asked for, as the output rows do.
+        """
+        key = (z, point.alpha, point.s, point.ln_t)
+        value = self._chi_values.get(key)
+        if value is not None:
+            return value
         alpha, s = point.alpha, point.s
         ln_xi, ln_x = point.ln_xi, point.ln_x
         xi = point.xi
@@ -453,7 +468,8 @@ class PhaseTracker:
             atol=1e-10, rtol=1e-9, max_subdivisions=600, singularity=kind
         )
         mid = quad(integrand, lo, hi, spec).value
-        return scale_term + 1j / _TWO_PI * (tail - mid)
+        value = self._chi_values[key] = scale_term + 1j / _TWO_PI * (tail - mid)
+        return value
 
     # -- cached constants --------------------------------------------------------
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from nnlswedge.harness import (
     _CONFIG_KEYS,
+    _MAX_EVOLVE_WORK,
     _MAX_SWEEP_WORK,
     ConfigError,
     _validate_compare_geometry,
@@ -958,6 +959,62 @@ def test_sweep_budget_counts_the_layout(tmp_path):
     steps = _step_count(cfg.profile, cfg.kgrid_max)
     assert steps == _step_edges(cfg.profile, cfg.kgrid_max).size - 1 == 17_826
     assert steps * 2 * cfg.kgrid_n <= _MAX_SWEEP_WORK
+
+
+def test_evolution_budget_refuses_a_days_long_compare(tmp_path):
+    # 800,001 nodes x 1e7 RK4 steps = 8e12 node-steps, days of stepping:
+    # refused before any sweep or step
+    body = (
+        "[profile]\nkind = smoothed-step\n[wedge]\nt_ladder = 1e4\n"
+        "[pde]\nhalf_width = 20000\nstep = 0.05\nt_final = 1e4\n"
+    )
+    cfg = load_config(_write(tmp_path, body), out_dir=tmp_path / "out")
+    with pytest.raises(
+        ConfigError,
+        match=r"800001 nodes x 10000000 steps = 8e\+12, over the budget of 1e\+10",
+    ):
+        cmd_compare(cfg)
+    assert not (tmp_path / "out" / "spectra.json").exists()
+    # the count honours [pde] dt: the bench soliton at dt = 1e-8
+    soliton = (_REPO / "bench" / "configs" / "soliton.ini").read_text(encoding="ascii")
+    cfg = load_config(_write(tmp_path, soliton + "dt = 1e-8\n"), out_dir=tmp_path / "out")
+    with pytest.raises(ConfigError, match=r"3201 nodes x 350000000 steps"):
+        _validate_compare_geometry(cfg)
+
+
+@pytest.mark.parametrize(
+    "pde, t_ladder",
+    [
+        # the tier-1 compare runs
+        ("half_width = 16\nstep = 0.05\nt_final = 3\n", "2, 2.5, 3"),
+        ("half_width = 16\nstep = 0.05\nt_final = 4\n", "3, 4"),
+        ("half_width = 16\nstep = 0.1\nt_final = 3\n", "3"),
+        # the bench soliton's grid and ladder: 3,201 nodes x 14,000 steps
+        ("half_width = 40\nstep = 0.025\nt_final = 3.5\n", "1.5, 2, 2.5, 3, 3.5"),
+    ],
+)
+def test_evolution_budget_keeps_the_tier1_and_bench_compares(tmp_path, pde, t_ladder):
+    body = (
+        "[profile]\nkind = soliton-snapshot\nphase = 3.141592653589793\n"
+        f"[wedge]\nalphas = 0.75\nt_ladder = {t_ladder}\n[pde]\n{pde}"
+    )
+    cfg = load_config(_write(tmp_path, body), out_dir=tmp_path / "out")
+    _validate_compare_geometry(cfg)
+    grid = harness.symmetric_grid(cfg.pde.half_width, cfg.pde.step)
+    steps = math.ceil(cfg.wedge.t_ladder[-1] / harness.resolve_dt(grid, cfg.pde.dt))
+    assert grid.size * steps <= 4.5e7 < _MAX_EVOLVE_WORK
+
+
+def test_evolution_budget_leaves_predict_alone(tmp_path):
+    # predict never evolves: a [pde] section whose evolution to the default
+    # ladder's t = 1e8 would be far over the budget changes nothing
+    ini = _write(
+        tmp_path,
+        "[profile]\nkind = synthetic-case-i\n[wedge]\nalphas = 0.75\n"
+        "[pde]\nhalf_width = 40\nt_final = 1e8\n",
+    )
+    assert load_config(ini).wedge.t_ladder == (1e4, 1e6, 1e8)
+    assert main(["predict", "--config", str(ini), "--out", str(tmp_path / "out")]) == 0
 
 
 def _readme_minimal_config() -> str:

@@ -52,7 +52,7 @@ from nnlswedge.scattering import (
     synthetic_case_i,
     synthetic_case_ii,
 )
-from nnlswedge.specfun import QuadratureSpec, Singularity, quad
+from nnlswedge.specfun import QuadratureError, QuadratureSpec, Singularity, quad
 from nnlswedge.wedge import phase_coefficients
 
 # Frozen oracle values (30-digit arbitrary-precision quadrature against
@@ -535,11 +535,94 @@ def test_tracker_cache(sd_pure_a1):
 
 def test_tracker_is_freed_with_its_data():
     sd = synthetic_case_i()
+    # with values in its chi_hat dict, too
+    tracker_for(sd).chi_hat(0.0, _point(0.75, 1.0, 1.0e6))
+    assert tracker_for(sd)._chi_values
     tracker = weakref.ref(tracker_for(sd))
     assert tracker() is tracker_for(sd)
     del sd
     gc.collect()
     assert tracker() is None
+
+
+# ---------------------------------------------------------------------------
+# chi_hat's per-tracker values: shared across sides, never across requests
+# ---------------------------------------------------------------------------
+
+_CHI_DATA = ["sd_smoothed", "sd_pure_a1", "sd_synth_i", "sd_synth_ii"]
+
+
+def _bits(value: complex) -> tuple[str, str]:
+    return value.real.hex(), value.imag.hex()
+
+
+def _counting_quad(monkeypatch) -> list:
+    """Make phases log the interval of every quadrature it runs."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(phases, "quad", counted)
+    return calls
+
+
+@pytest.mark.parametrize("data", _CHI_DATA)
+def test_chi_hat_values_are_shared_by_the_two_sides(request, monkeypatch, data):
+    sd = request.getfixturevalue(data)
+    plus = wedge_point(0.75, 1.0, 1.0e6, Side.PLUS_X)
+    minus = dataclasses.replace(plus, side=Side.MINUS_X)
+    tracker = PhaseTracker(sd)
+    calls = _counting_quad(monkeypatch)
+    for z in (0.0, -plus.s):
+        fresh = PhaseTracker(sd).chi_hat(z, plus)
+        before = len(calls)
+        value = tracker.chi_hat(z, minus)
+        assert _bits(value) == _bits(fresh)
+        assert len(calls) == before + 1
+        # a repeat, on either side, is the stored value and no quadrature
+        assert tracker.chi_hat(z, minus) is value
+        assert tracker.chi_hat(z, plus) is value
+        assert len(calls) == before + 1
+
+
+@pytest.mark.parametrize("data", _CHI_DATA)
+def test_chi_hat_neighbours_get_their_own_values(request, monkeypatch, data):
+    # a request that differs in one key field by as little as one ulp is
+    # integrated afresh, and gets exactly what a fresh tracker gives it
+    sd = request.getfixturevalue(data)
+    point = wedge_point(0.75, 1.0, 1.0e6, Side.MINUS_X)
+    tracker = PhaseTracker(sd)
+    tracker.chi_hat(0.0, point)
+    tracker.chi_hat(-point.s, point)
+    later_ln_t = dataclasses.replace(point, ln_t=math.nextafter(point.ln_t, math.inf))
+    other_s = dataclasses.replace(point, s=1.5)
+    calls = _counting_quad(monkeypatch)
+    for z, neighbour in [
+        (0.0, later_ln_t),
+        (-point.s, later_ln_t),
+        (0.0, other_s),
+        (-other_s.s, other_s),
+        (0.25, point),
+        (math.nextafter(0.0, 1.0), point),
+    ]:
+        before = len(calls)
+        fresh = PhaseTracker(sd).chi_hat(z, neighbour)
+        assert _bits(tracker.chi_hat(z, neighbour)) == _bits(fresh)
+        assert len(calls) == before + 2
+
+
+def test_chi_hat_stores_nothing_when_it_raises(sd_smoothed):
+    tracker = PhaseTracker(sd_smoothed)
+    outside = wedge_point(0.9, 100.0, 2.0)  # xi = 54.5, beyond half the window
+    # the bench's smoothed-step cell whose origin quadrature runs out of panels
+    stuck = wedge_point(0.75, 5.0, 1.0e4, Side.MINUS_X)
+    for point, error in [(outside, ValueError), (stuck, QuadratureError)]:
+        for _ in range(2):
+            with pytest.raises(error):
+                tracker.chi_hat(0.0, point)
+            assert tracker._chi_values == {}
 
 
 # ---------------------------------------------------------------------------
