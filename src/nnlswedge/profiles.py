@@ -15,7 +15,6 @@ need.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -179,6 +178,8 @@ def soliton_exact(amplitude: float, phase: float, x, t) -> np.ndarray:
 
 
 def fingerprint(profile: InitialProfile) -> str:
-    """Stable hex digest identifying the profile (used for cache keys)."""
-    payload = json.dumps(profile.describe(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+    """Canonical JSON of ``profile.describe()`` identifying the profile
+    (used for cache keys).  The description itself, not a digest of it:
+    two profiles share a fingerprint only if they describe alike, and no
+    hash library (OpenSSL) is loaded for it."""
+    return json.dumps(profile.describe(), sort_keys=True, separators=(",", ":"))

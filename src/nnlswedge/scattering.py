@@ -366,7 +366,10 @@ def scattering_grid(profile: InitialProfile, k_grid: np.ndarray):
     """Scattering coefficients on a symmetric grid.
 
     Returns ``(a1, a2, b, diagnostics)`` where the diagnostics dict
-    carries the worst unitarity and symmetry residuals over the grid.
+    carries the worst unitarity and symmetry residuals over the grid.  The
+    unitarity residual |a1 a2 + b conj(b(-k)) - 1| is given absolute and,
+    as ``unitarity_residual_rel``, relative to the larger of its two terms,
+    which grow like 1/k**2 at small k.
     Raises :class:`ScatteringError` naming the first node where a1, a2 or
     b is not finite (a k_min so small that the sweep overflows).
     """
@@ -378,12 +381,15 @@ def scattering_grid(profile: InitialProfile, k_grid: np.ndarray):
         node = float(k_grid[np.argmax(bad)])
         raise ScatteringError(f"scattering coefficients are not finite at k = {node}")
     b_mirror = b[::-1]  # b(-k) on a symmetric grid
-    unitarity = float(np.max(np.abs(a1 * a2 + b * np.conj(b_mirror) - 1.0)))
+    product, reflected = a1 * a2, b * np.conj(b_mirror)
+    residual = np.abs(product + reflected - 1.0)
+    scale = np.maximum(np.abs(product), np.abs(reflected))
     sym_offdiag = float(np.max(np.abs(s12 + np.conj(b_mirror))))
     sym_a1 = float(np.max(np.abs(np.conj(a1[::-1]) - a1)))
     sym_a2 = float(np.max(np.abs(np.conj(a2[::-1]) - a2)))
     diagnostics = {
-        "unitarity_residual": unitarity,
+        "unitarity_residual": float(np.max(residual)),
+        "unitarity_residual_rel": float(np.max(residual / scale)),
         "symmetry_residual": max(sym_offdiag, sym_a1, sym_a2),
         "min_det_right": min_det,
     }
@@ -801,9 +807,10 @@ def compute_spectral_data(
             ):
                 return sd
     a1, a2, b, diag = scattering_grid(profile, k_grid)
-    if diag["unitarity_residual"] > 1e-6:
+    if diag["unitarity_residual_rel"] > 1e-6:
         warnings.warn(
-            f"unitarity residual {diag['unitarity_residual']:.2e} exceeds 1e-6; "
+            f"relative unitarity residual {diag['unitarity_residual_rel']:.2e} "
+            "exceeds 1e-6; "
             "scattering data may be under-resolved",
             stacklevel=2,
         )

@@ -4,8 +4,9 @@ This module provides an adaptive complex-valued Gauss--Kronrod (G7/K15)
 integrator on finite intervals, with explicit support for an integrable
 logarithmic singularity at the left endpoint.
 
-All integrands passed to :func:`quad` must accept numpy arrays and
-return arrays of the same shape (real or complex).
+All integrands passed to :func:`quad` must be elementwise: they take a
+one-dimensional numpy array of points and return an array of the same
+shape (real or complex), each value depending on its own point only.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ _WG = np.array(
 # Full 15-point node/weight tables on [-1, 1], ordered left to right.
 _NODES = np.concatenate((-_XK[:7], _XK[::-1]))
 _WEIGHTS_K = np.concatenate((_WK[:7], _WK[::-1]))
-_GAUSS_IDX = np.arange(1, 15, 2)  # positions of the embedded Gauss-7 nodes
+_GAUSS_IDX = slice(1, 15, 2)  # positions of the embedded Gauss-7 nodes
 _WEIGHTS_G = np.concatenate((_WG[:3], _WG[::-1]))
 
 # Exponential substitution window for the log-singular endpoint: the
@@ -123,22 +124,37 @@ class QuadratureError(DomainError, RuntimeError):
     """Raised when the subdivision budget is exhausted before converging."""
 
 
-def _gk15(f, a: float, b: float):
-    """One Gauss-Kronrod 7/15 panel on [a, b]: (K15 value, |K15-G7|)."""
+def _gk15(f, a, b):
+    """Gauss-Kronrod 7/15 on each panel [a[i], b[i]], all in one call of
+    ``f``: (K15 values, |K15-G7|), one entry per panel."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x = mid + half * _NODES
-    y = np.asarray(f(x))
-    val_k = half * np.sum(_WEIGHTS_K * y)
-    val_g = half * np.sum(_WEIGHTS_G * y[_GAUSS_IDX])
-    return val_k, abs(val_k - val_g)
+    x = mid[:, None] + half[:, None] * _NODES
+    y = np.asarray(f(x.ravel())).reshape(x.shape)
+    # Each row's products are contiguous, so numpy sums a row as it sums a
+    # single panel's nodes (a column-wise order would round otherwise), and
+    # hypot rounds as the scalar abs does, which np.abs of a complex array
+    # need not: the values equal those of one panel at a time, bit for bit.
+    val_k = half * np.sum(_WEIGHTS_K * y, axis=1)
+    val_g = half * np.sum(_WEIGHTS_G * y[:, _GAUSS_IDX], axis=1)
+    diff = val_k - val_g
+    return val_k, np.hypot(diff.real, diff.imag)
 
 
 def _adaptive(f, a: float, b: float, spec: QuadratureSpec) -> QuadResult:
-    """Globally adaptive bisection driven by the worst-panel error."""
-    val, err = _gk15(f, a, b)
+    """Globally adaptive bisection driven by the worst-panel error.
+
+    Each integrand call bisects the worst panel and, speculatively, the
+    panel then at the heap top; that panel's children wait in ``ahead``
+    until it is popped.  Panels are popped and split in the order of a
+    one-panel-per-call loop, so totals, errors and subdivision counts are
+    those of that loop; ``evaluations`` counts every point evaluated.
+    """
+    vals, errs = _gk15(f, np.array([a]), np.array([b]))
+    val, err = vals[0], errs[0]
     # heap of (-err, panel id, a, b, value, err); ids break ties
     heap = [(-err, 0, a, b, val, err)]
+    ahead = {}  # (a, b) of a heap panel -> its children's (values, errors)
     total = val
     total_err = err
     evals = 15
@@ -161,11 +177,24 @@ def _adaptive(f, a: float, b: float, spec: QuadratureSpec) -> QuadResult:
                 f"panel [{pa!r}, {pb!r}] collapsed below floating-point "
                 "resolution; integrand is too singular for this rule"
             )
-        vl, el = _gk15(f, pa, pm)
-        vr, er = _gk15(f, pm, pb)
+        children = ahead.pop((pa, pb), None)
+        if children is None:
+            lo, hi = [pa, pm], [pm, pb]
+            if heap:
+                qa, qb = heap[0][2], heap[0][3]
+                qm = 0.5 * (qa + qb)
+                # a panel that would collapse raises when popped, not here
+                if (qa, qb) not in ahead and qa < qm < qb:
+                    lo += [qa, qm]
+                    hi += [qm, qb]
+            vals, errs = _gk15(f, np.array(lo), np.array(hi))
+            evals += 15 * len(lo)
+            if len(lo) == 4:
+                ahead[(qa, qb)] = (vals[2:], errs[2:])
+            children = (vals[:2], errs[:2])
+        (vl, vr), (el, er) = children
         total += (vl + vr) - pval
         total_err += (el + er) - perr
-        evals += 30
         splits += 1
         heapq.heappush(heap, (-el, next_id, pa, pm, vl, el))
         heapq.heappush(heap, (-er, next_id + 1, pm, pb, vr, er))
@@ -178,6 +207,12 @@ def quad(f, a: float, b: float, spec: QuadratureSpec | None = None) -> QuadResul
     With ``singularity = LOG_AT_LEFT_END`` the substitution
     ``zeta = a + (b-a) e^w`` renders an integrable ``log(zeta - a)``
     endpoint singularity smooth.  A non-finite endpoint raises ValueError.
+
+    ``f`` must be elementwise.  It is called on batches of up to 60 points:
+    the Gauss-Kronrod nodes of the children of the panel being split and,
+    speculatively, of the panel next in line, which the loop may never
+    split.  So ``f`` sees points whose values are never used, and
+    ``QuadResult.evaluations`` counts them too.
 
     Returns a :class:`QuadResult`; raises :class:`QuadratureError` if the
     subdivision budget is exhausted.

@@ -314,11 +314,11 @@ def test_scatter_synthetic_honours_kgrid(tmp_path):
     assert len(load_spectral_data(cache).k_grid) == 120
 
 
-def _scipy_modules_after(script):
+def _modules_after(script, top="scipy"):
     """Run ``script`` in a fresh interpreter with ``src`` on the path; return
-    its last stdout line with the sorted ``scipy*`` modules it loaded
-    appended."""
-    script += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    its last stdout line with the sorted modules under the top-level name
+    ``top`` that it loaded appended."""
+    script += f"\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == {top!r}))\n"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_REPO / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -338,7 +338,29 @@ def test_scatter_loads_no_scipy(tmp_path):
     )
     argv = ["scatter", "--config", str(ini), "--out", str(tmp_path / "out")]
     script = f"import nnlswedge.harness as harness\nprint(harness.main({argv!r}), end=' ')"
-    assert _scipy_modules_after(script) == "0 []"
+    assert _modules_after(script) == "0 []"
+
+
+def test_no_subcommand_loads_openssl(tmp_path):
+    # the cache fingerprint is the profile's canonical JSON, not a digest,
+    # so no subcommand imports hashlib and with it OpenSSL's _hashlib
+    ini = _write(
+        tmp_path,
+        "[profile]\nkind = pure-step\namplitude = 1.0\n"
+        "[kgrid]\nn_per_sign = 16\nk_min = 1e-2\nk_max = 40\n"
+        "[wedge]\nalphas = 0.5\ns_values = 1.0\nt_ladder = 1.5, 2\n"
+        "[pde]\nhalf_width = 8\nstep = 0.1\nt_final = 2\n"
+        "[match]\nhold_product = 2.0\n",
+    )
+    argvs = [
+        [command, "--config", str(ini), "--out", str(tmp_path / "out")]
+        for command in ("scatter", "predict", "compare", "match")
+    ]
+    script = (
+        "import nnlswedge.harness as harness\n"
+        f"print(*[harness.main(argv) for argv in {argvs!r}], end=' ')"
+    )
+    assert _modules_after(script, top="_hashlib") == "0 0 0 0 []"
 
 
 def test_reflectionless_compare_loads_no_scipy(tmp_path):
@@ -355,7 +377,7 @@ def test_reflectionless_compare_loads_no_scipy(tmp_path):
     )
     argv = ["compare", "--config", str(ini), "--out", str(tmp_path / "out")]
     script = f"import nnlswedge.harness as harness\nprint(harness.main({argv!r}), end=' ')"
-    assert _scipy_modules_after(script) == "0 []"
+    assert _modules_after(script) == "0 []"
 
 
 def test_phase_tracker_loads_no_scipy():
@@ -365,7 +387,7 @@ def test_phase_tracker_loads_no_scipy():
         "value = PhaseTracker(synthetic_case_i()).chi_hat(0.0, wedge_point(0.5, 1.0, 1e4))\n"
         "print(int(value == value), end=' ')"
     )
-    assert _scipy_modules_after(script) == "1 []"
+    assert _modules_after(script) == "1 []"
 
 
 @pytest.mark.parametrize(
@@ -385,7 +407,7 @@ def test_reflecting_predict_and_match_load_no_scipy(tmp_path, profile):
         "import nnlswedge.harness as harness\n"
         f"print(*[harness.main(argv) for argv in {argvs!r}], end=' ')"
     )
-    assert _scipy_modules_after(script) == "0 0 []"
+    assert _modules_after(script) == "0 0 []"
 
 
 def test_package_never_imports_scipy():

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,40 @@ def test_soliton_grid_matches_closed_form(sd_soliton):
     assert np.max(np.abs(sd_soliton.a1 - a1x) / np.abs(a1x)) < 1e-7
     assert np.max(np.abs(sd_soliton.a2 - a2x)) < 1e-9
     assert np.max(np.abs(sd_soliton.b)) < 1e-6
+
+
+def test_fine_small_k_grid_is_not_flagged_as_under_resolved(monkeypatch):
+    # the absolute unitarity residual grows like 1/k**2 (7e-3 at k_min =
+    # 1e-7); relative to the larger term it stays at round-off, and only the
+    # relative value can warn
+    seen = []
+    grid = scattering.scattering_grid
+
+    def recorded(*args):
+        seen.append(grid(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(scattering, "scattering_grid", recorded)
+    k = default_k_grid(n_per_sign=40, k_min=1e-7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sd = compute_spectral_data(InitialProfile(ProfileKind.SMOOTHED_STEP), k)
+    diag = seen[0][3]
+    assert diag["unitarity_residual_rel"] <= 1e-12
+    assert sd.unitarity_residual == diag["unitarity_residual"] > 1e-6
+
+
+def test_relative_unitarity_residual_warns(monkeypatch):
+    k = default_k_grid(n_per_sign=40, k_min=1e-2, k_max=40.0)
+    a1, a2, b = pure_step_exact(1.0, k)
+    diagnostics = {
+        "unitarity_residual": 0.0,
+        "unitarity_residual_rel": 2e-6,
+        "symmetry_residual": 0.0,
+    }
+    monkeypatch.setattr(scattering, "scattering_grid", lambda *_: (a1, a2, b, diagnostics))
+    with pytest.warns(UserWarning, match="relative unitarity residual 2.00e-06 exceeds 1e-6"):
+        compute_spectral_data(InitialProfile(ProfileKind.PURE_STEP), k)
 
 
 def test_smoothed_step_invariants(sd_smoothed):
@@ -449,7 +484,11 @@ def test_assumption2_rejects_a_half_turn_towards_zero(monkeypatch):
     assert abs(limit) == pytest.approx(math.pi, rel=1e-6)
     assert not reliable
     # so the pipeline refuses such data (a2 = 1 is the pure step's a2(0))
-    diagnostics = {"unitarity_residual": 0.0, "symmetry_residual": 0.0}
+    diagnostics = {
+        "unitarity_residual": 0.0,
+        "unitarity_residual_rel": 0.0,
+        "symmetry_residual": 0.0,
+    }
     monkeypatch.setattr(scattering, "scattering_grid", lambda *_: (a1, ones, ones, diagnostics))
     monkeypatch.setattr(scattering, "find_k1", lambda _: 0.5)
     with pytest.raises(CaseClassificationError, match="reflection product winds by 3.142"):
