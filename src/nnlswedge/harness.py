@@ -79,10 +79,10 @@ _MAX_K_PER_SIGN = 10**6
 
 # Largest Jost grid sweep accepted for a sampled profile, in Magnus steps
 # (``scattering._step_count`` at k_max) times k nodes.  The sweep's time grows
-# linearly in both (1.6-1.9 ms per node per sign on the smoothed step,
-# 3.7-5.0 ms on the soliton, whose 17,826 steps x 800 nodes = 1.4e7 is the
+# linearly in both (1.1-1.3 ms per node per sign on the smoothed step,
+# 1.8-2.4 ms on the soliton, whose 12,814 steps x 800 nodes = 1.0e7 is the
 # benchmark's largest; 2-vCPU host, both halves swept at once), so the
-# budget, ~17x that, allows about half a minute of sweeping.
+# budget, ~24x that, allows about 20 s of sweeping.
 _MAX_SWEEP_WORK = 2.5e8
 
 # Largest evolution accepted by ``compare``, in grid nodes times RK4 steps to

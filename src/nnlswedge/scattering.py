@@ -107,16 +107,28 @@ def default_k_grid(n_per_sign: int = 400, k_min: float = 1e-3, k_max: float = 1e
     return np.concatenate((-pos[::-1], pos))
 
 
+# e-folds of an exponential tail that the finely stepped core resolves
+_CORE_DECAY = 18.0
+
+
 def _core_halfwidth(profile: InitialProfile) -> float:
-    """Half-width of the region where the profile actually varies."""
+    """Half-width of the region where the profile actually varies.
+
+    The smoothed step approaches its levels like ``exp(-2 |x| / width)``
+    and the soliton snapshot like ``exp(-A |x|)``, so both cores end at
+    ``_CORE_DECAY / rate``: ``9 width`` and ``18 / A``, where the tails are
+    down by ``e^{-18}`` (1.5e-8).  At phase pi the snapshot
+    ``A / (1 + e^{-A x})`` is the smoothed step of width ``2 / A``.  The
+    pure and compact steps are constant outside a known support.
+    """
     if profile.kind is ProfileKind.PURE_STEP:
         base = 1.0
     elif profile.kind is ProfileKind.SMOOTHED_STEP:
-        base = 9.0 * profile.width
+        base = 0.5 * _CORE_DECAY * profile.width
     elif profile.kind is ProfileKind.COMPACT_STEP:
         base = profile.width + 0.5
-    else:  # soliton: tails decay like exp(-A |x|)
-        base = 32.0 / profile.amplitude
+    else:
+        base = _CORE_DECAY / profile.amplitude
     if profile.bump_amplitude != 0:
         base = max(base, abs(profile.bump_center) + 7.0 * profile.bump_width)
     return min(profile.radius, base)
@@ -125,11 +137,12 @@ def _core_halfwidth(profile: InitialProfile) -> float:
 def _layout(profile: InitialProfile, k_scale: float):
     """Core half-width and the step counts of one core half and one tail.
 
-    The core (varying) region is resolved with a density that grows like
-    ``sqrt(k)`` -- the scaling that keeps the fourth-order phase-sampling
-    error of the Magnus rule at fixed accuracy -- while the saturated
-    tails, where the clamped profile is constant and the rule is exact,
-    get a coarse grid (no tail when the core fills the radius).
+    The core (varying) region, out to where an exponential tail is down by
+    ``e^{-18}``, is resolved with a density that grows like ``sqrt(k)`` --
+    the scaling that keeps the fourth-order phase-sampling error of the
+    Magnus rule at fixed accuracy -- while the tails, where the profile is
+    constant to that factor and the rule is all but exact, get a coarse
+    grid (no tail when the core fills the radius).
     """
     half = _core_halfwidth(profile)
     dens_core = 48.0 * math.sqrt(1.0 + 0.5 * k_scale)
@@ -177,18 +190,25 @@ def _expm_traceless(o11, o12, o21):
     For a traceless generator, ``exp(O) = cosh(lam) I + sinhc(lam) O``
     with ``lam^2 = o11^2 + o12 o21``; the even functions are insensitive
     to the square-root branch, and a series handles small ``|lam|``.
+    ``o12`` and ``o21`` are overwritten with the off-diagonal entries.
     """
     lam2 = o11 * o11 + o12 * o21
     lam = np.sqrt(lam2)
-    small = np.abs(lam) < 1e-4
-    lam_safe = np.where(small, 1.0, lam)
-    c_big = np.cosh(lam_safe)
-    s_big = np.sinh(lam_safe) / lam_safe
-    c_small = 1.0 + lam2 * (0.5 + lam2 / 24.0)
-    s_small = 1.0 + lam2 * (1.0 / 6.0 + lam2 / 120.0)
-    c = np.where(small, c_small, c_big)
-    s = np.where(small, s_small, s_big)
-    return c + s * o11, s * o12, s * o21, c - s * o11
+    c = np.cosh(lam)
+    s = np.sinh(lam)
+    small = np.nonzero(np.abs(lam) < 1e-4)
+    lam[small] = 1.0  # no 0/0 below; the series overwrites these entries
+    s /= lam
+    if small[0].size:
+        lam2 = lam2[small]
+        c[small] = 1.0 + lam2 * (0.5 + lam2 / 24.0)
+        s[small] = 1.0 + lam2 * (1.0 / 6.0 + lam2 / 120.0)
+    # complex products keep their operand order: numpy's fused multiply-add
+    # can round s * o and o * s differently in the last bit
+    so11 = s * o11
+    np.multiply(s, o12, out=o12)
+    np.multiply(s, o21, out=o21)
+    return c + so11, o12, o21, c - so11
 
 
 def _sweep(profile, k, x_starts, h_steps, top, bottom, *, rescale=False):
@@ -209,21 +229,30 @@ def _sweep(profile, k, x_starts, h_steps, top, bottom, *, rescale=False):
     mik = -1j * k
     growth = np.ascontiguousarray(k.imag)  # a strided view costs more per step
     logs = 0.0
+    # the k-dependent terms of one step length; a uniform segment repeats it
+    by_h = {}
     for i in range(x_starts.size):
         h = h_steps[i]
         q1, q2 = q1_all[i], q2_all[i]
         qm1, qm2 = qm1_all[i], qm2_all[i]
-        o11 = mik * h + _SQRT3_12 * h * h * (q1 * qm2 - q2 * qm1)
-        o12 = 0.5 * h * (q1 + q2) + _SQRT3_6 * h * h * mik * (q1 - q2)
-        o21 = -0.5 * h * (qm1 + qm2) + _SQRT3_6 * h * h * mik * (qm1 - qm2)
+        terms = by_h.get(h)
+        if terms is None:
+            terms = by_h[h] = (mik * h, _SQRT3_6 * h * h * mik, abs(h) * growth)
+        mik_h, mik_hh, free_growth = terms
+        # a sum rounds the same in either order, so the scalar parts add in place
+        o11 = mik_h + _SQRT3_12 * h * h * (q1 * qm2 - q2 * qm1)
+        o12 = mik_hh * (q1 - q2)
+        o12 += 0.5 * h * (q1 + q2)
+        o21 = mik_hh * (qm1 - qm2)
+        o21 += -0.5 * h * (qm1 + qm2)
         e11, e12, e21, e22 = _expm_traceless(o11, o12, o21)
         top, bottom = e11 * top + e12 * bottom, e21 * top + e22 * bottom
         if rescale:
             scale = np.maximum(np.abs(top), np.abs(bottom))
             scale = np.where(scale > 0, scale, 1.0)
-            top = top / scale
-            bottom = bottom / scale
-            logs = logs + (np.log(scale) - abs(h) * growth)
+            top /= scale
+            bottom /= scale
+            logs = logs + (np.log(scale) - free_growth)
     return top, bottom, logs
 
 
@@ -454,9 +483,14 @@ def _a2_zero_ode(profile: InitialProfile, n_steps: int) -> complex:
 
 
 def _extrapolate_to_zero(k_nodes: np.ndarray, values: np.ndarray) -> complex:
-    """Value at ``k = 0`` of the quartic least-squares fit through the nodes."""
-    coef_re = np.polynomial.polynomial.polyfit(k_nodes, values.real, 4)
-    coef_im = np.polynomial.polynomial.polyfit(k_nodes, values.imag, 4)
+    """Value at ``k = 0`` of the quartic least-squares fit through the nodes.
+
+    The fit runs in ``k / max|k|``: the value at 0 is the same in exact
+    arithmetic, and ``k**4`` cannot underflow on a grid with a tiny ``k_min``.
+    """
+    t = k_nodes / np.max(np.abs(k_nodes))
+    coef_re = np.polynomial.polynomial.polyfit(t, values.real, 4)
+    coef_im = np.polynomial.polynomial.polyfit(t, values.imag, 4)
     return complex(coef_re[0], coef_im[0])
 
 

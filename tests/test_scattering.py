@@ -118,6 +118,38 @@ def test_soliton_grid_matches_closed_form(sd_soliton):
     assert np.max(np.abs(sd_soliton.b)) < 1e-6
 
 
+def _soliton_errors(profile, k):
+    """Worst relative errors of a1 and a2 and worst |b| against the closed form."""
+    a1, a2, b, _ = scattering_grid(profile, k)
+    a1x = (k - 0.5j * profile.amplitude) / k
+    a2x = k / (k - 0.5j * profile.amplitude)
+    return (
+        np.max(np.abs(a1 - a1x) / np.abs(a1x)),
+        np.max(np.abs(a2 - a2x) / np.abs(a2x)),
+        np.max(np.abs(b)),
+    )
+
+
+@pytest.mark.parametrize("amplitude", [0.7, 1.0, 2.0])
+def test_soliton_core_of_18_over_a_is_as_accurate_as_32_over_a(monkeypatch, amplitude):
+    # at phase pi the snapshot A / (1 + e^{-A x}) is the smoothed step of
+    # width 2/A, whose core ends at 9 width = 18/A; the clamp at the radius,
+    # not the core, sets the error floor
+    k = default_k_grid(n_per_sign=10)
+    for phase in (math.pi, 2.0, 4.5):
+        profile = InitialProfile(
+            ProfileKind.SOLITON_SNAPSHOT, amplitude=amplitude, phase=phase, radius=26.0
+        )
+        errors = _soliton_errors(profile, k)
+        with monkeypatch.context() as m:
+            m.setattr(scattering, "_CORE_DECAY", 32.0)
+            wide_steps = scattering._step_count(profile, k[-1])
+            wide_errors = _soliton_errors(profile, k)
+        assert scattering._step_count(profile, k[-1]) < wide_steps
+        for got, wide in zip(errors, wide_errors):
+            assert got <= 1.01 * wide
+
+
 def test_fine_small_k_grid_is_not_flagged_as_under_resolved(monkeypatch):
     # the absolute unitarity residual grows like 1/k**2 (7e-3 at k_min =
     # 1e-7); relative to the larger term it stays at round-off, and only the
@@ -188,6 +220,18 @@ def test_pure_step_small_k(sd_pure_a2):
     assert sd.case is CaseTag.CASE_I
     assert abs(sd.a2_at_zero - 1.0) < 1e-9
     assert abs(sd.k1 - 1.0) < 1e-9  # A/2 with A = 2
+
+
+@pytest.mark.parametrize("k_min", [1e-50, 1e-150])
+def test_tiny_k_min_ends_in_a_named_error_without_warnings(k_min):
+    # the quartic fit runs in k / max|k|, so k**4 cannot underflow into a
+    # poorly conditioned fit (numpy's RankWarning); the grid route is still
+    # wrong this close to the pole of a1, and the two routes' gap names it
+    k = default_k_grid(n_per_sign=40, k_min=k_min)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SmallKMismatchError, match="grid extrapolation gives a2"):
+            compute_spectral_data(InitialProfile(ProfileKind.SMOOTHED_STEP), k)
 
 
 def test_soliton_case_ii(sd_soliton):
@@ -439,6 +483,114 @@ def test_paired_sweep_raises_either_halfs_error(monkeypatch, failing, error, mes
         scattering.jost_at_origin(_PAIRED_PROFILES["soliton"], default_k_grid(8))
     assert time.monotonic() - start < 30
     _assert_no_child()
+
+
+# ---------------------------------------------------------------------------
+# the Magnus step against its reference form
+# ---------------------------------------------------------------------------
+
+
+def _expm_traceless_reference(o11, o12, o21):
+    """``scattering._expm_traceless`` with both branches on every entry."""
+    lam2 = o11 * o11 + o12 * o21
+    lam = np.sqrt(lam2)
+    small = np.abs(lam) < 1e-4
+    lam_safe = np.where(small, 1.0, lam)
+    c_big = np.cosh(lam_safe)
+    s_big = np.sinh(lam_safe) / lam_safe
+    c_small = 1.0 + lam2 * (0.5 + lam2 / 24.0)
+    s_small = 1.0 + lam2 * (1.0 / 6.0 + lam2 / 120.0)
+    c = np.where(small, c_small, c_big)
+    s = np.where(small, s_small, s_big)
+    return c + s * o11, s * o12, s * o21, c - s * o11
+
+
+def _sweep_reference(profile, k, x_starts, h_steps, top, bottom, *, rescale=False):
+    """``scattering._sweep`` with every step's terms formed afresh."""
+    xg1 = x_starts + scattering._GAUSS_C1 * h_steps
+    xg2 = x_starts + scattering._GAUSS_C2 * h_steps
+    q1_all = profile.sample(xg1)
+    q2_all = profile.sample(xg2)
+    qm1_all = np.conj(profile.sample(-xg1))
+    qm2_all = np.conj(profile.sample(-xg2))
+    mik = -1j * k
+    growth = np.ascontiguousarray(k.imag)
+    logs = 0.0
+    sqrt3_12, sqrt3_6 = scattering._SQRT3_12, scattering._SQRT3_6
+    for i in range(x_starts.size):
+        h = h_steps[i]
+        q1, q2 = q1_all[i], q2_all[i]
+        qm1, qm2 = qm1_all[i], qm2_all[i]
+        o11 = mik * h + sqrt3_12 * h * h * (q1 * qm2 - q2 * qm1)
+        o12 = 0.5 * h * (q1 + q2) + sqrt3_6 * h * h * mik * (q1 - q2)
+        o21 = -0.5 * h * (qm1 + qm2) + sqrt3_6 * h * h * mik * (qm1 - qm2)
+        e11, e12, e21, e22 = _expm_traceless_reference(o11, o12, o21)
+        top, bottom = e11 * top + e12 * bottom, e21 * top + e22 * bottom
+        if rescale:
+            scale = np.maximum(np.abs(top), np.abs(bottom))
+            scale = np.where(scale > 0, scale, 1.0)
+            top = top / scale
+            bottom = bottom / scale
+            logs = logs + (np.log(scale) - abs(h) * growth)
+    return top, bottom, logs
+
+
+def _assert_bit_equal(got, want):
+    """Equal bit patterns (signed zeros told apart), entry by entry."""
+    for g, w in zip(got, want, strict=True):
+        g, w = np.ascontiguousarray(g), np.ascontiguousarray(w)
+        assert g.dtype == w.dtype and np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+_KERNEL_PROFILES = {
+    **_PAIRED_PROFILES,
+    "soliton-phase-2": InitialProfile(
+        ProfileKind.SOLITON_SNAPSHOT, amplitude=1.0, phase=2.0, radius=26.0
+    ),
+}
+
+
+def test_expm_traceless_is_bit_equal_to_its_reference():
+    # all entries (zero and both sides of the |lam| = 1e-4 switch included),
+    # only series entries, and none
+    rng = np.random.default_rng(7)
+    scale = np.concatenate((np.geomspace(1e-9, 1e2, 60), [0.0, 9.9e-5, 1e-4, 1.01e-4]))
+    draw = lambda: scale * (rng.normal(size=scale.size) + 1j * rng.normal(size=scale.size))
+    o11, o12, o21 = draw(), draw(), draw()
+    for sel in (slice(None), slice(0, 20), slice(40, 60)):
+        want = _expm_traceless_reference(o11[sel], o12[sel], o21[sel])
+        got = scattering._expm_traceless(o11[sel].copy(), o12[sel].copy(), o21[sel].copy())
+        _assert_bit_equal(got, want)
+
+
+@pytest.mark.parametrize("k_min", [1e-3, 1e-7])
+@pytest.mark.parametrize("name", list(_KERNEL_PROFILES))
+def test_sweep_is_bit_equal_to_its_reference(name, k_min):
+    # every 16th step of the layout keeps its step lengths and its core and
+    # tails; k_min = 1e-7 puts many entries on the small-|lam| series
+    profile = _KERNEL_PROFILES[name]
+    k = default_k_grid(k_min=k_min)
+    left, right = scattering._split_at_origin(scattering._step_edges(profile, k[-1]))
+    dress = 0.5 * profile.amplitude / (1j * k)
+    ones = np.ones_like(dress)
+    starts = [
+        (np.stack((ones, 0 * ones)), np.stack((dress, ones))),
+        (np.stack((ones, dress)), np.stack((0 * ones, ones))),
+    ]
+    steps = [scattering._forward_steps(left), scattering._backward_steps(right)]
+    imag = 1j * np.geomspace(0.05, 8.0, 64)[None]
+    imag_start = (np.ones_like(imag), 0.5 * profile.amplitude / (1j * imag))
+    for (x_starts, h_steps), start in zip(steps, starts):
+        args = (x_starts[::16], h_steps[::16])
+        for rescale in (False, True):
+            _assert_bit_equal(
+                scattering._sweep(profile, k, *args, *start, rescale=rescale),
+                _sweep_reference(profile, k, *args, *start, rescale=rescale),
+            )
+        _assert_bit_equal(
+            scattering._sweep(profile, imag, *args, *imag_start, rescale=True),
+            _sweep_reference(profile, imag, *args, *imag_start, rescale=True),
+        )
 
 
 # ---------------------------------------------------------------------------
