@@ -86,9 +86,12 @@ _MAX_K_PER_SIGN = 10**6
 _MAX_SWEEP_WORK = 2.5e8
 
 # Largest evolution accepted by ``compare``, in grid nodes times RK4 steps to
-# the last ladder time.  The stepper runs 1.7-2.4e7 node-steps per second
-# (2-vCPU host), so the budget allows 7 to 10 minutes; the soliton bench
-# config needs 3,201 nodes x 14,000 steps = 4.5e7.
+# the last ladder time.  The stepper runs 2.0-2.4e7 node-steps per second
+# while its buffers fit in a core's 2 MB L2 cache (3,201 to 16,001 nodes),
+# so there the budget allows 7 to 8.5 minutes; on larger grids it is
+# memory-bound at 1.3-2.0e6 (160,001 to 1,000,001 nodes), and the budget
+# allows 1.4 to 2 hours (2-vCPU host).  The soliton bench config needs
+# 3,201 nodes x 14,000 steps = 4.5e7.
 _MAX_EVOLVE_WORK = 1e10
 
 

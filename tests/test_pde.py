@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,24 +131,69 @@ def _textbook_rk4(q0, grid, dt, snapshot_times):
     return states
 
 
-def test_stepper_matches_textbook_rk4(grid20, monkeypatch):
+def _skewed_step(x):
     # a step between two different nonzero levels with an off-centre
     # complex bump: no mirror symmetry, so the conj(q(-x)) coupling, the
     # ghost nodes on both sides and both pins all enter the result
-    x = grid20.x
     left, right = 0.4 * np.exp(0.9j), 1.0
-    q0 = (
+    return (
         left
         + (right - left) * 0.5 * (1.0 + np.tanh(x - 0.7))
         + 0.3 * np.exp(0.4j) * np.exp(-((x - 2.0) ** 2))
     )
-    times = (0.05, 0.1)
+
+
+def _assert_matches_textbook_rk4(grid, monkeypatch, dt, times):
+    q0 = _skewed_step(grid.x)
     monkeypatch.setattr(pde, "DRIFT_ABORT", 1.0)
-    res = evolve(q0, grid20, 0.1, dt=0.004, snapshot_times=times)
-    oracle = _textbook_rk4(q0, grid20, 0.004, times)
+    res = evolve(q0, grid, times[-1], dt=dt, snapshot_times=times)
+    oracle = _textbook_rk4(q0, grid, dt, times)
+    assert [s.t for s in res.snapshots] == list(times)
     for snap, want in zip(res.snapshots, oracle):
         assert np.max(np.abs(snap.q - want)) <= 1e-12
         assert snap.q[0] == q0[0] and snap.q[-1] == q0[-1]
+
+
+def test_stepper_matches_textbook_rk4(grid20, monkeypatch):
+    _assert_matches_textbook_rk4(grid20, monkeypatch, 0.004, (0.05, 0.1))
+
+
+@pytest.mark.parametrize(
+    "dt, times",
+    [
+        # unequal segments, the first shorter than dt (a single step of
+        # 0.001), so each segment's stage scales differ
+        (0.003, (0.001, 0.05, 0.0731, 0.1)),
+        # a dt near the stability edge, 0.53 h^2
+        (0.0051, (0.04, 0.1)),
+    ],
+    ids=["unequal-segments", "dt-near-edge"],
+)
+def test_stepper_matches_textbook_rk4_per_segment(grid20, monkeypatch, dt, times):
+    # the stage scales i dt_k / (12 h^2) are rebuilt from each segment's
+    # shortened step; the oracle shortens its steps the same way
+    _assert_matches_textbook_rk4(grid20, monkeypatch, dt, times)
+
+
+def test_step_loop_memory_does_not_grow_with_steps(grid20):
+    # the step loop reuses the buffers evolve allocates once, so a run of
+    # ~1,000 steps peaks no higher than one of ~10 steps, to within less
+    # than one grid array; a per-step allocation kept alive would grow it
+    dt = 5e-4  # 1,000 steps end at t = 0.5, well before the pole at pi
+    q0 = _soliton0(grid20.x)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n_steps in (10, 1000):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            res = evolve(q0, grid20, n_steps * dt, dt=dt)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            assert res.steps == n_steps
+            del res
+    finally:
+        tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 16 * grid20.size
 
 
 def test_stepper_buffers_are_cache_line_aligned():
