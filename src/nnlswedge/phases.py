@@ -435,8 +435,6 @@ class PhaseTracker:
             raise ValueError("chi_hat requires z >= -s")
         at_saddle = abs(z + s) <= 1e-12 * max(1.0, s)
         z_hat = -xi if at_saddle else z * math.exp((alpha - 1.0) * ln_x)
-        if not abs(z_hat) < _WINDOW_FRACTION * self.k_edge:
-            raise ValueError("scaled kernel offset outside the tabulated window")
 
         l_xi = complex(self.log_w(-xi))
         scale_term = 1j * (1.0 - alpha) * ln_x / _TWO_PI * l_xi

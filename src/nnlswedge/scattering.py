@@ -21,9 +21,10 @@ the wedge asymptotics: either the finite limit ``a2(0)`` (generic case,
 tagged I) or the pole/zero coefficients ``a11 = lim k a1`` and
 ``a21 = lim a2 / k`` (degenerate case, tagged II).
 
-The halves ``[-R, 0]`` and ``[0, R]`` of every sweep are independent.  On
-POSIX a sweep uses a second process: a forked child integrates the right
-half while the caller integrates the left, and its result comes back
+Every sweep runs in two independent halves, each from its outer end to
+``x = 0``: the left from ``-R`` and the right from ``R``
+(:func:`_sweep_halves`).  On POSIX a forked child integrates the right half
+while the caller integrates the left, and its result comes back
 bit-identical through a pipe.  Elsewhere both halves run in turn.
 """
 
@@ -159,23 +160,21 @@ def _step_count(profile: InitialProfile, k_scale: float) -> int:
     return 2 * (n_half + n_tail)
 
 
-def _step_edges(profile: InitialProfile, k_scale: float) -> np.ndarray:
-    """Step-edge array on ``[-R, R]`` with the :func:`_layout` counts.
+def _step_edges(profile: InitialProfile, k_scale: float):
+    """Step edges of the halves ``-R ... 0`` and ``R ... 0``, with the
+    :func:`_layout` counts.
 
-    ``x = 0`` is always an edge so that a jump of the pure step never sits
-    inside a step.
+    Each half is ordered from its outer end to ``x = 0``, which ends both
+    exactly, so a jump of the pure step never sits inside a step.
     """
     radius = profile.radius
     half, n_half, n_tail = _layout(profile, k_scale)
-    # build each side separately so that x = 0 is an exact endpoint
-    core_left = np.linspace(-half, 0.0, n_half + 1)
-    core_right = np.linspace(0.0, half, n_half + 1)
-    core = np.concatenate((core_left[:-1], core_right))
-    if not n_tail:
-        return core
-    left = np.linspace(-radius, -half, n_tail + 1)
-    right = np.linspace(half, radius, n_tail + 1)
-    return np.concatenate((left[:-1], core, right[1:]))
+    left = np.linspace(-half, 0.0, n_half + 1)
+    right = np.linspace(0.0, half, n_half + 1)
+    if n_tail:
+        left = np.concatenate((np.linspace(-radius, -half, n_tail + 1)[:-1], left))
+        right = np.concatenate((right, np.linspace(half, radius, n_tail + 1)[1:]))
+    return left, right[::-1]
 
 
 _GAUSS_C1 = 0.5 - math.sqrt(3.0) / 6.0
@@ -211,15 +210,18 @@ def _expm_traceless(o11, o12, o21):
     return c + so11, o12, o21, c - so11
 
 
-def _sweep(profile, k, x_starts, h_steps, top, bottom, *, rescale=False):
-    """Apply the Magnus steps ``(x_starts, h_steps)`` to a stack of columns.
+def _sweep(profile, k, edges, top, bottom, *, rescale=False):
+    """Carry a stack of columns across the Magnus steps between ``edges``.
 
-    ``top`` and ``bottom`` are (m, nk) arrays: the upper and lower rows of
-    m propagated solution columns.  Returns ``(top, bottom, logs)``.  With
-    ``rescale=True`` every column is renormalized per element after every
-    step; the logs of the removed factors, each less the step's free growth
-    ``|h| Im k``, are summed per column into ``logs`` (else 0).
+    ``edges`` runs in the direction of travel, so the steps are negative on
+    a half swept from ``R`` towards 0.  ``top`` and ``bottom`` are (m, nk)
+    arrays: the upper and lower rows of m propagated solution columns.
+    Returns ``(top, bottom, logs)``.  With ``rescale=True`` every column is
+    renormalized per element after every step; the logs of the removed
+    factors, each less the step's free growth ``|h| Im k``, are summed per
+    column into ``logs`` (else 0).
     """
+    x_starts, h_steps = edges[:-1], np.diff(edges)
     xg1 = x_starts + _GAUSS_C1 * h_steps
     xg2 = x_starts + _GAUSS_C2 * h_steps
     q1_all = profile.sample(xg1)
@@ -257,7 +259,7 @@ def _sweep(profile, k, x_starts, h_steps, top, bottom, *, rescale=False):
 
 
 def _sweep_child(read_fd: int, write_fd: int, profile, k, args, rescale: bool):
-    """Body of the forked child of :func:`_sweep_pair`; never returns.
+    """Body of the forked child of :func:`_sweep_halves`; never returns.
 
     Sends ``(True, result)`` or ``(False, exception)`` down the pipe and
     leaves with ``os._exit``, so no atexit handler, buffered output or
@@ -278,31 +280,33 @@ def _sweep_child(read_fd: int, write_fd: int, profile, k, args, rescale: bool):
         os._exit(status)
 
 
-def _sweep_pair(profile, k, left, right, *, rescale=False):
-    """``_sweep`` over two independent halves of a layout, concurrently.
+def _sweep_halves(profile, k, k_scale, left_rows, right_rows, *, rescale=False):
+    """``_sweep`` over both halves of the ``k_scale`` layout, concurrently.
 
-    ``left`` and ``right`` are ``_sweep``'s positional arguments after
-    ``k``.  A forked child sweeps ``right`` while this process sweeps
-    ``left``; the child's result comes back pickled over a pipe, so it is
-    bit-identical to an inline sweep.  An exception in the child is
-    re-raised here with its type, and the child is always reaped (killed
-    first if this process fails before reading its result).  Where
+    ``left_rows`` and ``right_rows`` are the ``(top, bottom)`` start rows at
+    ``x = -R`` and ``x = R``; returns the two ``_sweep`` results at
+    ``x = 0``, left first.  A forked child sweeps the right half while this
+    process sweeps the left; the child's result comes back pickled over a
+    pipe, so it is bit-identical to an inline sweep.  An exception in the
+    child is re-raised here with its type, and the child is always reaped
+    (killed first if this process fails before reading its result).  Where
     ``os.fork`` does not exist, both halves run inline.
     """
+    left, right = _step_edges(profile, k_scale)
     if not hasattr(os, "fork"):
         return (
-            _sweep(profile, k, *left, rescale=rescale),
-            _sweep(profile, k, *right, rescale=rescale),
+            _sweep(profile, k, left, *left_rows, rescale=rescale),
+            _sweep(profile, k, right, *right_rows, rescale=rescale),
         )
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
-        _sweep_child(read_fd, write_fd, profile, k, right, rescale)
+        _sweep_child(read_fd, write_fd, profile, k, (right, *right_rows), rescale)
     os.close(write_fd)
     reply = None
     try:
         with os.fdopen(read_fd, "rb") as pipe:
-            near = _sweep(profile, k, *left, rescale=rescale)
+            near = _sweep(profile, k, left, *left_rows, rescale=rescale)
             try:
                 reply = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):
@@ -318,22 +322,6 @@ def _sweep_pair(profile, k, left, right, *, rescale=False):
     return near, far
 
 
-def _split_at_origin(edges: np.ndarray):
-    """Edge sub-arrays ``[-R, 0]`` and ``[0, R]`` (0 is always an edge)."""
-    izero = int(np.searchsorted(edges, 0.0))
-    if edges[izero] != 0.0:
-        raise AssertionError("step layout must contain x = 0 as an edge")
-    return edges[: izero + 1], edges[izero:]
-
-
-def _forward_steps(edges: np.ndarray):
-    return edges[:-1], np.diff(edges)
-
-
-def _backward_steps(edges: np.ndarray):
-    return edges[:0:-1], -np.diff(edges)[::-1]
-
-
 def jost_at_origin(profile: InitialProfile, k):
     """Left and right Jost matrices at ``x = 0`` for the nonzero real
     wavenumbers ``k``.
@@ -344,8 +332,6 @@ def jost_at_origin(profile: InitialProfile, k):
     k = np.atleast_1d(np.asarray(k))
     if np.any(k == 0):
         raise ValueError("k = 0 is excluded; use the dedicated small-k routines")
-    edges = _step_edges(profile, float(np.max(np.abs(k))))
-    left_edges, right_edges = _split_at_origin(edges)
     radius = profile.radius
     a = profile.amplitude
     dress = 0.5 * a / (1j * k)
@@ -355,10 +341,10 @@ def jost_at_origin(profile: InitialProfile, k):
 
     # left solution: N_minus * exp(i k R sigma3) at x = -R, swept to 0;
     # right solution: N_plus * exp(-i k R sigma3) at x = +R, swept to 0
-    left_args = (*_forward_steps(left_edges), np.stack((ep, zero)), np.stack((dress * ep, em)))
-    right_args = (*_backward_steps(right_edges), np.stack((em, dress * ep)), np.stack((zero, ep)))
-    (l_top, l_bottom, _), (r_top, r_bottom, _) = _sweep_pair(
-        profile, k, left_args, right_args
+    left_rows = (np.stack((ep, zero)), np.stack((dress * ep, em)))
+    right_rows = (np.stack((em, dress * ep)), np.stack((zero, ep)))
+    (l_top, l_bottom, _), (r_top, r_bottom, _) = _sweep_halves(
+        profile, k, float(np.max(np.abs(k))), left_rows, right_rows
     )
     return np.stack((l_top, l_bottom)), np.stack((r_top, r_bottom))
 
@@ -573,26 +559,25 @@ def classify_case(small: SmallKData, amplitude: float):
 # ---------------------------------------------------------------------------
 
 
-def _imag_axis_transmission_batch(profile: InitialProfile, rho: np.ndarray) -> np.ndarray:
+def _imag_axis_transmission_batch(
+    profile: InitialProfile, rho: np.ndarray, k_scale: float
+) -> np.ndarray:
     """Transmission ``a1(i rho)``, the Wronskian of two Jost columns (the
     right Jost matrix has unit determinant): real-analytic in rho and O(1).
 
     Both columns are propagated with running renormalization; their start
     factors ``exp(-rho R)`` cancel the free growth over ``[-R, R]``, so the
-    summed log-scales restore the true size.  ``max(rho)`` sets the layout.
+    summed log-scales restore the true size.  ``k_scale``, at least
+    ``max(rho)``, sets the layout.
     """
     rho = np.asarray(rho, dtype=float)
     k = 1j * rho[None]  # one-column (1, nk) stacks that the sweep need not broadcast
-    edges = _step_edges(profile, float(np.max(rho)))
-    left_edges, right_edges = _split_at_origin(edges)
     dress = 0.5 * profile.amplitude / (1j * k)
     ones = np.ones_like(dress)
     # first column of the left solution at x = -R: e^{ikR} (1, A/(2ik));
     # second column of the right solution at x = +R: e^{ikR} (A/(2ik), 1)
-    left_args = (*_forward_steps(left_edges), ones, dress)
-    right_args = (*_backward_steps(right_edges), dress, ones)
-    (w1, w2, logs_w), (v1, v2, logs_v) = _sweep_pair(
-        profile, k, left_args, right_args, rescale=True
+    (w1, w2, logs_w), (v1, v2, logs_v) = _sweep_halves(
+        profile, k, k_scale, (ones, dress), (dress, ones), rescale=True
     )
     return (np.real(w1 * v2 - v1 * w2) * np.exp(logs_w + logs_v))[0]
 
@@ -648,7 +633,7 @@ def find_k1(profile: InitialProfile) -> float:
         else:
             rho = np.linspace(bracket[0], bracket[1], _K1_SWEEP_NODES)
         sweeps += bracket is not None
-        vals = _imag_axis_transmission_batch(profile, np.append(rho, layout))[:-1]
+        vals = _imag_axis_transmission_batch(profile, rho, layout)
         zeros = np.nonzero(vals == 0.0)[0]
         if zeros.size:
             return float(rho[zeros[0]])

@@ -979,7 +979,8 @@ def test_sweep_budget_counts_the_layout(tmp_path):
     # the count is the layout's own; the soliton bench config fits the budget
     cfg = load_config(_REPO / "bench" / "configs" / "soliton.ini", out_dir=tmp_path)
     steps = _step_count(cfg.profile, cfg.kgrid_max)
-    assert steps == _step_edges(cfg.profile, cfg.kgrid_max).size - 1 == 12_814
+    halves = _step_edges(cfg.profile, cfg.kgrid_max)
+    assert steps == sum(edges.size - 1 for edges in halves) == 12_814
     assert steps * 2 * cfg.kgrid_n <= _MAX_SWEEP_WORK
 
 

@@ -196,6 +196,38 @@ def test_step_loop_memory_does_not_grow_with_steps(grid20):
     assert abs(peaks[1] - peaks[0]) < 16 * grid20.size
 
 
+def test_step_loop_allocates_no_grid_array(grid20, monkeypatch):
+    # each rhs call reads the traced memory before it runs: the first sets
+    # the base (after a peak reset), the later ones the peak since; the
+    # stage values, the update and the rhs itself all run in between, so a
+    # grid-sized temporary anywhere in a step lifts the peak by 16 * size
+    bind = pde._bind_rhs
+    seen = []
+
+    def traced_bind(*args):
+        rhs = bind(*args)
+
+        def traced(scale):
+            if not seen:
+                tracemalloc.reset_peak()
+                seen.append(tracemalloc.get_traced_memory()[0])
+            else:
+                seen.append(tracemalloc.get_traced_memory()[1])
+            rhs(scale)
+
+        return traced
+
+    monkeypatch.setattr(pde, "_bind_rhs", traced_bind)
+    dt = 5e-4
+    tracemalloc.start()
+    try:
+        res = evolve(_soliton0, grid20, 3 * dt, dt=dt)
+    finally:
+        tracemalloc.stop()
+    assert res.steps == 3 and len(seen) == 12
+    assert max(seen[1:]) - seen[0] < 16 * grid20.size
+
+
 def test_stepper_buffers_are_cache_line_aligned():
     # the padded state keeps two ghost nodes before its aligned interior;
     # each allocation may land at a different heap offset

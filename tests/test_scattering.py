@@ -309,7 +309,10 @@ def test_imag_axis_wronskian_is_the_transmission(amplitude):
     p = InitialProfile(ProfileKind.PURE_STEP, amplitude=amplitude)
     expected = 1.0 - (0.5 * amplitude / rho) ** 2
     assert np.allclose(
-        scattering._imag_axis_transmission_batch(p, rho), expected, rtol=1e-12, atol=1e-12
+        scattering._imag_axis_transmission_batch(p, rho, rho[-1]),
+        expected,
+        rtol=1e-12,
+        atol=1e-12,
     )
 
 
@@ -318,9 +321,9 @@ def test_smoothed_step_k1_takes_three_sweeps(monkeypatch):
     sweeps = []
     batch = scattering._imag_axis_transmission_batch
 
-    def counted(profile, rho):
+    def counted(profile, rho, k_scale):
         sweeps.append(rho.size)
-        return batch(profile, rho)
+        return batch(profile, rho, k_scale)
 
     monkeypatch.setattr(scattering, "_imag_axis_transmission_batch", counted)
     k1 = find_k1(InitialProfile(ProfileKind.SMOOTHED_STEP))
@@ -331,7 +334,7 @@ def test_smoothed_step_k1_takes_three_sweeps(monkeypatch):
 def test_find_k1_without_sign_change_raises(monkeypatch):
     monkeypatch.setattr(
         "nnlswedge.scattering._imag_axis_transmission_batch",
-        lambda profile, rho: 1.0 + rho * rho,
+        lambda profile, rho, k_scale: 1.0 + rho * rho,
     )
     with pytest.raises(RootBracketError, match="no transmission zero"):
         find_k1(InitialProfile(ProfileKind.PURE_STEP, amplitude=1.0))
@@ -342,7 +345,7 @@ def test_find_k1_raises_when_refinement_loses_the_sign_change(monkeypatch):
     for lost_at in (2, 3, 4):
         calls = []
 
-        def flaky(profile, rho):  # a jump at 0.5 before sweep `lost_at`, then none
+        def flaky(profile, rho, k_scale):  # a jump at 0.5 before sweep `lost_at`, then none
             calls.append(rho.size)
             if len(calls) < lost_at:
                 return np.where(rho < 0.5, -1.0, 1.0)
@@ -360,7 +363,7 @@ def test_find_k1_stops_at_adjacent_floats(monkeypatch):
     # misses it and 63-fold sweeps go on to adjacent floats
     sweeps = []
 
-    def step(profile, rho):  # a sign change at 100.1 with no exact zero
+    def step(profile, rho, k_scale):  # a sign change at 100.1 with no exact zero
         sweeps.append(rho.size)
         assert len(sweeps) < 50, "bracket refinement does not terminate"
         return np.where(rho < 100.1, -1.0, 1.0)
@@ -383,20 +386,21 @@ def test_find_k1_scan_lays_its_first_sweep_for_a(monkeypatch, root, scan_sweeps)
     nodes = np.geomspace(1e-3, 8.0, 64)
     swept = []
 
-    def linear(profile, rho):  # the layout node comes last
-        swept.append(rho)
+    def linear(profile, rho, k_scale):
+        swept.append((rho, k_scale))
         return rho - root
 
     monkeypatch.setattr(scattering, "_imag_axis_transmission_batch", linear)
     k1 = find_k1(InitialProfile(ProfileKind.PURE_STEP, amplitude=1.0))
     assert abs(k1 - root) < 1e-14
-    first = swept[0][:-1]
-    assert swept[0][-1] == first[-1] <= 1.0 < nodes[first.size]
+    first, first_scale = swept[0]
+    assert first_scale == first[-1] <= 1.0 < nodes[first.size]
     assert np.array_equal(first, nodes[: first.size])
     if scan_sweeps == 2:
-        second = swept[1][:-1]
+        second, second_scale = swept[1]
         assert np.array_equal(second, nodes[first.size - 1 :])
-    assert swept[scan_sweeps][-1] < swept[scan_sweeps - 1][-1]  # Chebyshev stage
+        assert second_scale == second[-1]
+    assert swept[scan_sweeps][1] < swept[scan_sweeps - 1][1]  # Chebyshev stage
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +424,11 @@ _PAIRED_PROFILES = {
 }
 
 
-def _inline_pair(profile, k, left, right, *, rescale=False):
+def _inline_halves(profile, k, k_scale, left_rows, right_rows, *, rescale=False):
+    left, right = scattering._step_edges(profile, k_scale)
     return (
-        scattering._sweep(profile, k, *left, rescale=rescale),
-        scattering._sweep(profile, k, *right, rescale=rescale),
+        scattering._sweep(profile, k, left, *left_rows, rescale=rescale),
+        scattering._sweep(profile, k, right, *right_rows, rescale=rescale),
     )
 
 
@@ -439,12 +444,12 @@ def test_paired_sweep_is_bit_equal_to_inline_sweeps(monkeypatch, name):
 
     def both_sweep_sites():
         left, right = scattering.jost_at_origin(profile, k)
-        return left, right, scattering._imag_axis_transmission_batch(profile, rho)
+        return left, right, scattering._imag_axis_transmission_batch(profile, rho, rho[-1])
 
     paired = both_sweep_sites()
     _assert_no_child()
     with monkeypatch.context() as m:
-        m.setattr(scattering, "_sweep_pair", _inline_pair)
+        m.setattr(scattering, "_sweep_halves", _inline_halves)
         inline = both_sweep_sites()
     with monkeypatch.context() as m:  # a platform without fork sweeps inline
         m.delattr(os, "fork")
@@ -566,30 +571,30 @@ def test_expm_traceless_is_bit_equal_to_its_reference():
 @pytest.mark.parametrize("k_min", [1e-3, 1e-7])
 @pytest.mark.parametrize("name", list(_KERNEL_PROFILES))
 def test_sweep_is_bit_equal_to_its_reference(name, k_min):
-    # every 16th step of the layout keeps its step lengths and its core and
-    # tails; k_min = 1e-7 puts many entries on the small-|lam| series
+    # every 16th edge of each half keeps its core and tails, and the right
+    # half's negative steps; k_min = 1e-7 puts many entries on the
+    # small-|lam| series
     profile = _KERNEL_PROFILES[name]
     k = default_k_grid(k_min=k_min)
-    left, right = scattering._split_at_origin(scattering._step_edges(profile, k[-1]))
+    halves = [edges[::16] for edges in scattering._step_edges(profile, k[-1])]
     dress = 0.5 * profile.amplitude / (1j * k)
     ones = np.ones_like(dress)
     starts = [
         (np.stack((ones, 0 * ones)), np.stack((dress, ones))),
         (np.stack((ones, dress)), np.stack((0 * ones, ones))),
     ]
-    steps = [scattering._forward_steps(left), scattering._backward_steps(right)]
     imag = 1j * np.geomspace(0.05, 8.0, 64)[None]
     imag_start = (np.ones_like(imag), 0.5 * profile.amplitude / (1j * imag))
-    for (x_starts, h_steps), start in zip(steps, starts):
-        args = (x_starts[::16], h_steps[::16])
+    for edges, start in zip(halves, starts):
+        steps = (edges[:-1], np.diff(edges))
         for rescale in (False, True):
             _assert_bit_equal(
-                scattering._sweep(profile, k, *args, *start, rescale=rescale),
-                _sweep_reference(profile, k, *args, *start, rescale=rescale),
+                scattering._sweep(profile, k, edges, *start, rescale=rescale),
+                _sweep_reference(profile, k, *steps, *start, rescale=rescale),
             )
         _assert_bit_equal(
-            scattering._sweep(profile, imag, *args, *imag_start, rescale=True),
-            _sweep_reference(profile, imag, *args, *imag_start, rescale=True),
+            scattering._sweep(profile, imag, edges, *imag_start, rescale=True),
+            _sweep_reference(profile, imag, *steps, *imag_start, rescale=True),
         )
 
 
