@@ -77,6 +77,17 @@ _SYNTHETIC = {"synthetic-case-i": synthetic_case_i, "synthetic-case-ii": synthet
 # on the grid; a sampled profile is bounded further by the sweep budget below.
 _MAX_K_PER_SIGN = 10**6
 
+# Largest amplitude and bump modulus accepted for a sampled profile.  From
+# ~1e3 on the two k = 0 routes of the sweep already disagree
+# (SmallKMismatchError), and from 1e6-1e8 on its Magnus steps overflow a
+# double (1e300 overflows at once, in the soliton's A**2 among others).
+_MAX_FIELD_LEVEL = 1e4
+
+# Range accepted for each synthetic-family parameter (a zero coupling aside):
+# the closed forms multiply them with 1/k on grids down to k_min, and
+# d = 1e100 or k1 = 1e-300 overflow a double; 1e-50 .. 1e50 stays finite.
+_SYNTHETIC_RANGE = (1e-50, 1e50)
+
 # Largest Jost grid sweep accepted for a sampled profile, in Magnus steps
 # (``scattering._step_count`` at k_max) times k nodes.  The sweep's time grows
 # linearly in both (1.1-1.3 ms per node per sign on the smoothed step,
@@ -85,14 +96,13 @@ _MAX_K_PER_SIGN = 10**6
 # budget, ~24x that, allows about 20 s of sweeping.
 _MAX_SWEEP_WORK = 2.5e8
 
-# Largest evolution accepted by ``compare``, in grid nodes times RK4 steps to
-# the last ladder time.  The stepper runs 2.0-2.4e7 node-steps per second
-# while its buffers fit in a core's 2 MB L2 cache (3,201 to 16,001 nodes),
-# so there the budget allows 7 to 8.5 minutes; on larger grids it is
-# memory-bound at 1.3-2.0e6 (160,001 to 1,000,001 nodes), and the budget
-# allows 1.4 to 2 hours (2-vCPU host).  The soliton bench config needs
-# 3,201 nodes x 14,000 steps = 4.5e7.
-_MAX_EVOLVE_WORK = 1e10
+# Largest evolution accepted by ``compare``, in grid nodes times ETDRK4 steps
+# to the last ladder time.  A step costs eight FFTs of twice the grid size,
+# measured at ~500 ns per node-step on 3,201 nodes and ~590 ns on 16,801
+# (smoothed step, median of 3, 2-vCPU host), so the budget allows 8 to 10
+# minutes of stepping.  The soliton bench config needs 3,201 nodes x 700
+# steps = 2.2e6.
+_MAX_EVOLVE_WORK = 1e9
 
 
 class ConfigError(ValueError):
@@ -268,6 +278,23 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
 
     prof = values["profile"]
     del prof["kind"]
+    if family == "sampled":
+        if prof["amplitude"] > _MAX_FIELD_LEVEL:
+            raise ConfigError(
+                f"profile.amplitude: {prof['amplitude']:g} above the ceiling of "
+                f"{_MAX_FIELD_LEVEL:g}"
+            )
+        bump = abs(complex(prof["bump_amplitude_re"], prof["bump_amplitude_im"]))
+        if bump > _MAX_FIELD_LEVEL:
+            raise ConfigError(
+                f"profile.bump_amplitude_re, bump_amplitude_im: modulus {bump:g} "
+                f"above the ceiling of {_MAX_FIELD_LEVEL:g}"
+            )
+    else:
+        low, high = _SYNTHETIC_RANGE
+        for key, value in prof.items():
+            if value != 0.0 and not low <= abs(value) <= high:
+                raise ConfigError(f"profile.{key}: {value:g} outside [{low:g}, {high:g}]")
     profile, synthetic_kind, synthetic_params = None, None, {}
     try:
         if family == "sampled":
@@ -313,7 +340,8 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
     if "pde" in parser:
         pde = PdeBlock(**values["pde"])
         try:
-            resolve_dt(symmetric_grid(pde.half_width, pde.step), pde.dt)
+            symmetric_grid(pde.half_width, pde.step)
+            resolve_dt(pde.dt, 0.0)
         except ValueError as exc:
             raise ConfigError(f"invalid [pde]: {exc}") from exc
 
@@ -485,7 +513,10 @@ _COMPARE_HEADER = (
 )
 
 
-def _validate_compare_geometry(cfg: ExperimentConfig) -> None:
+def _validate_compare_geometry(cfg: ExperimentConfig):
+    """Refuse a compare the config alone rules out; return the grid, the
+    sampled initial field and the resolved dt the budget counted, which
+    ``cmd_compare`` evolves."""
     if cfg.profile is None:
         raise ConfigError("compare needs a sampled profile, not a synthetic family")
     if cfg.pde is None:
@@ -496,7 +527,9 @@ def _validate_compare_geometry(cfg: ExperimentConfig) -> None:
             f"wedge ladder reaches t={w.t_ladder[-1]:g} beyond pde.t_final={p.t_final:g}"
         )
     grid = symmetric_grid(p.half_width, p.step)
-    steps = w.t_ladder[-1] / resolve_dt(grid, p.dt)
+    q0 = cfg.profile.sample(grid.x)
+    dt = resolve_dt(p.dt, float(np.max(np.abs(q0))))
+    steps = w.t_ladder[-1] / dt
     steps = math.ceil(steps) if math.isfinite(steps) else steps  # a tiny dt overflows
     if grid.size * steps > _MAX_EVOLVE_WORK:
         raise ConfigError(
@@ -522,6 +555,7 @@ def _validate_compare_geometry(cfg: ExperimentConfig) -> None:
                         f"outside the spectral window xi < {xi_edge:.4g} "
                         f"({_WINDOW_FRACTION:g} * kgrid.k_max)"
                     )
+    return grid, q0, dt
 
 
 def _wrap_phase(value: float) -> float:
@@ -535,17 +569,15 @@ def cmd_compare(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
     abort mid-ladder is not fatal: rows for unreached times carry NaN
     evolution columns and the summary flags the run as partial.
     """
-    _validate_compare_geometry(cfg)
+    grid, q0, dt = _validate_compare_geometry(cfg)
     sd = _tracked_data(cfg)
     level = amplitude_Q(sd)
-    w, p = cfg.wedge, cfg.pde
-    grid = symmetric_grid(p.half_width, p.step)
+    w = cfg.wedge
 
-    q0 = cfg.profile.sample(grid.x)
     mass0 = mirror_mass(q0, grid.step)
     abort_reason = ""
     try:
-        run = evolve(q0, grid, w.t_ladder[-1], dt=p.dt, snapshot_times=w.t_ladder)
+        run = evolve(q0, grid, w.t_ladder[-1], dt=dt, snapshot_times=w.t_ladder)
     except (FieldBlowUpError, BoundaryDriftError) as exc:
         # an abort still yields the ladder times landed before it
         run = exc.partial

@@ -1,35 +1,40 @@
 """Direct time evolution of the mirror-coupled field.
 
 Integrates  i q_t + q_xx + 2 q(x,t)^2 conj(q(-x,t)) = 0  on a symmetric
-interval with step-like boundary levels, using a fourth-order centered
-stencil in space and the classical fourth-order Runge-Kutta step in time.
-The mirror coupling makes the evolution nonlocal: the grid is kept
-symmetric about x = 0 with an odd node count so that the reflection
-x -> -x is an exact grid reversal.  Each step runs in place on stage
-buffers allocated once per :func:`evolve` call, so the step loop
-allocates no arrays.
+interval [-L, L] with step-like boundary levels, by exponential time
+differencing on a sine basis (ETDRK4: Cox & Matthews, J. Comput. Phys. 176
+(2002) 430).  The mirror coupling makes the evolution nonlocal: the grid is
+kept symmetric about x = 0 with an odd node count so that the reflection
+x -> -x is an exact grid reversal.
 
-Scaling: the right-hand side is evaluated as the real-weighted sum
-G = 16 (y[j-1] + y[j+1]) - (y[j-2] + y[j+2]) - 30 y[j]
-+ 24 h^2 y[j]^2 conj(y(-x)[j]), which is 12 h^2 (q_xx + 2 q^2 conj(q(-x)))
-on the grid; the real weights act on float64 views, and one complex
-multiply by i dt_k / (12 h^2) turns it into the stage increment
-K_k = i dt_k (...), with dt_k = dt/2, dt/2, dt, dt/6 for the four stages.
-Each stage value is then q + K_k, and the update is
-q + (K_1 + 2 K_2 + K_3) / 3 + K_4.  A step makes 57 passes over grid-sized
-arrays: 12 per right-hand side and 9 for the stage values and the update.
+Splitting: q = q_bg + v.  The background
+q_bg = q_L + (q_R - q_L) (tanh x + tanh L) / (2 tanh L) takes the two edge
+values of the initial data, so v vanishes at x = -L and x = L and lives on
+the interior nodes in the DST-I basis sin(pi k (x + L) / 2L).  There i v_xx
+is diagonal, -i (pi k / 2L)^2 v_k, and the scheme integrates it exactly;
+the exact i q_bg'' enters with the nonlinear term as a forcing.  The DST is
+a numpy FFT of the odd extension (length 2 (n - 1) on n nodes), and a step
+makes eight of them: one to the grid and one back for each of its four
+nonlinear evaluations.  ``symmetric_grid`` keeps that length 7-smooth.
+
+The scheme's phi functions are contour means over 32 points of the full
+circle of radius 1 about each dt lambda_k (Kassam & Trefethen, SIAM J. Sci.
+Comput. 26 (2005) 1214); the half-circle shortcut holds only for a real
+spectrum, and here lambda_k is imaginary.  They are built once per distinct
+segment step.
+
+Time step: the linear part sets no stability limit, so dt is chosen for
+accuracy.  The default ``DEFAULT_DT / max(1, max|q0|^2)`` follows the
+nonlinear time scale 1/|q|^2.  On the unit soliton (phase pi, h = 0.025)
+its error against the exact solution is 4e-11 at t = 1.5, 7e-8 at t = 2.5
+and 2.2e-3 at t = 3, 0.14 before the pole, where dt = 0.01 would give
+1.3e-2; the error falls ~16x per halving of dt and does not depend on h.
 
 Boundary handling: the two edge nodes are pinned to their initial values
 (the far tails of step-like data are flat to machine precision on any
-reasonable interval), and the stencil sees two constant ghost nodes past
-each edge.  The module tracks how much the solution just inside each edge
-drifts from its initial value; growth there means the interval is too
-short for the requested final time.
-
-Stability: the stencil's spectrum is purely imaginary with radius
-(16/3) / h^2, and the RK4 stability region cuts the imaginary axis at
-2*sqrt(2), so the linear step limit is dt <= 0.53 h^2.  The default step
-0.4 h^2 leaves margin for the nonlinear term.
+reasonable interval).  The module tracks how much the solution just inside
+each edge drifts from its initial value; growth there means the interval is
+too short for the requested final time.
 """
 
 from __future__ import annotations
@@ -54,21 +59,19 @@ __all__ = [
     "interpolate_field",
     "write_snapshots_csv",
     "read_snapshots_csv",
-    "STABLE_DT_FACTOR",
-    "DEFAULT_DT_FACTOR",
+    "DEFAULT_DT",
 ]
 
-# dt / h^2 at the linear stability edge (see module docstring) and the
-# default fraction actually used
-STABLE_DT_FACTOR = 3.0 * 2.0 * math.sqrt(2.0) / 16.0  # = 0.5303...
-DEFAULT_DT_FACTOR = 0.4
+# default time step at max|q0| <= 1 (see module docstring)
+DEFAULT_DT = 0.005
 # evolve's blow-up and edge-drift guards (see its docstring)
 BLOW_UP_FACTOR = 1.0e3
 DRIFT_ABORT = 1.0e-3
-CHECK_EVERY = 25
-# Largest grid symmetric_grid builds: the grid and the stepper's buffers take
-# ~110 bytes per node (~1.1 GB at this size), and dt ~ h**2 makes a finer
-# grid far too slow to evolve anyway.
+# points on the circle of each phi-function contour mean
+_CONTOUR_POINTS = 32
+# Largest grid symmetric_grid builds: an evolution holds ~28 complex arrays
+# of the grid size (~4.5 GB at this size), and each step costs eight FFTs of
+# twice its length, so a finer grid is far too slow to evolve anyway.
 _MAX_GRID_NODES = 10**7
 
 
@@ -103,17 +106,43 @@ class SpatialGrid:
         return self.x.size
 
 
+def _next_7_smooth(n: int) -> int:
+    """Smallest integer >= ``n`` whose only prime factors are 2, 3, 5 and 7."""
+    best = 1 << (n - 1).bit_length()  # a power of two >= n
+    p7 = 1
+    while p7 < best:
+        p5 = p7
+        while p5 < best:
+            p3 = p5
+            while p3 < best:
+                p2 = p3
+                while p2 < n:
+                    p2 *= 2
+                best = min(best, p2)
+                p3 *= 3
+            p5 *= 5
+        p7 *= 7
+    return best
+
+
 def symmetric_grid(half_width: float, step: float) -> SpatialGrid:
     """Build a symmetric grid, snapping the step so nodes mirror exactly.
 
-    The actual step is ``half_width / round(half_width / step)``; it never
-    differs from the request by more than one part in the node count.
+    The half-node count is ``half_width / step`` rounded up to the next
+    7-smooth integer (prime factors 2, 3, 5 and 7 only), so the evolution's
+    FFTs, of length 4 x half-node count, stay fast; the actual step
+    ``half_width / half_nodes`` is never coarser than the one asked for.
     """
     if not (half_width > 0.0 and step > 0.0 and math.isfinite(half_width / step)):
         raise ValueError("half_width and step must be positive, with a finite ratio")
-    half_nodes = int(round(half_width / step))
+    ratio = half_width / step
+    half_nodes = round(ratio)
+    if half_nodes < ratio * (1.0 - 1e-12):  # never a coarser step, beyond round-off
+        half_nodes += 1
     if half_nodes < 4:
         raise ValueError("grid needs at least 4 nodes per side")
+    if 2 * half_nodes + 1 <= _MAX_GRID_NODES:
+        half_nodes = _next_7_smooth(half_nodes)
     if 2 * half_nodes + 1 > _MAX_GRID_NODES:
         raise ValueError(
             f"half_width / step gives {2 * half_nodes + 1} nodes, "
@@ -168,69 +197,59 @@ def mirror_mass(q: np.ndarray, step: float) -> complex:
 
 
 def interpolate_field(grid: SpatialGrid, q: np.ndarray, x: float) -> complex:
-    """Linear interpolation of a complex field sample."""
+    """Six-point Lagrange interpolation of a complex field sample.
+
+    The stencil is the six nodes centred on x's interval, shifted inwards
+    next to an edge; its error is O(h^6), below the stepper's own on any
+    resolved field (5.7e-13 on exact soliton samples at h = 0.025).
+    """
     if not -grid.half_width <= x <= grid.half_width:
         raise ValueError("sample point outside the grid")
-    re = float(np.interp(x, grid.x, q.real))
-    im = float(np.interp(x, grid.x, q.imag))
-    return complex(re, im)
-
-
-def _bind_rhs(padded, out, work, kappa):
-    """Return ``rhs(scale)``, which writes ``scale * G`` for
-    ``y = padded[2:-2]`` into ``out``, with G the weighted sum of the module
-    docstring and ``kappa = 24 h^2``; the edge entries are zeroed so the
-    edge nodes stay pinned.  ``work`` is scratch of the grid size.  The
-    shifted slices, the mirror view and the float64 views are built once
-    here, not per call; the real weights act on the float64 views, so a
-    call allocates nothing.
-    """
-    y = padded[2:-2]
-    near_left, near_right = padded[1:-3], padded[3:-1]
-    far_left, far_right = padded[:-4], padded[4:]
-    mirror = y[::-1]
-    y_r, out_r, work_r = (a.view(np.float64) for a in (y, out, work))
-
-    def rhs(scale: complex) -> None:
-        np.add(near_left, near_right, out=out)
-        np.multiply(out_r, 16.0, out=out_r)
-        np.add(far_left, far_right, out=work)
-        np.subtract(out, work, out=out)
-        np.multiply(y_r, 30.0, out=work_r)
-        np.subtract(out, work, out=out)
-        np.conjugate(mirror, out=work)
-        np.multiply(work, y, out=work)
-        np.multiply(work, y, out=work)
-        np.multiply(work_r, kappa, out=work_r)
-        np.add(out, work, out=out)
-        np.multiply(out, scale, out=out)
-        out[0] = 0.0
-        out[-1] = 0.0
-
-    return rhs
-
-
-def _aligned_empty(size: int, lead: int = 0) -> np.ndarray:
-    """Uninitialised complex buffer of ``size`` nodes whose node ``lead``
-    starts on a 64-byte boundary, so the stepper's speed does not depend on
-    where the heap happens to place it."""
-    raw = np.empty(16 * size + 64, dtype=np.uint8)
-    start = -(raw.ctypes.data + 16 * lead) % 64
-    return raw[start : start + 16 * size].view(np.complex128)
-
-
-def resolve_dt(grid: SpatialGrid, dt: float | None) -> float:
-    """Time step on ``grid``: ``dt``, or ``DEFAULT_DT_FACTOR * h^2`` when it
-    is None.  Raises ValueError when the step lies outside (0, dt_max], with
-    dt_max = ``STABLE_DT_FACTOR * h^2`` the linear stability edge."""
     h = grid.step
+    start = min(max(int((x + grid.half_width) / h) - 2, 0), grid.size - 6)
+    s = (x - grid.x[start]) / h
+    weights = [
+        math.prod((s - other) / (node - other) for other in range(6) if other != node)
+        for node in range(6)
+    ]
+    return complex(np.dot(weights, q[start : start + 6]))
+
+
+def resolve_dt(dt: float | None, peak: float) -> float:
+    """Time step for initial data of largest magnitude ``peak``: ``dt``, or
+    ``DEFAULT_DT / max(1, peak^2)`` when it is None.  Raises ValueError
+    unless the step is positive and finite."""
     if dt is None:
-        dt = DEFAULT_DT_FACTOR * h * h
-    if not 0.0 < dt <= STABLE_DT_FACTOR * h * h * (1.0 + 1e-12):
-        raise ValueError(
-            f"dt must lie in (0, {STABLE_DT_FACTOR:.4f} h^2] for a stable step"
-        )
+        dt = DEFAULT_DT / max(1.0, peak * peak)
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     return dt
+
+
+def _etd_coefficients(lam: np.ndarray, dt: float, scale: complex):
+    """ETDRK4's per-mode factors for the diagonal linear part ``lam`` and
+    step ``dt``: exp(dt lam), exp(dt lam / 2), and Q, f1, f2, f3 of Kassam
+    & Trefethen, times ``scale``, the factor that turns the transformed
+    nonlinear term into the mode's rate of change.
+
+    Each phi function is the mean over ``_CONTOUR_POINTS`` points of the
+    circle of radius 1 about z = dt lam.  With lam imaginary, a point lands
+    on z = 0 only at the angles +-pi/2, which the half-offset angles skip.
+    The loop over the points holds only arrays of the mode count.
+    """
+    z0 = dt * lam
+    sums = [np.zeros_like(z0) for _ in range(4)]
+    angles = 2.0 * np.pi * (np.arange(_CONTOUR_POINTS) + 0.5) / _CONTOUR_POINTS
+    for root in np.exp(1j * angles):
+        z = z0 + root
+        ez = np.exp(z)
+        z3 = z * z * z
+        sums[0] += (np.exp(0.5 * z) - 1.0) / z
+        sums[1] += (-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z3
+        sums[2] += (2.0 + z + ez * (z - 2.0)) / z3
+        sums[3] += (-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3
+    weight = dt * scale / _CONTOUR_POINTS
+    return (np.exp(z0), np.exp(0.5 * z0), *(total * weight for total in sums))
 
 
 def evolve(
@@ -243,13 +262,13 @@ def evolve(
 ) -> EvolutionResult:
     """Evolve initial data ``q0`` (array on ``grid.x`` or callable of x).
 
-    Snapshot times are landed on exactly by shortening the step inside
-    each segment; the returned snapshots end with the ``t_final`` state.
-    Repeated snapshot times raise ValueError.  Raises
-    :class:`FieldBlowUpError` when |q| exceeds ``BLOW_UP_FACTOR`` times its
-    initial maximum (looked at every ``CHECK_EVERY`` steps), and
+    ``dt`` defaults by :func:`resolve_dt`.  Snapshot times are landed on
+    exactly by shortening the step inside each segment; the returned
+    snapshots end with the ``t_final`` state.  Repeated snapshot times raise
+    ValueError.  After every step, :class:`FieldBlowUpError` is raised when
+    |q| exceeds ``BLOW_UP_FACTOR`` times its initial maximum, and then
     :class:`BoundaryDriftError` when the first interior node on either side
-    moves more than ``DRIFT_ABORT`` from its initial value.  The error's
+    has moved more than ``DRIFT_ABORT`` from its initial value.  The error's
     ``partial`` :class:`EvolutionResult` keeps the snapshots landed before
     the abort and counts every step taken.
     """
@@ -260,8 +279,8 @@ def evolve(
         raise ValueError("initial data does not match the grid")
     if not t_final > 0.0:
         raise ValueError("t_final must be positive")
-    h = grid.step
-    dt = resolve_dt(grid, dt)
+    peak0 = float(np.max(np.abs(q0)))
+    dt = resolve_dt(dt, peak0)
     times = sorted(float(s) for s in snapshot_times)
     if times and (times[0] <= 0.0 or times[-1] > t_final * (1.0 + 1e-12)):
         raise ValueError("snapshot times must lie in (0, t_final]")
@@ -270,28 +289,65 @@ def evolve(
     if not times or times[-1] < t_final * (1.0 - 1e-12):
         times.append(t_final)
 
-    inv_12h2 = 1.0 / (12.0 * h * h)
-    kappa = 2.0 / inv_12h2
-    # the state and the stage value live in the interiors of two padded
-    # buffers whose two constant ghost nodes per side sit past the pinned
-    # edges, so the stencil reads them in place; every stage of every step
-    # reuses these buffers; the interiors and the scratch arrays are 64-byte
-    # aligned
-    state = _aligned_empty(q0.size + 4, lead=2)
-    state[:2] = q0[0]
-    state[2:-2] = q0
-    state[-2:] = q0[-1]
-    stage = _aligned_empty(q0.size + 4, lead=2)
-    stage[:] = state
-    q, y = state[2:-2], stage[2:-2]
-    total = _aligned_empty(q0.size)  # K1 + 2 K2 + K3, then a third of it
-    slope = _aligned_empty(q0.size)
-    work = _aligned_empty(q0.size)
-    total_r = total.view(np.float64)
-    rhs_state = _bind_rhs(state, total, work, kappa)
-    rhs_stage = _bind_rhs(stage, slope, work, kappa)
-    magnitude = np.empty(q0.size)
-    blow_limit = BLOW_UP_FACTOR * max(float(np.max(np.abs(q0))), 1e-30)
+    h = grid.step
+    intervals = grid.size - 1
+    # the background and half its second derivative on the interior nodes
+    left, right = q0[0], q0[-1]
+    tanh_edge = math.tanh(grid.half_width)
+    tanh_x = np.tanh(grid.x[1:-1])
+    rise = (right - left) / (2.0 * tanh_edge)
+    background = left + rise * (tanh_x + tanh_edge)
+    forcing = -rise * (1.0 - tanh_x * tanh_x) * tanh_x
+    # the state holds the sine coefficients c of v = sine(c), where
+    # sine(u), entries 1 .. intervals - 1 of the FFT of the odd extension
+    # [0, u, 0, -u reversed], is -2i times the DST-I of u; sine is its own
+    # inverse up to the factor -1 / (2 intervals)
+    ext = np.zeros(2 * intervals, dtype=np.complex128)
+    head, tail = ext[1:intervals], ext[intervals + 1 :]
+    transformed = np.empty_like(ext)
+    fft = np.fft.fft
+    # each nonlinear evaluation of a step keeps its own FFT output, the
+    # transform of g = q_bg''/2 + q^2 conj(q(-x)); as v_t = i v_xx + 2i g,
+    # g adds scale * sine(g) to the rate of c, folded into the phi factors
+    spectra = [np.empty_like(ext) for _ in range(4)]
+    n_v, n_a, n_b, n_c = (spec[1:intervals] for spec in spectra)
+    wave = np.pi * np.arange(1, intervals) / (2.0 * grid.half_width)
+    lam = -1j * wave * wave
+    scale = -1j / intervals
+    coefficients = {}
+
+    field = q0.copy()
+    inner = field[1:-1]
+    coeffs = np.empty(intervals - 1, dtype=np.complex128)
+    stage = np.empty_like(coeffs)
+    previous = np.empty_like(coeffs)
+    work = np.empty_like(coeffs)
+    magnitude = np.empty(field.size)
+
+    def sine(values):
+        """sine(values), a view into ``transformed``."""
+        head[...] = values
+        np.negative(values[::-1], out=tail)
+        fft(ext, out=transformed)
+        return transformed[1:intervals]
+
+    def to_field(values, out):
+        """out = q_bg + sine(values) on the interior nodes."""
+        np.add(background, sine(values), out=out)
+
+    def nonlinear(q, spec):
+        """spec = the odd extension's FFT of g at the interior field q."""
+        np.conjugate(q[::-1], out=head)
+        np.multiply(head, q, out=head)
+        np.multiply(head, q, out=head)
+        np.add(head, forcing, out=head)
+        np.negative(head[::-1], out=tail)
+        fft(ext, out=spec)
+
+    np.subtract(inner, background, out=work)
+    np.multiply(sine(work), -0.5 / intervals, out=coeffs)
+
+    blow_limit = BLOW_UP_FACTOR * max(peak0, 1e-30)
     left0, right0 = q0[1], q0[-2]
     left_drift = right_drift = 0.0
     snapshots: list[FieldSnapshot] = []
@@ -303,32 +359,50 @@ def evolve(
             span = target - t
             n_steps = max(1, int(math.ceil(span / dt - 1e-12)))
             dt_seg = span / n_steps
-            # each stage's scale i dt_k / (12 h^2), dt_k = dt/2, dt/2, dt,
-            # dt/6, makes the rhs return the stage increment K_k; then
-            # (K1 + 2 K2 + K3) / 3 + K4 = dt/6 (k1 + 2 k2 + 2 k3 + k4)
-            half = inv_12h2 * (0.5j * dt_seg)
-            full = inv_12h2 * (1j * dt_seg)
-            sixth = inv_12h2 * (1j * (dt_seg / 6.0))
+            if dt_seg not in coefficients:
+                coefficients[dt_seg] = _etd_coefficients(lam, dt_seg, scale)
+            e, e2, qf, f1, f2, f3 = coefficients[dt_seg]
             # overflow past the blow-up threshold is detected below, not warned
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in range(n_steps):
-                    rhs_state(half)
-                    np.add(q, total, out=y)
-                    rhs_stage(half)
-                    np.add(total, slope, out=total)
-                    np.add(total, slope, out=total)
-                    np.add(q, slope, out=y)
-                    rhs_stage(full)
-                    np.add(total, slope, out=total)
-                    np.add(q, slope, out=y)
-                    np.multiply(total_r, 1.0 / 3.0, out=total_r)
-                    rhs_stage(sixth)
-                    np.add(q, total, out=q)
-                    np.add(q, slope, out=q)
+                    # ETDRK4 (Cox-Matthews): the stages a, b, c and the update
+                    nonlinear(inner, spectra[0])
+                    np.multiply(e2, coeffs, out=previous)
+                    np.multiply(qf, n_v, out=work)
+                    np.add(previous, work, out=stage)  # a
+                    to_field(stage, inner)
+                    nonlinear(inner, spectra[1])
+                    np.multiply(qf, n_a, out=work)
+                    np.add(previous, work, out=previous)  # b
+                    np.multiply(e2, stage, out=stage)  # E2 a
+                    to_field(previous, inner)
+                    nonlinear(inner, spectra[2])
+                    np.multiply(n_b, 2.0, out=work)
+                    np.subtract(work, n_v, out=work)
+                    np.multiply(qf, work, out=work)
+                    np.add(stage, work, out=stage)  # c
+                    to_field(stage, inner)
+                    nonlinear(inner, spectra[3])
+                    np.multiply(e, coeffs, out=coeffs)
+                    np.multiply(f1, n_v, out=work)
+                    np.add(coeffs, work, out=coeffs)
+                    np.add(n_a, n_b, out=work)
+                    np.multiply(work, f2, out=work)
+                    np.multiply(work, 2.0, out=work)
+                    np.add(coeffs, work, out=coeffs)
+                    np.multiply(f3, n_c, out=work)
+                    np.add(coeffs, work, out=coeffs)
+                    to_field(coeffs, inner)
                     total_steps += 1
-                    step_left = abs(q[1] - left0)
-                    step_right = abs(q[-2] - right0)
-                    # "not <=" also catches NaN reaching the boundary nodes
+                    np.abs(field, out=magnitude)
+                    peak = float(np.max(magnitude))
+                    # "not <=" also catches NaN from a passed singularity
+                    if not peak <= blow_limit:
+                        raise FieldBlowUpError(
+                            f"|q| reached {peak:.3e} at t={t + (i + 1) * dt_seg:.6g}"
+                        )
+                    step_left = abs(inner[0] - left0)
+                    step_right = abs(inner[-1] - right0)
                     if not (step_left <= DRIFT_ABORT and step_right <= DRIFT_ABORT):
                         raise BoundaryDriftError(
                             f"edge drift {max(step_left, step_right):.3e} at "
@@ -336,18 +410,9 @@ def evolve(
                         )
                     left_drift = max(left_drift, step_left)
                     right_drift = max(right_drift, step_right)
-                    if total_steps % CHECK_EVERY == 0:
-                        np.abs(q, out=magnitude)
-                        peak = float(np.max(magnitude))
-                        # "not <=" also catches NaN from a passed singularity
-                        if not peak <= blow_limit:
-                            raise FieldBlowUpError(
-                                f"|q| reached {peak:.3e} at "
-                                f"t={t + (i + 1) * dt_seg:.6g}"
-                            )
             t = target
             snapshots.append(
-                FieldSnapshot(t, q.copy(), mirror_mass(q, h), left_drift, right_drift)
+                FieldSnapshot(t, field.copy(), mirror_mass(field, h), left_drift, right_drift)
             )
     except (FieldBlowUpError, BoundaryDriftError) as exc:
         exc.partial = EvolutionResult(grid, dt, total_steps, tuple(snapshots))

@@ -11,6 +11,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -496,7 +497,9 @@ def test_compare_abort_yields_partial_report(tmp_path, monkeypatch):
     csv_path, summary_path, snap_path = cmd_compare(cfg)
 
     comments, _, rows = _table(csv_path)
-    assert any(c.startswith("# aborted: FieldBlowUpError") for c in comments)
+    # radiation from the pole, unresolved at h = 0.05, reaches the edges of
+    # [-16, 16] first (drift 1.2e-3 at t = 3.16, max|q| ~ 4)
+    assert any(c.startswith("# aborted: BoundaryDriftError") for c in comments)
     assert len(rows) == 4  # 2 times x 2 sides
     by_key = {(r[3], r[4]): r for r in rows}
     reached = by_key[("3", "+x")]
@@ -524,7 +527,8 @@ def test_compare_abort_yields_partial_report(tmp_path, monkeypatch):
     # the abort time is absolute, inside the named segment, and the step
     # count includes the steps taken in it
     abort = re.fullmatch(
-        r"FieldBlowUpError in segment 3 -> 4: .* at t=(\S+)", fields["abort_reason"]
+        r"BoundaryDriftError in segment 3 -> 4: .* at t=(\S+); enlarge the interval",
+        fields["abort_reason"],
     )
     assert abort and 3.0 < float(abort.group(1)) < 4.0
     assert int(fields["steps"]) * float(fields["dt"]) > 3.0
@@ -711,20 +715,37 @@ def test_cli_has_no_tol_flag(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "body, extra",
+    "body, extra, message",
     [
-        ("[pde]\ndt = abc\n", []),
-        ("[match]\ntime = 1e4x\n", []),
-        ("[match]\nhold_product = wide\n", []),
-        ("[kgrid]\nn_per_sign = 3\n", []),
-        ("[kgrid]\nn_per_sign = 3.7\n", []),
-        ("[wedge]\ns_values = 0.1\nt_ladder = 2, 5\n", []),
-        ("[match]\nalphas = 0.9, 1.0\nhold_product = 1\n", []),
-        ("[match]\ns = 0\ntime = 1e4\n", []),
-        ("[match]\nhold_product = 0\n", []),
-        ("[match]\ntime = 1\n", []),
-        ("[pde]\nstep = 0\n", []),
-        ("[pde]\nstep = 0.1\ndt = 0.006\n", []),
+        ("[pde]\ndt = abc\n", [], None),
+        ("[match]\ntime = 1e4x\n", [], None),
+        ("[match]\nhold_product = wide\n", [], None),
+        ("[kgrid]\nn_per_sign = 3\n", [], None),
+        ("[kgrid]\nn_per_sign = 3.7\n", [], None),
+        ("[wedge]\ns_values = 0.1\nt_ladder = 2, 5\n", [], None),
+        ("[match]\nalphas = 0.9, 1.0\nhold_product = 1\n", [], None),
+        ("[match]\ns = 0\ntime = 1e4\n", [], None),
+        ("[match]\nhold_product = 0\n", [], None),
+        ("[match]\ntime = 1\n", [], None),
+        ("[pde]\nstep = 0\n", [], None),
+        ("[pde]\nstep = 0.1\ndt = 0\n", [], "invalid [pde]: dt must be positive and finite"),
+        # each of these overflowed a double inside predict and match
+        (
+            "[profile]\nkind = soliton-snapshot\nphase = 3.0\namplitude = 1e300\n",
+            [],
+            "profile.amplitude: 1e+300 above the ceiling of 10000",
+        ),
+        (
+            "[profile]\nkind = synthetic-case-i\nd = 1e300\n",
+            [],
+            "profile.d: 1e+300 outside [1e-50, 1e+50]",
+        ),
+        (
+            "[profile]\nkind = pure-step\nbump_amplitude_im = 1e300\n",
+            [],
+            "profile.bump_amplitude_re, bump_amplitude_im: modulus 1e+300 "
+            "above the ceiling of 10000",
+        ),
     ],
     ids=[
         "pde-dt",
@@ -738,15 +759,20 @@ def test_cli_has_no_tol_flag(tmp_path, capsys):
         "match-hold-zero",
         "match-time-one",
         "pde-step-zero",
-        "pde-dt-unstable",
+        "pde-dt-zero",
+        "soliton-amplitude-overflow",
+        "synthetic-d-overflow",
+        "bump-overflow",
     ],
 )
-def test_cli_rejects_bad_numbers_as_config_errors(tmp_path, capsys, body, extra):
-    ini = _write(tmp_path, "[profile]\nkind = synthetic-case-i\n" + body)
+def test_cli_rejects_bad_numbers_as_config_errors(tmp_path, capsys, body, extra, message):
+    if not body.startswith("[profile]"):
+        body = "[profile]\nkind = synthetic-case-i\n" + body
+    ini = _write(tmp_path, body)
     with pytest.raises(SystemExit) as err:
         main(["predict", "--config", str(ini), "--out", str(tmp_path / "out"), *extra])
     assert err.value.code == 2
-    assert "config error:" in capsys.readouterr().err
+    assert f"config error: {message or ''}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -985,8 +1011,8 @@ def test_sweep_budget_counts_the_layout(tmp_path):
 
 
 def test_evolution_budget_refuses_a_days_long_compare(tmp_path):
-    # 800,001 nodes x 1e7 RK4 steps = 8e12 node-steps, days of stepping:
-    # refused before any sweep or step
+    # 800,001 nodes x 2e6 steps of the default dt 0.005 = 1.6e12 node-steps,
+    # days of stepping: refused before any sweep or step
     body = (
         "[profile]\nkind = smoothed-step\n[wedge]\nt_ladder = 1e4\n"
         "[pde]\nhalf_width = 20000\nstep = 0.05\nt_final = 1e4\n"
@@ -994,7 +1020,7 @@ def test_evolution_budget_refuses_a_days_long_compare(tmp_path):
     cfg = load_config(_write(tmp_path, body), out_dir=tmp_path / "out")
     with pytest.raises(
         ConfigError,
-        match=r"800001 nodes x 10000000 steps = 8e\+12, over the budget of 1e\+10",
+        match=r"800001 nodes x 2000000 steps = 1.6e\+12, over the budget of 1e\+09",
     ):
         cmd_compare(cfg)
     assert not (tmp_path / "out" / "spectra.json").exists()
@@ -1012,7 +1038,7 @@ def test_evolution_budget_refuses_a_days_long_compare(tmp_path):
         ("half_width = 16\nstep = 0.05\nt_final = 3\n", "2, 2.5, 3"),
         ("half_width = 16\nstep = 0.05\nt_final = 4\n", "3, 4"),
         ("half_width = 16\nstep = 0.1\nt_final = 3\n", "3"),
-        # the bench soliton's grid and ladder: 3,201 nodes x 14,000 steps
+        # the bench soliton's grid and ladder: 3,201 nodes x 700 steps
         ("half_width = 40\nstep = 0.025\nt_final = 3.5\n", "1.5, 2, 2.5, 3, 3.5"),
     ],
 )
@@ -1022,10 +1048,11 @@ def test_evolution_budget_keeps_the_tier1_and_bench_compares(tmp_path, pde, t_la
         f"[wedge]\nalphas = 0.75\nt_ladder = {t_ladder}\n[pde]\n{pde}"
     )
     cfg = load_config(_write(tmp_path, body), out_dir=tmp_path / "out")
-    _validate_compare_geometry(cfg)
-    grid = harness.symmetric_grid(cfg.pde.half_width, cfg.pde.step)
-    steps = math.ceil(cfg.wedge.t_ladder[-1] / harness.resolve_dt(grid, cfg.pde.dt))
-    assert grid.size * steps <= 4.5e7 < _MAX_EVOLVE_WORK
+    grid, q0, dt = _validate_compare_geometry(cfg)
+    assert np.array_equal(q0, cfg.profile.sample(grid.x))
+    assert dt == harness.resolve_dt(cfg.pde.dt, float(np.max(np.abs(q0))))
+    steps = math.ceil(cfg.wedge.t_ladder[-1] / dt)
+    assert grid.size * steps <= 2.3e6 < _MAX_EVOLVE_WORK
 
 
 def test_evolution_budget_leaves_predict_alone(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -13,8 +14,8 @@ from nnlswedge import pde
 from nnlswedge.pde import (
     BoundaryDriftError,
     FieldBlowUpError,
-    STABLE_DT_FACTOR,
-    _aligned_empty,
+    _etd_coefficients,
+    _next_7_smooth,
     evolve,
     interpolate_field,
     mirror_mass,
@@ -23,6 +24,7 @@ from nnlswedge.pde import (
     write_snapshots_csv,
 )
 from nnlswedge.profiles import soliton_exact
+from nnlswedge.wedge import wedge_point
 
 
 @pytest.fixture(scope="module")
@@ -56,12 +58,31 @@ def test_grid_validation():
         symmetric_grid(5.0e6, 1.0)  # one node above the ceiling, never allocated
 
 
+def test_grid_rounds_half_nodes_up_to_7_smooth():
+    smooth = sorted(
+        2**a * 3**b * 5**c * 7**d
+        for a in range(13) for b in range(8) for c in range(6) for d in range(5)
+    )
+    for n in range(1, 4001):
+        assert _next_7_smooth(n) == next(m for m in smooth if m >= n)
+    # criterion 09's 500 / 0.06 = 8333.3 becomes 8,400 half-nodes, a finer step
+    g = symmetric_grid(500.0, 0.06)
+    assert g.size == 16_801 and g.step <= 0.06
+    # the bench, criterion 08, grid20 and the compare grids are already smooth
+    for half_width, step, half_nodes in (
+        (40.0, 0.025, 1600), (40.0, 0.02, 2000), (20.0, 0.1, 200),
+        (16.0, 0.05, 320), (16.0, 0.1, 160),
+    ):
+        g = symmetric_grid(half_width, step)
+        assert g.size == 2 * half_nodes + 1 and g.step <= step * (1.0 + 1e-12)
+
+
 def test_soliton_evolution_accuracy(grid20):
     res = evolve(_soliton0, grid20, 0.5, snapshot_times=(0.25, 0.5))
     assert [s.t for s in res.snapshots] == [0.25, 0.5]
     for snap in res.snapshots:
         exact = soliton_exact(1.0, math.pi, grid20.x, snap.t)
-        assert np.max(np.abs(snap.q - exact)) < 1e-6  # measured 2.0e-7
+        assert np.max(np.abs(snap.q - exact)) < 1e-6  # measured 1.0e-9
         # boundary neighborhoods stay put
         assert snap.right_drift < 1e-6
         assert snap.left_drift < 1e-6
@@ -76,65 +97,104 @@ def test_soliton_conserved_pairing(grid20):
 
 
 def test_zero_data_stays_exactly_zero(grid20):
-    res = evolve(np.zeros(grid20.size, dtype=complex), grid20, 0.5)
-    assert float(np.max(np.abs(res.final.q))) == 0.0
+    # zero levels make the background and its forcing vanish, and every
+    # transform of zeros is zero: each snapshot is +0.0, bit for bit
+    res = evolve(np.zeros(grid20.size, dtype=complex), grid20, 0.5, snapshot_times=(0.013,))
+    for snap in res.snapshots:
+        assert not snap.q.view(np.uint64).any()
 
 
-def test_fourth_order_spatial_convergence():
-    # same dt for both grids so the spatial error dominates; halving the
-    # step should cut the error by ~16
+@pytest.mark.parametrize(
+    "amplitude, phase, rk4_error",
+    [
+        # max error at t = 0.5 on [-40, 40] with h = 0.1; the third column
+        # is the fourth-order stencil with RK4 at dt = 0.4 h^2 on the same
+        # grid (measured 2.0e-7, 4.2e-4, 7.5e-7, 1.7e-9)
+        (1.0, math.pi, 2.0e-7),
+        (2.0, math.pi, 4.2e-4),
+        (1.0, 2.5, 7.5e-7),
+        (0.5, math.pi, 1.7e-9),
+    ],
+)
+def test_soliton_oracle_beats_the_rk4_stencil(amplitude, phase, rk4_error):
+    # the exact one-soliton at several amplitudes and phases; measured
+    # 1.5e-12, 9.5e-9, 8.6e-12 and 1.3e-10 (the last one the e^{-A L} tail
+    # of the pinned edges)
+    g = symmetric_grid(40.0, 0.1)
+    res = evolve(lambda x: soliton_exact(amplitude, phase, x, 0.0), g, 0.5)
+    exact = soliton_exact(amplitude, phase, g.x, 0.5)
+    assert np.max(np.abs(res.final.q - exact)) < 0.1 * rk4_error
+
+
+def test_fourth_order_in_time():
+    # the sine basis resolves the soliton to round-off at h = 0.1, so the
+    # time step sets the error; halving it cuts the error by ~16
+    g = symmetric_grid(40.0, 0.1)
     errs = {}
-    for h in (0.2, 0.1):
-        g = symmetric_grid(15.0, h)
-        res = evolve(_soliton0, g, 0.25, dt=0.004)
-        exact = soliton_exact(1.0, math.pi, g.x, 0.25)
-        errs[h] = float(np.max(np.abs(res.final.q - exact)))
-    assert errs[0.2] / errs[0.1] > 12.0  # measured 15.6
+    for dt in (0.04, 0.02):
+        res = evolve(_soliton0, g, 2.0, dt=dt)
+        errs[dt] = float(np.max(np.abs(res.final.q - soliton_exact(1.0, math.pi, g.x, 2.0))))
+    assert math.log2(errs[0.04] / errs[0.02]) >= 3.8  # measured 3.93
 
 
-def _textbook_rk4(q0, grid, dt, snapshot_times):
-    """Allocation-based classical RK4 on the same semi-discrete system."""
-    n = q0.size
-    inv_12h2 = 1.0 / (12.0 * grid.step**2)
-    padded = np.empty(n + 4, dtype=np.complex128)
-    padded[0] = padded[1] = q0[0]
-    padded[-1] = padded[-2] = q0[-1]
+def _phi(z):
+    """phi_0 .. phi_3 at each z: phi_k(z) = sum_m z^m / (m + k)!, by the
+    series for |z| < 1 and by phi_{k+1} = (phi_k - 1/k!) / z elsewhere."""
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < 1.0
+    phis = [np.exp(z)]
+    for k in range(3):
+        big = (phis[k] - 1.0 / math.factorial(k)) / np.where(small, 1.0, z)
+        series = sum(z**m / math.factorial(m + k + 1) for m in range(30))
+        phis.append(np.where(small, series, big))
+    return phis
 
-    def rhs(q):
-        padded[2:-2] = q
-        lap = (
-            -padded[:-4]
-            + 16.0 * padded[1:-3]
-            - 30.0 * padded[2:-2]
-            + 16.0 * padded[3:-1]
-            - padded[4:]
-        ) * inv_12h2
-        out = 1j * (lap + 2.0 * q * q * np.conj(q[::-1]))
-        out[0] = 0.0
-        out[-1] = 0.0
-        return out
 
-    q = q0.copy()
+def _dense_etdrk4(q0, grid, dt, snapshot_times):
+    """Allocation-based ETDRK4 on the same semi-discrete system: the sine
+    basis as a dense matrix and the phi functions from their series."""
+    n = grid.size - 1  # intervals
+    modes = np.arange(1, n)
+    sines = np.sin(np.pi * np.outer(modes, modes) / n)  # symmetric; inverse 2/n x itself
+    lam = -1j * (np.pi * modes / (2.0 * grid.half_width)) ** 2
+    tanh_l = math.tanh(grid.half_width)
+    x = grid.x[1:-1]
+    background = q0[0] + (q0[-1] - q0[0]) * (np.tanh(x) + tanh_l) / (2.0 * tanh_l)
+    second = (q0[-1] - q0[0]) / (2.0 * tanh_l) * (-2.0 * np.tanh(x) / np.cosh(x) ** 2)
+
+    def rate(c):
+        q = background + sines @ c
+        return 2.0 / n * (sines @ (1j * second + 2j * q * q * np.conj(q[::-1])))
+
+    c = 2.0 / n * (sines @ (q0[1:-1] - background))
     t = 0.0
     states = []
     for target in snapshot_times:
-        n_steps = max(1, int(math.ceil((target - t) / dt - 1e-12)))
-        h = (target - t) / n_steps
-        for _ in range(n_steps):
-            k1 = rhs(q)
-            k2 = rhs(q + 0.5 * h * k1)
-            k3 = rhs(q + 0.5 * h * k2)
-            k4 = rhs(q + h * k3)
-            q = q + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        steps = max(1, int(math.ceil((target - t) / dt - 1e-12)))
+        h = (target - t) / steps
+        z = h * lam
+        _, p1, p2, p3 = _phi(z)
+        e, e2 = np.exp(z), np.exp(z / 2)
+        qf = h / 2 * _phi(z / 2)[1]
+        f1, f2, f3 = h * (p1 - 3 * p2 + 4 * p3), h * (p2 - 2 * p3), h * (4 * p3 - p2)
+        for _ in range(steps):
+            nv = rate(c)
+            a = e2 * c + qf * nv
+            na = rate(a)
+            b = e2 * c + qf * na
+            nb = rate(b)
+            cc = e2 * a + qf * (2 * nb - nv)
+            nc = rate(cc)
+            c = e * c + f1 * nv + 2 * f2 * (na + nb) + f3 * nc
         t = target
-        states.append(q.copy())
+        states.append(np.concatenate(([q0[0]], background + sines @ c, [q0[-1]])))
     return states
 
 
 def _skewed_step(x):
     # a step between two different nonzero levels with an off-centre
     # complex bump: no mirror symmetry, so the conj(q(-x)) coupling, the
-    # ghost nodes on both sides and both pins all enter the result
+    # background forcing and both pins all enter the result
     left, right = 0.4 * np.exp(0.9j), 1.0
     return (
         left
@@ -143,36 +203,82 @@ def _skewed_step(x):
     )
 
 
-def _assert_matches_textbook_rk4(grid, monkeypatch, dt, times):
+def _assert_matches_dense_etdrk4(grid, monkeypatch, dt, times):
     q0 = _skewed_step(grid.x)
     monkeypatch.setattr(pde, "DRIFT_ABORT", 1.0)
     res = evolve(q0, grid, times[-1], dt=dt, snapshot_times=times)
-    oracle = _textbook_rk4(q0, grid, dt, times)
+    oracle = _dense_etdrk4(q0, grid, dt, times)
     assert [s.t for s in res.snapshots] == list(times)
     for snap, want in zip(res.snapshots, oracle):
-        assert np.max(np.abs(snap.q - want)) <= 1e-12
+        assert np.max(np.abs(snap.q - want)) <= 1e-12  # measured <= 4.9e-15
         assert snap.q[0] == q0[0] and snap.q[-1] == q0[-1]
 
 
-def test_stepper_matches_textbook_rk4(grid20, monkeypatch):
-    _assert_matches_textbook_rk4(grid20, monkeypatch, 0.004, (0.05, 0.1))
+def test_stepper_matches_dense_etdrk4(grid20, monkeypatch):
+    _assert_matches_dense_etdrk4(grid20, monkeypatch, 0.01, (0.05, 0.1))
 
 
 @pytest.mark.parametrize(
     "dt, times",
     [
         # unequal segments, the first shorter than dt (a single step of
-        # 0.001), so each segment's stage scales differ
-        (0.003, (0.001, 0.05, 0.0731, 0.1)),
-        # a dt near the stability edge, 0.53 h^2
-        (0.0051, (0.04, 0.1)),
+        # 0.001), so each segment builds its own phi functions
+        (0.03, (0.001, 0.05, 0.0731, 0.2)),
+        # a step 25x the old RK4 stability edge (0.53 h^2): the linear part
+        # is integrated exactly, so no step size is unstable
+        (0.125, (0.25, 0.5)),
     ],
-    ids=["unequal-segments", "dt-near-edge"],
+    ids=["unequal-segments", "large-dt"],
 )
-def test_stepper_matches_textbook_rk4_per_segment(grid20, monkeypatch, dt, times):
-    # the stage scales i dt_k / (12 h^2) are rebuilt from each segment's
-    # shortened step; the oracle shortens its steps the same way
-    _assert_matches_textbook_rk4(grid20, monkeypatch, dt, times)
+def test_stepper_matches_dense_etdrk4_per_segment(grid20, monkeypatch, dt, times):
+    # the phi functions are rebuilt from each segment's shortened step; the
+    # oracle shortens its steps the same way
+    _assert_matches_dense_etdrk4(grid20, monkeypatch, dt, times)
+
+
+def test_step_loop_allocates_no_grid_array(grid20, monkeypatch):
+    # each FFT call reads the traced memory before it runs: the second (the
+    # first inside the step loop, after the initial transform and the phi
+    # functions) sets the base after a peak reset, the later ones the peak
+    # since; every stage, guard and update of a step runs in between, so a
+    # grid-sized temporary anywhere in a step lifts the peak by 16 * size
+    fft = np.fft.fft
+    seen = []
+
+    def traced(*args, **kwargs):
+        if len(seen) == 1:
+            tracemalloc.reset_peak()
+            seen.append(tracemalloc.get_traced_memory()[0])
+        else:
+            seen.append(tracemalloc.get_traced_memory()[1])
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", traced)
+    dt = 5e-3
+    tracemalloc.start()
+    try:
+        res = evolve(_soliton0, grid20, 3 * dt, dt=dt)
+    finally:
+        tracemalloc.stop()
+    assert res.steps == 3 and len(seen) == 1 + 3 * 8
+    assert max(seen[2:]) - seen[1] < 16 * grid20.size  # measured 2,456 B
+
+
+def test_phi_functions_need_no_contour_sized_array():
+    # the contour mean loops over its 32 points, so building the factors
+    # for n modes holds a few arrays of n at a time (measured peak 14), never
+    # one of 32 n
+    lam = -1j * np.linspace(0.0, 3.0e3, 3199)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        factors = _etd_coefficients(lam, 0.005, -1j / 3200)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(factors) == 6
+    assert peak < 24 * 16 * lam.size
 
 
 def test_step_loop_memory_does_not_grow_with_steps(grid20):
@@ -196,53 +302,10 @@ def test_step_loop_memory_does_not_grow_with_steps(grid20):
     assert abs(peaks[1] - peaks[0]) < 16 * grid20.size
 
 
-def test_step_loop_allocates_no_grid_array(grid20, monkeypatch):
-    # each rhs call reads the traced memory before it runs: the first sets
-    # the base (after a peak reset), the later ones the peak since; the
-    # stage values, the update and the rhs itself all run in between, so a
-    # grid-sized temporary anywhere in a step lifts the peak by 16 * size
-    bind = pde._bind_rhs
-    seen = []
-
-    def traced_bind(*args):
-        rhs = bind(*args)
-
-        def traced(scale):
-            if not seen:
-                tracemalloc.reset_peak()
-                seen.append(tracemalloc.get_traced_memory()[0])
-            else:
-                seen.append(tracemalloc.get_traced_memory()[1])
-            rhs(scale)
-
-        return traced
-
-    monkeypatch.setattr(pde, "_bind_rhs", traced_bind)
-    dt = 5e-4
-    tracemalloc.start()
-    try:
-        res = evolve(_soliton0, grid20, 3 * dt, dt=dt)
-    finally:
-        tracemalloc.stop()
-    assert res.steps == 3 and len(seen) == 12
-    assert max(seen[1:]) - seen[0] < 16 * grid20.size
-
-
-def test_stepper_buffers_are_cache_line_aligned():
-    # the padded state keeps two ghost nodes before its aligned interior;
-    # each allocation may land at a different heap offset
-    for size, lead in ((9, 0), (3201, 0), (3205, 2)):
-        for _ in range(4):
-            buf = _aligned_empty(size, lead)
-            assert buf.shape == (size,) and buf.dtype == np.complex128
-            assert buf[lead:].ctypes.data % 64 == 0
-
-
 def test_blow_up_guard_catches_the_pole(grid20, monkeypatch):
     # with carrier phase pi the exact solution has a finite-time pole at
     # (x, t) = (0, pi); the magnitude guard must abort on approach
     monkeypatch.setattr(pde, "BLOW_UP_FACTOR", 3.0)
-    monkeypatch.setattr(pde, "CHECK_EVERY", 5)
     with pytest.raises(FieldBlowUpError):
         evolve(_soliton0, grid20, 3.0)
 
@@ -272,11 +335,13 @@ def test_abort_keeps_the_snapshots_landed_before_it(grid20, monkeypatch):
         assert np.array_equal(got.q, want.q)
 
 
-def test_singularity_aborts_instead_of_returning_nan():
-    # on a grid fine enough to resolve the pole the field overflows to
-    # inf and then NaN between magnitude checks; NaN compares false
-    # against every threshold, so only a negated-form guard catches it --
-    # a silent return full of NaN is the regression this pins down
+def test_singularity_aborts_instead_of_returning_nan(monkeypatch):
+    # with no magnitude limit the field passes the pole, overflows to inf
+    # and then NaN; NaN compares false against every threshold, so only a
+    # negated-form guard catches it -- a silent return full of NaN is the
+    # regression this pins down
+    monkeypatch.setattr(pde, "BLOW_UP_FACTOR", math.inf)
+    monkeypatch.setattr(pde, "DRIFT_ABORT", math.inf)  # radiation reaches the edges first
     fine = symmetric_grid(16.0, 0.05)
     with pytest.raises(FieldBlowUpError, match="reached nan"):
         evolve(_soliton0, fine, 3.5)
@@ -287,8 +352,9 @@ def test_evolve_validation(grid20):
         evolve(np.zeros(5, dtype=complex), grid20, 0.5)  # wrong shape
     with pytest.raises(ValueError):
         evolve(_soliton0, grid20, 0.0)  # no time span
-    with pytest.raises(ValueError):
-        evolve(_soliton0, grid20, 0.5, dt=STABLE_DT_FACTOR * 0.1**2 * 1.5)
+    for dt in (0.0, -0.01, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            evolve(_soliton0, grid20, 0.5, dt=dt)
     with pytest.raises(ValueError):
         evolve(_soliton0, grid20, 0.5, snapshot_times=(0.7,))  # past t_final
     with pytest.raises(ValueError, match="must not repeat"):
@@ -309,11 +375,29 @@ def test_interpolate_field(grid20):
     assert interpolate_field(grid20, q, float(grid20.x[mid])) == pytest.approx(
         q[mid], rel=1e-14
     )
-    between = float(0.5 * (grid20.x[mid] + grid20.x[mid + 1]))
-    want = 0.5 * (q[mid] + q[mid + 1])
-    assert interpolate_field(grid20, q, between) == pytest.approx(want, rel=1e-12)
+    # a quintic through six nodes is read back exactly, next to an edge too
+    poly = (1.0 + 2.0j) * grid20.x**5 - 0.5 * grid20.x**2 + 3.0j
+    for x in (0.05, -19.97, 19.93, 20.0):
+        want = (1.0 + 2.0j) * x**5 - 0.5 * x**2 + 3.0j
+        assert abs(interpolate_field(grid20, poly, x) - want) <= 1e-12 * abs(want)
     with pytest.raises(ValueError):
         interpolate_field(grid20, q, 21.0)
+
+
+def test_interpolation_is_below_the_stepper_error():
+    # exact soliton samples read at the bench config's 48 wedge points (x
+    # off the nodes, t = 1.5 .. 3): the six-point stencil is far below the
+    # stepper's own 7e-8 at t = 2.5 (measured 5.7e-13; linear
+    # interpolation was off by 6.0e-6)
+    g = symmetric_grid(40.0, 0.025)
+    worst = 0.0
+    for alpha, s, t in itertools.product((0.5, 0.75, 0.9), (0.5, 1.0), (1.5, 2.0, 2.5, 3.0)):
+        q = soliton_exact(1.0, math.pi, g.x, t)
+        x = wedge_point(alpha, s, t).x
+        for xs in (x, -x):
+            got = interpolate_field(g, q, xs)
+            worst = max(worst, abs(got - soliton_exact(1.0, math.pi, xs, t)))
+    assert worst <= 1e-10
 
 
 def test_snapshot_csv_round_trip(tmp_path, grid20):
