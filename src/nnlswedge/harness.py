@@ -20,7 +20,7 @@ import cmath
 import configparser
 import itertools
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +48,10 @@ from .scattering import (
 )
 from .wedge import (
     Side,
-    _fast_coefficient,
+    WedgePoint,
     amplitude_Q,
     gen_as_predict,
+    guard_fast_phase,
     matching_check,
     matching_ladder,
     predict_q,
@@ -115,10 +116,15 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class WedgeBlock:
+    """The [wedge] keys and the cells they make: ``cells`` holds (t, point)
+    per output row, in the order alpha, s, t, side (innermost), with the
+    config's own t, which ``point.t`` = exp(ln t) need not reproduce."""
+
     alphas: tuple[float, ...]
     s_values: tuple[float, ...]
     t_ladder: tuple[float, ...]
     sides: tuple[Side, ...]
+    cells: tuple[tuple[float, WedgePoint], ...]
 
 
 @dataclass(frozen=True)
@@ -324,17 +330,21 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
                 "lower k_max or n_per_sign"
             )
 
-    wedge = WedgeBlock(**values["wedge"])
-    if any(b <= a for a, b in zip(wedge.t_ladder, wedge.t_ladder[1:])):
+    w = values["wedge"]
+    if any(b <= a for a, b in zip(w["t_ladder"], w["t_ladder"][1:])):
         raise ConfigError("wedge.t_ladder must be strictly increasing")
-    for alpha, s, t in itertools.product(wedge.alphas, wedge.s_values, wedge.t_ladder):
+    cells = []
+    for alpha, s, t in itertools.product(w["alphas"], w["s_values"], w["t_ladder"]):
         cell = f"wedge cell alpha={alpha:g}, s={s:g}, t={t:g}"
         try:
             point = wedge_point(alpha, s, t)
+            guard_fast_phase(point)
         except ValueError as exc:
             raise ConfigError(f"{cell}: {exc}") from exc
-        if _fast_phase_overflows(alpha, s, point.ln_t):
-            raise ConfigError(f"{cell}: its fast phase overflows a double")
+        except OverflowError:
+            raise ConfigError(f"{cell}: its fast phase overflows a double") from None
+        cells += [(t, replace(point, side=side)) for side in w["sides"]]
+    wedge = WedgeBlock(**w, cells=tuple(cells))
 
     pde = None
     if "pde" in parser:
@@ -377,18 +387,6 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
     )
 
 
-def _fast_phase_overflows(alpha: float, s: float, ln_t: float) -> bool:
-    """Whether the expanded route's fast phase, ``_fast_coefficient(alpha, s)``
-    times t**(alpha/(2-alpha)), leaves the double range; the power itself
-    may reach e**709 (the bound of ``PhaseLedger.phase_at``)."""
-    exponent = alpha / (2.0 - alpha) * ln_t
-    try:
-        phase = _fast_coefficient(alpha, s) * math.exp(exponent)
-    except OverflowError:
-        return True
-    return exponent > 709.0 or not math.isfinite(phase)
-
-
 # ---------------------------------------------------------------------------
 # shared plumbing
 
@@ -429,18 +427,6 @@ def _tracked_data(cfg: ExperimentConfig) -> SpectralData:
     return spectral_data_for(cfg)
 
 
-def _branch_rows(cfg: ExperimentConfig):
-    """All configured wedge cells as (alpha, s, t, side), deterministic order."""
-    w = cfg.wedge
-    return [
-        (alpha, s, t, side)
-        for alpha in w.alphas
-        for s in w.s_values
-        for t in w.t_ladder
-        for side in w.sides
-    ]
-
-
 # ---------------------------------------------------------------------------
 # scatter
 
@@ -468,16 +454,15 @@ _PREDICT_HEADER = (
 )
 
 
-def _predict_row(sd: SpectralData, cell) -> str:
-    alpha, s, t, side = cell
-    pred = predict_q(sd, wedge_point(alpha, s, t, side))
-    in_band = int(EXPANSION_BAND[0] <= s <= EXPANSION_BAND[1])
+def _predict_row(sd: SpectralData, t: float, point: WedgePoint) -> str:
+    pred = predict_q(sd, point)
+    in_band = int(EXPANSION_BAND[0] <= point.s <= EXPANSION_BAND[1])
     return ",".join([
         pred.regime,
         pred.case.value,
-        side.value,
-        _fmt(alpha),
-        _fmt(s),
+        point.side.value,
+        _fmt(point.alpha),
+        _fmt(point.s),
         _fmt(t),
         _fmt(pred.leading.real),
         _fmt(pred.leading.imag),
@@ -497,7 +482,7 @@ def _predict_row(sd: SpectralData, cell) -> str:
 def cmd_predict(cfg: ExperimentConfig) -> Path:
     """Write the expanded-prediction table of the config's cells; returns its path."""
     sd = _tracked_data(cfg)
-    rows = [_predict_row(sd, cell) for cell in _branch_rows(cfg)]
+    rows = [_predict_row(sd, t, point) for t, point in cfg.wedge.cells]
     path = cfg.output.directory / cfg.output.predictions
     return _write_report(path, "predictions", [_PREDICT_HEADER, *rows])
 
@@ -539,22 +524,19 @@ def _validate_compare_geometry(cfg: ExperimentConfig):
         )
     clearance = 4.0 * max(cfg.profile.width, 1.0)
     xi_edge = _WINDOW_FRACTION * cfg.kgrid_max
-    for alpha in w.alphas:
-        for s in w.s_values:
-            for t in w.t_ladder:
-                point = wedge_point(alpha, s, t)
-                cell = f"(alpha={alpha:g}, s={s:g}, t={t:g})"
-                if point.x + clearance > p.half_width:
-                    raise ConfigError(
-                        f"wedge point x={point.x:.4g} {cell} too close to the "
-                        f"boundary for half_width={p.half_width:g}"
-                    )
-                if not point.xi < xi_edge:
-                    raise ConfigError(
-                        f"wedge point {cell} has slow variable xi={point.xi:.4g} "
-                        f"outside the spectral window xi < {xi_edge:.4g} "
-                        f"({_WINDOW_FRACTION:g} * kgrid.k_max)"
-                    )
+    for t, point in w.cells:
+        cell = f"(alpha={point.alpha:g}, s={point.s:g}, t={t:g})"
+        if point.x + clearance > p.half_width:
+            raise ConfigError(
+                f"wedge point x={point.x:.4g} {cell} too close to the "
+                f"boundary for half_width={p.half_width:g}"
+            )
+        if not point.xi < xi_edge:
+            raise ConfigError(
+                f"wedge point {cell} has slow variable xi={point.xi:.4g} "
+                f"outside the spectral window xi < {xi_edge:.4g} "
+                f"({_WINDOW_FRACTION:g} * kgrid.k_max)"
+            )
     return grid, q0, dt
 
 
@@ -593,8 +575,8 @@ def cmd_compare(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
     # filed as (t, evolution gap, plateau gap) under its (alpha, s, side)
     rows, groups = [], {}
     head = [f"# aborted: {abort_reason}"] if abort_reason else []
-    for alpha, s, t, side in _branch_rows(cfg):
-        point = wedge_point(alpha, s, t, side)
+    for t, point in w.cells:
+        alpha, s, side = point.alpha, point.s, point.side
         expanded = predict_q(sd, point)
         try:
             exact = gen_as_predict(sd, point).total
@@ -614,11 +596,9 @@ def cmd_compare(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
             rel_gap_pde = gap_pde / level
             if side is Side.PLUS_X:
                 plateau_gap = abs(abs(pde_value) - level)
-                try:
-                    ledger_phase = expanded.ledger.phase_at(point)
-                    phase_residual = abs(_wrap_phase(cmath.phase(pde_value) - ledger_phase))
-                except OverflowError:
-                    pass
+                # the +x ledger is the main phase, which has no fast term
+                ledger_phase = expanded.ledger.phase_at(point)
+                phase_residual = abs(_wrap_phase(cmath.phase(pde_value) - ledger_phase))
         gap_routes = abs(expanded.total - exact)
         values = (
             x, expanded.total.real, expanded.total.imag, exact.real, exact.imag,
@@ -644,8 +624,7 @@ def cmd_compare(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
     lines.append(f"dt={_fmt(run.dt)}")
     lines.append(f"edge_drift={_fmt(edge_drift)}")
     lines.append(f"mirror_mass_drift={_fmt(mass_drift)}")
-    for alpha, s, side in itertools.product(w.alphas, w.s_values, w.sides):
-        group = groups[alpha, s, side]
+    for (alpha, s, side), group in groups.items():  # cell order: alpha, s, side
         label = f"alpha={_fmt(alpha)} s={_fmt(s)} side={side.value}"
         fitted = [(t, g) for t, g, _ in group if g is not None and math.isfinite(g) and g > 0.0]
         slope = None

@@ -58,7 +58,6 @@ __all__ = [
     "mirror_mass",
     "interpolate_field",
     "write_snapshots_csv",
-    "read_snapshots_csv",
     "DEFAULT_DT",
 ]
 
@@ -444,13 +443,3 @@ def write_snapshots_csv(result: EvolutionResult, path) -> None:
                 fh.write(
                     f"{snap.t:.17g},{x:.17g},{val.real:.17g},{val.imag:.17g}\n"
                 )
-
-
-def read_snapshots_csv(path) -> dict[float, tuple[np.ndarray, np.ndarray]]:
-    """Read a snapshot CSV back as {t: (x, q)} with q complex."""
-    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    out: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    for t in np.unique(data[:, 0]):
-        rows = data[data[:, 0] == t]
-        out[float(t)] = (rows[:, 1], rows[:, 2] + 1j * rows[:, 3])
-    return out

@@ -101,9 +101,6 @@ class ErrorOrder:
     t_exponent: float
     log_power: float
 
-    def __str__(self) -> str:
-        return f"O(t^{self.t_exponent:+.6g} ln^{self.log_power:g} t)"
-
 
 @dataclass(frozen=True)
 class PhaseFunctionalResult:
@@ -550,32 +547,6 @@ class PhaseTracker:
             plateau=self.plateau,
             error_order=ErrorOrder((1.0 - alpha) / (alpha - 2.0), 1),
             case=self.case,
-        )
-
-    # -- ray-limit modulation -----------------------------------------------------
-
-    def delta0(self, xi: float) -> complex:
-        """Modulation factor of the straight-ray region by direct quadrature."""
-        if not xi > 0.0:
-            raise ValueError("xi must be positive")
-        self._check_window(xi)
-
-        def integrand(tau):
-            return self.log_w(-np.exp(tau))
-
-        spec = QuadratureSpec(atol=1e-10, rtol=1e-9, max_subdivisions=600)
-        mid = -quad(integrand, math.log(xi), math.log(self.k_edge), spec).value
-        total = self._tail_log_integral() + mid
-        return cmath.exp(-1j * total / _TWO_PI)
-
-    def delta0_expansion(self, xi: float) -> complex:
-        """Small-xi form of delta0 built from the cached constants."""
-        if not xi > 0.0:
-            raise ValueError("xi must be positive")
-        ln_xi = math.log(xi)
-        return cmath.exp(
-            1j * ln_xi * (self.nu_one - self.h * ln_xi / _TWO_PI)
-            + self.origin_constant
         )
 
 

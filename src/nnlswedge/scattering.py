@@ -61,7 +61,6 @@ __all__ = [
     "classify_case",
     "find_k1",
     "check_assumption2",
-    "reflection_coefficients",
     "compute_spectral_data",
     "save_spectral_data",
     "load_spectral_data",
@@ -687,13 +686,6 @@ def check_assumption2(k_grid: np.ndarray, a1: np.ndarray, a2: np.ndarray, b: np.
     k_near, k_last = k_grid[neg][-2:]
     limit = float(phase[-1] - (phase[-1] - phase[-2]) * k_last / (k_last - k_near))
     return limit, bool(abs(limit) <= 1e-2)
-
-
-def reflection_coefficients(sd: "SpectralData"):
-    """Node values of ``r1 = b/a1`` and ``r2 = conj(b(-k))/a2``."""
-    r1 = sd.b / sd.a1
-    r2 = np.conj(sd.b[::-1]) / sd.a2
-    return r1, r2
 
 
 # ---------------------------------------------------------------------------

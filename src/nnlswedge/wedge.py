@@ -19,6 +19,10 @@ The two routes converge to each other at the slower of their printed error
 rates; their gap is the working measure of how quickly the closed-form
 coefficients take over from the exact functionals.
 
+Each route evaluates the fast phase s * x**alpha by its own arithmetic,
+behind one shared guard, :func:`guard_fast_phase`; the CLI's config gate
+calls it too, so no accepted cell reaches a route that the guard refuses.
+
 :func:`matching_check` reconciles the wedge-interior forms with the
 straight-ray forms as alpha -> 1, holding either the observation time or the
 product (1 - alpha) ln t fixed along the ladder.
@@ -56,6 +60,7 @@ __all__ = [
     "beta_gamma",
     "predict_q",
     "gen_as_predict",
+    "guard_fast_phase",
     "matching_check",
     "matching_ladder",
     "DEGENERATE_REFLECTION",
@@ -118,18 +123,13 @@ class PhaseLedger:
     def phase_at(self, point: WedgePoint) -> float:
         """Full phase value at the given wedge point.
 
-        Raises OverflowError when the fast oscillation exceeds the double
-        range; magnitudes never involve this term, so log-space consumers
-        should use :meth:`slow_phase` instead.
+        Raises OverflowError where :func:`guard_fast_phase` refuses the point
+        and the ledger has a fast term; magnitudes never involve that term,
+        so log-space consumers should use :meth:`slow_phase` instead.
         """
         value = self.slow_phase(point.ln_4st)
         if self.oscillation:
-            exponent = point.alpha / (2.0 - point.alpha) * point.ln_t
-            if exponent > 709.0:
-                raise OverflowError(
-                    "fast oscillation overflows at this ln_t; use slow_phase"
-                )
-            value += self.oscillation * math.exp(exponent)
+            value += self.oscillation * math.exp(guard_fast_phase(point))
         return value
 
 
@@ -185,6 +185,21 @@ def _fast_coefficient(alpha: float, s: float) -> float:
     """Coefficient of the fast phase t**(alpha/(2-alpha)), i.e. s * x**alpha
     over that power of t on the wedge."""
     return 2.0 ** (2.0 * alpha / (2.0 - alpha)) * s ** (2.0 / (2.0 - alpha))
+
+
+def guard_fast_phase(point: WedgePoint) -> float:
+    """The exponent alpha/(2-alpha) ln t of the fast power at ``point``, once
+    it is at most 709 and the fast phase, :func:`_fast_coefficient` times
+    the power, is a finite double; OverflowError otherwise."""
+    exponent = point.alpha / (2.0 - point.alpha) * point.ln_t
+    try:
+        if exponent <= 709.0 and math.isfinite(
+            _fast_coefficient(point.alpha, point.s) * math.exp(exponent)
+        ):
+            return exponent
+    except OverflowError:
+        pass
+    raise OverflowError("the fast phase s * x**alpha overflows a double at this point")
 
 
 def _ledger(*terms: float) -> PhaseLedger:
@@ -590,10 +605,9 @@ def gen_as_predict(sd: SpectralData, point: WedgePoint) -> AsymptoticPrediction:
     if pair.degenerate:
         forward_term = backward_term = 0j
     else:
-        fast = alpha * point.ln_x
-        if fast > 709.0:
-            raise OverflowError("fast oscillation overflows at this ln_t")
-        rotation = 1j * s * math.exp(fast) - 1j * alpha * nu * point.ln_4st / (2.0 - alpha)
+        guard_fast_phase(point)
+        fast = s * math.exp(alpha * point.ln_x)
+        rotation = 1j * fast - 1j * alpha * nu * point.ln_4st / (2.0 - alpha)
         decay = alpha / (2.0 * alpha - 4.0) * point.ln_t
         forward_term = pair.beta_tilde * cmath.exp(rotation + decay)
         backward_term = pair.gamma_tilde * cmath.exp(-rotation + decay)
@@ -636,7 +650,8 @@ class MatchingRow:
     ``phase_residual`` is the distance of the wedge main phase from its
     straight-ray constant; the two log-magnitudes compare the explicit
     mirror term against the straight-ray decay law (None where the mirror
-    term is not explicit).
+    term is not explicit, or where its constant or the straight-ray one is
+    zero).
     """
 
     alpha: float
@@ -656,7 +671,8 @@ class MatchingReport:
     at alpha = 1, which must equal ``4 s**2`` exactly;
     ``mirror_amplitude_ratio`` compares the mirror-term constant against
     the straight-ray constant at the top of the ladder (degenerate class
-    only; its modulus tends to 1 and its argument to pi).
+    only, and None where either constant is zero; its modulus tends to 1
+    and its argument to pi).
     """
 
     case: CaseTag
@@ -748,7 +764,9 @@ def matching_check(
         residual = abs(pc.main.slow_phase(point.ln_4st) - pc.main.constant)
         mirror_log = None
         ray_log = None
-        if alpha > _EXPLICIT_EDGE and not pc.degenerate:
+        # a zero constant has no log: reflectionless data, or nu_1 = 0, where
+        # 1/Gamma(+-i nu_1) in both constants vanishes
+        if alpha > _EXPLICIT_EDGE and pc.amp_mirror and ray_mirror != 0:
             _, mirror_log = _decay_law(
                 Side.MINUS_X, point, pc.h, math.log(abs(pc.amp_mirror))
             )
@@ -775,7 +793,7 @@ def matching_check(
     # fast-phase coefficient continued to the straight-ray edge alpha = 1
     osc_limit = _fast_coefficient(1.0, s)
     ratio = None
-    if ray_mirror is not None:  # pc is the top rung's
+    if ray_mirror and pc.amp_mirror:  # pc is the top rung's
         ratio = (
             pc.amp_mirror
             * cmath.exp(-1j * tracker.nu_one * math.log(4.0 * s))

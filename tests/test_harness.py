@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nnlswedge.harness import (
@@ -674,6 +674,26 @@ def test_match_fast_coefficient_line_reads_the_ledger_formula(tmp_path, monkeypa
     assert [line.rsplit("status=", 1)[1] for line in limit_lines()] == ["off", "off"]
 
 
+# synthetic case II with W = 1 at k = 0 (a11 a21 = 1, so nu_1 = 0): both
+# mirror constants carry 1/Gamma(+-i nu_1) = 0
+_ZERO_MIRROR_MATCH = (
+    "[profile]\nkind = synthetic-case-ii\npole = 1e8\n"
+    "[match]\ns = 1\nalphas = 0.9, 0.99\nhold_product = 2\n"
+)
+
+
+def test_match_rung_with_zero_mirror_constant_reads_nan(tmp_path):
+    # such a rung has no mirror log: its mirror and ray columns read nan, as
+    # a non-explicit rung's do, and with no fitted rung left there is no
+    # exponent line and no ratio line
+    cfg = load_config(_write(tmp_path, _ZERO_MIRROR_MATCH), out_dir=tmp_path / "out")
+    comments, header, rows = _table(cmd_match(cfg))
+    assert header[3:] == ["mirror_log_magnitude", "ray_log_magnitude"]
+    assert [row[0] for row in rows] == ["0.90000000000000002", "0.98999999999999999"]
+    assert all(row[3:] == ["nan", "nan"] for row in rows)
+    assert not any(c.startswith(("# mirror-decay-exponent", "# mirror-ray-ratio")) for c in comments)
+
+
 def test_match_requires_section(tmp_path):
     ini = _write(tmp_path, "[profile]\nkind = synthetic-case-i\n")
     cfg = load_config(ini, out_dir=tmp_path / "out")
@@ -1158,6 +1178,7 @@ def _config_text(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(_config_text())
+@example(_ZERO_MIRROR_MATCH)
 def test_drawn_configs_end_in_a_result_or_a_named_error(text):
     # every draw loads or is a ConfigError; a cheap one (a synthetic family,
     # or a sampled kind with n_per_sign <= 60, radius <= 40 and k_max <= 100)

@@ -27,6 +27,7 @@ from nnlswedge.wedge import (
     amplitude_Q,
     beta_gamma,
     gen_as_predict,
+    guard_fast_phase,
     matching_check,
     matching_ladder,
     phase_coefficients,
@@ -181,6 +182,29 @@ def test_phase_ledger_overflow_guard():
     # slow terms stay evaluable at the same point
     slow = PhaseLedger(0.0, -1.0, 0.0, 2.0, 0.0, 0.0)
     assert math.isfinite(slow.phase_at(huge))
+
+
+def test_one_fast_phase_guard_for_both_routes(sd_i):
+    # at (alpha, s, ln t) = (0.99, 1e3, 709) the power's exponent is 695,
+    # within e**709, but the fast phase 3.4e6 * e**695 overflows: the expanded
+    # route's fast ledger and the exact route both refuse the point
+    point = wedge_point(0.99, 1e3, ln_t=709.0)
+    with pytest.raises(OverflowError):
+        guard_fast_phase(point)
+    forward = phase_coefficients(sd_i, 0.99, 1e3).forward
+    with pytest.raises(OverflowError):
+        forward.phase_at(point)
+    with pytest.raises(OverflowError):
+        gen_as_predict(sd_i, point)
+    # the expanded +x branch at alpha > 2/3 reads no fast phase
+    pred = predict_q(sd_i, point)
+    assert pred.regime == "I+x/leading-only"
+    assert pred.correction == 0
+    assert abs(pred.leading) == pytest.approx(amplitude_Q(sd_i), rel=1e-15)
+    # one step back in ln t both routes evaluate again
+    inside = wedge_point(0.99, 1e3, ln_t=690.0)
+    assert guard_fast_phase(inside) == pytest.approx(0.99 / 1.01 * 690.0, rel=1e-15)
+    assert math.isfinite(forward.phase_at(inside))
 
 
 # ---------------------------------------------------------------------------
