@@ -35,14 +35,14 @@ from .pde import (
     symmetric_grid,
     write_snapshots_csv,
 )
-from .phases import EXPANSION_BAND, _K_FIT, _WINDOW_FRACTION
+from .phases import EXPANSION_BAND, K_FIT, WINDOW_FRACTION
 from .profiles import DomainError, InitialProfile, ProfileKind
 from .scattering import (
     SpectralData,
-    _step_count,
     compute_spectral_data,
     default_k_grid,
     save_spectral_data,
+    step_count,
     synthetic_case_i,
     synthetic_case_ii,
 )
@@ -90,7 +90,7 @@ _MAX_FIELD_LEVEL = 1e4
 _SYNTHETIC_RANGE = (1e-50, 1e50)
 
 # Largest Jost grid sweep accepted for a sampled profile, in Magnus steps
-# (``scattering._step_count`` at k_max) times k nodes.  The sweep's time grows
+# (``scattering.step_count`` at k_max) times k nodes.  The sweep's time grows
 # linearly in both (1.1-1.3 ms per node per sign on the smoothed step,
 # 1.8-2.4 ms on the soliton, whose 12,814 steps x 800 nodes = 1.0e7 is the
 # benchmark's largest; 2-vCPU host, both halves swept at once), so the
@@ -98,11 +98,11 @@ _SYNTHETIC_RANGE = (1e-50, 1e50)
 _MAX_SWEEP_WORK = 2.5e8
 
 # Largest evolution accepted by ``compare``, in grid nodes times ETDRK4 steps
-# to the last ladder time.  A step costs eight FFTs of twice the grid size,
-# measured at ~500 ns per node-step on 3,201 nodes and ~590 ns on 16,801
-# (smoothed step, median of 3, 2-vCPU host), so the budget allows 8 to 10
-# minutes of stepping.  The soliton bench config needs 3,201 nodes x 700
-# steps = 2.2e6.
+# to the last ladder time.  A step costs eight FFTs of the grid's length,
+# measured at ~200 ns per node-step on 3,201 nodes and ~220 ns on 16,801
+# (smoothed step, median of 3 runs of 200 steps, 2-vCPU host), so the budget
+# allows 3 to 4 minutes of stepping.  The soliton bench config needs 3,201
+# nodes x 700 steps = 2.2e6.
 _MAX_EVOLVE_WORK = 1e9
 
 
@@ -322,7 +322,7 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
     if not 0 < kgrid_min < kgrid_max:
         raise ConfigError("kgrid: need 0 < k_min < k_max")
     if profile is not None:
-        steps, nodes = _step_count(profile, kgrid_max), 2 * int(kgrid_n)
+        steps, nodes = step_count(profile, kgrid_max), 2 * int(kgrid_n)
         if steps * nodes > _MAX_SWEEP_WORK:
             raise ConfigError(
                 f"kgrid: the Jost sweep would take {steps} steps x {nodes} k nodes "
@@ -418,11 +418,11 @@ def spectral_data_for(cfg: ExperimentConfig, *, force: bool = False) -> Spectral
 
 def _tracked_data(cfg: ExperimentConfig) -> SpectralData:
     """Spectral data for a subcommand that builds a phase tracker, whose
-    tail fit needs nodes with |k| >= _K_FIT; checked before any scattering."""
-    if cfg.kgrid_max < _K_FIT:
+    tail fit needs nodes with |k| >= K_FIT; checked before any scattering."""
+    if cfg.kgrid_max < K_FIT:
         raise ConfigError(
             f"kgrid.k_max = {cfg.kgrid_max:g} is below the phase tracker's "
-            f"tail-fit window |k| >= {_K_FIT:g}"
+            f"tail-fit window |k| >= {K_FIT:g}"
         )
     return spectral_data_for(cfg)
 
@@ -523,7 +523,7 @@ def _validate_compare_geometry(cfg: ExperimentConfig):
             "lower half_width, t_ladder or the grid resolution"
         )
     clearance = 4.0 * max(cfg.profile.width, 1.0)
-    xi_edge = _WINDOW_FRACTION * cfg.kgrid_max
+    xi_edge = WINDOW_FRACTION * cfg.kgrid_max
     for t, point in w.cells:
         cell = f"(alpha={point.alpha:g}, s={point.s:g}, t={t:g})"
         if point.x + clearance > p.half_width:
@@ -535,7 +535,7 @@ def _validate_compare_geometry(cfg: ExperimentConfig):
             raise ConfigError(
                 f"wedge point {cell} has slow variable xi={point.xi:.4g} "
                 f"outside the spectral window xi < {xi_edge:.4g} "
-                f"({_WINDOW_FRACTION:g} * kgrid.k_max)"
+                f"({WINDOW_FRACTION:g} * kgrid.k_max)"
             )
     return grid, q0, dt
 

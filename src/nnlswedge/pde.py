@@ -12,10 +12,12 @@ q_bg = q_L + (q_R - q_L) (tanh x + tanh L) / (2 tanh L) takes the two edge
 values of the initial data, so v vanishes at x = -L and x = L and lives on
 the interior nodes in the DST-I basis sin(pi k (x + L) / 2L).  There i v_xx
 is diagonal, -i (pi k / 2L)^2 v_k, and the scheme integrates it exactly;
-the exact i q_bg'' enters with the nonlinear term as a forcing.  The DST is
-a numpy FFT of the odd extension (length 2 (n - 1) on n nodes), and a step
-makes eight of them: one to the grid and one back for each of its four
-nonlinear evaluations.  ``symmetric_grid`` keeps that length 7-smooth.
+the exact i q_bg'' enters with the nonlinear term as a forcing.  Each DST
+is one numpy FFT of length n - 1 on n nodes, by the pre-weighting and
+post-processing of Numerical Recipes' ``sinft`` (Press et al., 2nd ed.,
+sec. 12.3) applied to complex data.  A step makes eight of them: one to the
+grid and one back for each of its four nonlinear evaluations.
+``symmetric_grid`` keeps that length 7-smooth.
 
 The scheme's phi functions are contour means over 32 points of the full
 circle of radius 1 about each dt lambda_k (Kassam & Trefethen, SIAM J. Sci.
@@ -68,9 +70,10 @@ BLOW_UP_FACTOR = 1.0e3
 DRIFT_ABORT = 1.0e-3
 # points on the circle of each phi-function contour mean
 _CONTOUR_POINTS = 32
-# Largest grid symmetric_grid builds: an evolution holds ~28 complex arrays
-# of the grid size (~4.5 GB at this size), and each step costs eight FFTs of
-# twice its length, so a finer grid is far too slow to evolve anyway.
+# Largest grid symmetric_grid builds: an evolution peaks at ~31 complex
+# arrays of the grid size (~5 GB at this size), and each step costs eight
+# FFTs of the grid's length, ~220 ns per node-step on 16,801 nodes, so a
+# finer grid is far too slow to evolve anyway.
 _MAX_GRID_NODES = 10**7
 
 
@@ -129,7 +132,7 @@ def symmetric_grid(half_width: float, step: float) -> SpatialGrid:
 
     The half-node count is ``half_width / step`` rounded up to the next
     7-smooth integer (prime factors 2, 3, 5 and 7 only), so the evolution's
-    FFTs, of length 4 x half-node count, stay fast; the actual step
+    FFTs, of length 2 x half-node count, stay fast; the actual step
     ``half_width / half_nodes`` is never coarser than the one asked for.
     """
     if not (half_width > 0.0 and step > 0.0 and math.isfinite(half_width / step)):
@@ -251,6 +254,51 @@ def _etd_coefficients(lam: np.ndarray, dt: float, scale: complex):
     return (np.exp(z0), np.exp(0.5 * z0), *(total * weight for total in sums))
 
 
+def _sine_transform(intervals: int):
+    """The transform ``sine(values, out)`` of the evolution's state, for an
+    even ``intervals`` = N.
+
+    sine(u)_k = -2i sum_j u_j sin(pi j k / N) for j, k = 1 .. N - 1, which
+    is -2i times the DST-I of u, and equally entries 1 .. N - 1 of the FFT
+    of the odd extension [0, u, 0, -u reversed] of length 2N.  One complex
+    FFT of length N gives it (Numerical Recipes' ``sinft``, Press et al.,
+    2nd ed., sec. 12.3, complex by linearity).  With s_j = sin(pi j / N),
+    its input is w_0 = 0 and
+
+        w_j = -i s_j (u_j + u_{N-j}) + (u_j - u_{N-j}) / 2,
+
+    ``sinft``'s weights with the factor -i of sine on their symmetric part.
+    Then W = fft(w) gives the even modes as sine_2m = W_m - W_{N-m}, and
+    the odd ones as the running sum
+    sine_{2m+1} = W_0 + sum_{l=1..m} (W_l + W_{N-l}).  The buffers are
+    allocated here once; ``values`` is read before ``out`` is written.
+    """
+    half = intervals // 2
+    weighted = np.zeros(intervals, dtype=np.complex128)
+    body = weighted[1:]
+    spectrum = np.empty_like(weighted)
+    low, high = spectrum[1:half], spectrum[:half:-1]
+    # w_j = c_j (u_j + u_{N-j}) + u_j with c_j = -1/2 - i s_j.  s_j is taken
+    # at min(j, N - j): symmetric to the bit and within 2 ulp, where
+    # sin(pi j / N) is off by up to 6,400 ulp near j = N at N = 16,800, a
+    # smooth error that the running sum integrates (2.5x the odd-mode error
+    # on a smooth field)
+    j = np.arange(1, intervals)
+    weights = -0.5 - 1j * np.sin(np.pi * np.minimum(j, intervals - j) / intervals)
+    fft = np.fft.fft
+
+    def sine(values, out):
+        np.add(values, values[::-1], out=body)
+        np.multiply(body, weights, out=body)
+        np.add(body, values, out=body)
+        fft(weighted, out=spectrum)
+        np.subtract(low, high, out=out[1::2])
+        np.add(low, high, out=low)
+        np.add.accumulate(spectrum[:half], out=out[::2])
+
+    return sine
+
+
 def evolve(
     q0,
     grid: SpatialGrid,
@@ -276,6 +324,8 @@ def evolve(
     q0 = np.asarray(q0, dtype=np.complex128)
     if q0.shape != grid.x.shape:
         raise ValueError("initial data does not match the grid")
+    if grid.size % 2 == 0:
+        raise ValueError("the grid needs an odd node count")
     if not t_final > 0.0:
         raise ValueError("t_final must be positive")
     peak0 = float(np.max(np.abs(q0)))
@@ -297,19 +347,14 @@ def evolve(
     rise = (right - left) / (2.0 * tanh_edge)
     background = left + rise * (tanh_x + tanh_edge)
     forcing = -rise * (1.0 - tanh_x * tanh_x) * tanh_x
-    # the state holds the sine coefficients c of v = sine(c), where
-    # sine(u), entries 1 .. intervals - 1 of the FFT of the odd extension
-    # [0, u, 0, -u reversed], is -2i times the DST-I of u; sine is its own
-    # inverse up to the factor -1 / (2 intervals)
-    ext = np.zeros(2 * intervals, dtype=np.complex128)
-    head, tail = ext[1:intervals], ext[intervals + 1 :]
-    transformed = np.empty_like(ext)
-    fft = np.fft.fft
-    # each nonlinear evaluation of a step keeps its own FFT output, the
-    # transform of g = q_bg''/2 + q^2 conj(q(-x)); as v_t = i v_xx + 2i g,
-    # g adds scale * sine(g) to the rate of c, folded into the phi factors
-    spectra = [np.empty_like(ext) for _ in range(4)]
-    n_v, n_a, n_b, n_c = (spec[1:intervals] for spec in spectra)
+    # the state holds the sine coefficients c of v = sine(c); sine is its
+    # own inverse up to the factor -1 / (2 intervals)
+    sine = _sine_transform(intervals)
+    # each nonlinear evaluation of a step keeps its own transform of
+    # g = q_bg''/2 + q^2 conj(q(-x)); as v_t = i v_xx + 2i g, g adds
+    # scale * sine(g) to the rate of c, folded into the phi factors
+    spectra = [np.empty(intervals - 1, dtype=np.complex128) for _ in range(4)]
+    n_v, n_a, n_b, n_c = spectra
     wave = np.pi * np.arange(1, intervals) / (2.0 * grid.half_width)
     lam = -1j * wave * wave
     scale = -1j / intervals
@@ -323,28 +368,22 @@ def evolve(
     work = np.empty_like(coeffs)
     magnitude = np.empty(field.size)
 
-    def sine(values):
-        """sine(values), a view into ``transformed``."""
-        head[...] = values
-        np.negative(values[::-1], out=tail)
-        fft(ext, out=transformed)
-        return transformed[1:intervals]
-
     def to_field(values, out):
         """out = q_bg + sine(values) on the interior nodes."""
-        np.add(background, sine(values), out=out)
+        sine(values, out)
+        np.add(out, background, out=out)
 
     def nonlinear(q, spec):
-        """spec = the odd extension's FFT of g at the interior field q."""
-        np.conjugate(q[::-1], out=head)
-        np.multiply(head, q, out=head)
-        np.multiply(head, q, out=head)
-        np.add(head, forcing, out=head)
-        np.negative(head[::-1], out=tail)
-        fft(ext, out=spec)
+        """spec = sine(g) at the interior field q."""
+        np.conjugate(q[::-1], out=work)
+        np.multiply(work, q, out=work)
+        np.multiply(work, q, out=work)
+        np.add(work, forcing, out=work)
+        sine(work, spec)
 
     np.subtract(inner, background, out=work)
-    np.multiply(sine(work), -0.5 / intervals, out=coeffs)
+    sine(work, coeffs)
+    np.multiply(coeffs, -0.5 / intervals, out=coeffs)
 
     blow_limit = BLOW_UP_FACTOR * max(peak0, 1e-30)
     left0, right0 = q0[1], q0[-2]
@@ -429,7 +468,8 @@ def write_snapshots_csv(result: EvolutionResult, path) -> None:
 
     The header records the grid and step so a reader can rebuild the run's
     provenance; floats are printed with 17 significant digits, which
-    round-trips doubles exactly.
+    round-trips doubles exactly.  Values are formatted as Python floats, and
+    each snapshot's rows go to the file in one ``writelines`` call.
     """
     g = result.grid
     with open(path, "w", encoding="ascii") as fh:
@@ -438,8 +478,10 @@ def write_snapshots_csv(result: EvolutionResult, path) -> None:
             f"# half_width={g.half_width:.17g} step={g.step:.17g} "
             f"dt={result.dt:.17g} steps={result.steps}\n"
         )
+        xs = g.x.tolist()
         for snap in result.snapshots:
-            for x, val in zip(g.x, snap.q):
-                fh.write(
-                    f"{snap.t:.17g},{x:.17g},{val.real:.17g},{val.imag:.17g}\n"
-                )
+            t = f"{snap.t:.17g}"
+            fh.writelines(
+                f"{t},{x:.17g},{re:.17g},{im:.17g}\n"
+                for x, re, im in zip(xs, snap.q.real.tolist(), snap.q.imag.tolist())
+            )

@@ -50,11 +50,13 @@ from .specfun import QuadratureSpec, Singularity, quad
 __all__ = [
     "ErrorOrder",
     "ExpansionBandWarning",
+    "K_FIT",
     "LogSingularityError",
     "PhaseFunctionalResult",
     "PhaseTracker",
     "RefinementRequiredError",
     "Side",
+    "WINDOW_FRACTION",
     "WedgePoint",
     "tracker_for",
     "wedge_point",
@@ -63,10 +65,10 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 # Inner edge of the window on which the algebraic tail is fitted.
-_K_FIT = 30.0
+K_FIT = 30.0
 # Largest slow variable xi, and kernel offset, as a fraction of the grid
 # edge |k|: the tail series in offset/u converges geometrically inside it.
-_WINDOW_FRACTION = 0.5
+WINDOW_FRACTION = 0.5
 # Inverse powers used by the tail fit.
 _TAIL_POWERS = (1, 2, 3, 4)
 # Lower cutoff in tau = ln(-k) for integrals reaching k = 0; the
@@ -312,11 +314,11 @@ class PhaseTracker:
         self._spline = _NotAKnotSpline(np.append(kneg, 0.0), np.stack([log_p, s1, s2], axis=1))
 
         # Algebraic tail of L = ln W fitted on the outermost window.
-        window = kneg <= -_K_FIT
+        window = kneg <= -K_FIT
         if not np.any(window):
             raise ValueError(
                 f"spectral grid stops at |k| = {-float(np.min(kneg)):.3g}; "
-                f"the tail fit needs samples with |k| >= {_K_FIT:g}"
+                f"the tail fit needs samples with |k| >= {K_FIT:g}"
             )
         u_fit = kneg[window]
         l_fit = 2 * self.h * np.log(-u_fit) - log_p[:-1][window]
@@ -351,7 +353,7 @@ class PhaseTracker:
     def _tail_chi(self, z_hat: float) -> complex:
         """Integral of ln(z_hat - u) dL(u) over (-inf, -k_edge]."""
         k_edge = self.k_edge
-        if not abs(z_hat) < _WINDOW_FRACTION * k_edge:
+        if not abs(z_hat) < WINDOW_FRACTION * k_edge:
             raise ValueError("kernel offset too large for the tail series")
         total = math.log(z_hat + k_edge) * self._tail_l(-k_edge)
         # integral of L(u)/(z_hat-u): geometric expansion in z_hat/u
@@ -368,7 +370,7 @@ class PhaseTracker:
         return total - acc
 
     def _check_window(self, xi: float) -> None:
-        if not xi < _WINDOW_FRACTION * self.k_edge:
+        if not xi < WINDOW_FRACTION * self.k_edge:
             raise ValueError(
                 f"slow-variable argument {xi:.3g} lies outside the tabulated "
                 f"spectral window (edge {self.k_edge:.3g})"

@@ -64,6 +64,7 @@ __all__ = [
     "compute_spectral_data",
     "save_spectral_data",
     "load_spectral_data",
+    "step_count",
     "synthetic_case_i",
     "synthetic_case_ii",
 ]
@@ -153,7 +154,7 @@ def _layout(profile: InitialProfile, k_scale: float):
     return half, n_half, max(4, int(math.ceil((profile.radius - half) * dens_tail)))
 
 
-def _step_count(profile: InitialProfile, k_scale: float) -> int:
+def step_count(profile: InitialProfile, k_scale: float) -> int:
     """Steps of the :func:`_step_edges` layout, without building it."""
     _, n_half, n_tail = _layout(profile, k_scale)
     return 2 * (n_half + n_tail)

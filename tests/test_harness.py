@@ -32,7 +32,7 @@ from nnlswedge.harness import (
 )
 from nnlswedge import harness, wedge
 from nnlswedge.profiles import ProfileKind
-from nnlswedge.scattering import CaseTag, _step_count, _step_edges, load_spectral_data
+from nnlswedge.scattering import CaseTag, _step_edges, load_spectral_data, step_count
 from nnlswedge.specfun import QuadratureError
 from nnlswedge.wedge import Side
 
@@ -1024,7 +1024,7 @@ def test_domain_errors_share_one_base():
 def test_sweep_budget_counts_the_layout(tmp_path):
     # the count is the layout's own; the soliton bench config fits the budget
     cfg = load_config(_REPO / "bench" / "configs" / "soliton.ini", out_dir=tmp_path)
-    steps = _step_count(cfg.profile, cfg.kgrid_max)
+    steps = step_count(cfg.profile, cfg.kgrid_max)
     halves = _step_edges(cfg.profile, cfg.kgrid_max)
     assert steps == sum(edges.size - 1 for edges in halves) == 12_814
     assert steps * 2 * cfg.kgrid_n <= _MAX_SWEEP_WORK

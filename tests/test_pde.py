@@ -16,6 +16,7 @@ from nnlswedge.pde import (
     FieldBlowUpError,
     _etd_coefficients,
     _next_7_smooth,
+    _sine_transform,
     evolve,
     interpolate_field,
     mirror_mass,
@@ -209,7 +210,7 @@ def _assert_matches_dense_etdrk4(grid, monkeypatch, dt, times):
     oracle = _dense_etdrk4(q0, grid, dt, times)
     assert [s.t for s in res.snapshots] == list(times)
     for snap, want in zip(res.snapshots, oracle):
-        assert np.max(np.abs(snap.q - want)) <= 1e-12  # measured <= 4.9e-15
+        assert np.max(np.abs(snap.q - want)) <= 1e-12  # measured <= 5.1e-15
         assert snap.q[0] == q0[0] and snap.q[-1] == q0[-1]
 
 
@@ -233,6 +234,76 @@ def test_stepper_matches_dense_etdrk4_per_segment(grid20, monkeypatch, dt, times
     # the phi functions are rebuilt from each segment's shortened step; the
     # oracle shortens its steps the same way
     _assert_matches_dense_etdrk4(grid20, monkeypatch, dt, times)
+
+
+def _sine_matrix(n, rows):
+    """Rows ``rows`` of _dense_etdrk4's sine matrix sin(pi j k / n), k = 1 ..
+    n - 1, with j k reduced mod 2n first: at n = 16,800 the angle would reach
+    5.3e4 rad, where a double resolves only 7e-12."""
+    modes = np.arange(1, n)
+    return np.sin(np.pi * (np.outer(rows, modes) % (2 * n)) / n)
+
+
+def _odd_extension_sine(u):
+    """sine(u) as entries 1 .. N - 1 of the FFT of the odd extension
+    [0, u, 0, -u reversed] of length 2N, straight from its definition."""
+    n = u.size + 1
+    ext = np.zeros(2 * n, dtype=complex)
+    ext[1:n] = u
+    ext[n + 1 :] = -u[::-1]
+    return np.fft.fft(ext)[1:n]
+
+
+@pytest.mark.parametrize("intervals", [8, 10, 400, 3200, 16800])
+def test_sine_transform_matches_its_oracles(intervals):
+    # forward, inverse and round trip on random complex data and on samples
+    # of a smooth complex bump, against the dense sine matrix and the FFT of
+    # the odd extension of length 2N.  The odd modes are a running sum of
+    # N / 2 FFT outputs, whose correlated round-off grows like N, so the
+    # bound is 1e-13 of max|output| or N machine epsilons, whichever is
+    # larger.  Measured: forward <= 1.5e-14 at every N; inverse and round
+    # trip up to 1.7e-14, 7.2e-14 and 5.8e-13 at N = 400, 3,200 and 16,800
+    # (the odd-extension FFT: 6e-16 at N = 16,800)
+    bound = max(1e-13, intervals * np.finfo(float).eps)
+    sine = _sine_transform(intervals)
+    rng = np.random.default_rng(intervals)
+    x = np.arange(1, intervals) / intervals
+    data = [
+        rng.standard_normal(intervals - 1) + 1j * rng.standard_normal(intervals - 1),
+        np.exp(-40.0 * (x - 0.4) ** 2 + 7j * x) + 0.5j * np.sin(np.pi * x) ** 3,
+    ]
+    columns = []
+    for u in data:
+        forward = np.empty_like(u)
+        sine(u, forward)
+        inverse = np.empty_like(u)
+        sine(forward, inverse)
+        inverse *= -0.5 / intervals
+        columns += [u, forward, inverse]
+        for got, oracle in (
+            (forward, _odd_extension_sine(u)),
+            (inverse, _odd_extension_sine(forward) * (-0.5 / intervals)),
+            (inverse, u),
+        ):
+            assert np.max(np.abs(got - oracle)) <= bound * np.max(np.abs(got))
+    # the dense oracle, -2i S u forward and (i / N) S sine(u) inverse, on
+    # every row up to N = 3,200 and on every 8th at N = 16,800 (2,100 rows,
+    # in blocks, so the whole matrix is never held); the errors vary slowly
+    # along the rows, so the sample sees their size
+    columns = np.stack(columns, axis=1)
+    rows = np.arange(1, intervals)[:: 1 if intervals <= 3200 else 8]
+    blocks = []
+    for start in range(0, rows.size, 512):
+        block = _sine_matrix(intervals, rows[start : start + 512])
+        blocks.append(block @ columns.real + 1j * (block @ columns.imag))
+    dense = np.concatenate(blocks)
+    picked = columns[rows - 1]
+    for u, forward, inverse in np.split(np.arange(columns.shape[1]), len(data)):
+        for got, oracle in (
+            (picked[:, forward], -2j * dense[:, u]),
+            (picked[:, inverse], 1j / intervals * dense[:, forward]),
+        ):
+            assert np.max(np.abs(got - oracle)) <= bound * np.max(np.abs(got))
 
 
 def test_step_loop_allocates_no_grid_array(grid20, monkeypatch):
@@ -349,6 +420,9 @@ def test_singularity_aborts_instead_of_returning_nan(monkeypatch):
 def test_evolve_validation(grid20):
     with pytest.raises(ValueError):
         evolve(np.zeros(5, dtype=complex), grid20, 0.5)  # wrong shape
+    even = pde.SpatialGrid(20.0, 0.1, np.linspace(-20.0, 20.0, 400))
+    with pytest.raises(ValueError, match="odd node count"):
+        evolve(np.zeros(400, dtype=complex), even, 0.5)  # the transform needs an even N
     with pytest.raises(ValueError):
         evolve(_soliton0, grid20, 0.0)  # no time span
     for dt in (0.0, -0.01, math.inf, math.nan):

@@ -142,9 +142,9 @@ def test_soliton_core_of_18_over_a_is_as_accurate_as_32_over_a(monkeypatch, ampl
         errors = _soliton_errors(profile, k)
         with monkeypatch.context() as m:
             m.setattr(scattering, "_CORE_DECAY", 32.0)
-            wide_steps = scattering._step_count(profile, k[-1])
+            wide_steps = scattering.step_count(profile, k[-1])
             wide_errors = _soliton_errors(profile, k)
-        assert scattering._step_count(profile, k[-1]) < wide_steps
+        assert scattering.step_count(profile, k[-1]) < wide_steps
         for got, wide in zip(errors, wide_errors):
             assert got <= 1.01 * wide
 
