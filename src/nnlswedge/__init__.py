@@ -9,12 +9,13 @@ Subpackage map:
 * :mod:`nnlswedge.scattering` -- direct scattering at time zero: Jost
   solutions, scattering matrix, small-k limits, case classification;
 * :mod:`nnlswedge.phases` -- wedge-point geometry and the branch-tracked
-  phase functionals of the reflection-coefficient product, with their
-  slow-variable expansions;
-* :mod:`nnlswedge.wedge` -- leading-order and first-correction
-  predictions of the field inside the spreading wedge;
-* :mod:`nnlswedge.pde` -- a mirror-coupled finite-difference evolver for
-  direct comparison against the predictions;
+  phase functionals of the reflection-coefficient product, by direct
+  quadrature, with the constants of their large-time forms;
+* :mod:`nnlswedge.wedge` -- the wedge ledger (the one large-time expansion
+  of the phases) and the leading-order and first-correction predictions of
+  the field inside the spreading wedge;
+* :mod:`nnlswedge.pde` -- direct evolution of the mirror-coupled equation
+  (ETDRK4 on a sine basis) for comparison against the predictions;
 * :mod:`nnlswedge.harness` -- configuration-file driven command-line
   workflows (scatter / predict / compare / match).
 """

@@ -22,8 +22,8 @@ grid and one back for each of its four nonlinear evaluations.
 The scheme's phi functions are contour means over 32 points of the full
 circle of radius 1 about each dt lambda_k (Kassam & Trefethen, SIAM J. Sci.
 Comput. 26 (2005) 1214); the half-circle shortcut holds only for a real
-spectrum, and here lambda_k is imaginary.  They are built once per distinct
-segment step.
+spectrum, and here lambda_k is imaginary.  Only the current segment's are
+kept, and they are built again only when the segment step changes.
 
 Time step: the linear part sets no stability limit, so dt is chosen for
 accuracy.  The default ``DEFAULT_DT / max(1, max|q0|^2)`` follows the
@@ -358,7 +358,7 @@ def evolve(
     wave = np.pi * np.arange(1, intervals) / (2.0 * grid.half_width)
     lam = -1j * wave * wave
     scale = -1j / intervals
-    coefficients = {}
+    factors_dt = None
 
     field = q0.copy()
     inner = field[1:-1]
@@ -397,9 +397,11 @@ def evolve(
             span = target - t
             n_steps = max(1, int(math.ceil(span / dt - 1e-12)))
             dt_seg = span / n_steps
-            if dt_seg not in coefficients:
-                coefficients[dt_seg] = _etd_coefficients(lam, dt_seg, scale)
-            e, e2, qf, f1, f2, f3 = coefficients[dt_seg]
+            if dt_seg != factors_dt:
+                # the last segment's factors go before the new ones are built
+                e = e2 = qf = f1 = f2 = f3 = None
+                e, e2, qf, f1, f2, f3 = _etd_coefficients(lam, dt_seg, scale)
+                factors_dt = dt_seg
             # overflow past the blow-up threshold is detected below, not warned
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in range(n_steps):

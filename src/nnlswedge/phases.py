@@ -30,13 +30,18 @@ Integrals that reach the spectral origin are computed in the variable
 ``tau = ln(-k)``; this absorbs the logarithmic growth of the integrand
 into a bounded factor ``u d/du ln W(u)`` and turns endpoint log
 singularities into the quadrature module's log-at-left-end form.
+
+The tracker evaluates the functionals at a point by direct quadrature
+(:meth:`PhaseTracker.nu_hat`, :meth:`PhaseTracker.chi_hat`) and supplies the
+constants of their large-time forms: ``h``, ``nu_one``, the plateau and the
+origin and saddle constants.  The large-time expansion itself is stated once,
+in the wedge ledgers of :func:`nnlswedge.wedge.phase_coefficients`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -49,10 +54,8 @@ from .specfun import QuadratureSpec, Singularity, quad
 
 __all__ = [
     "ErrorOrder",
-    "ExpansionBandWarning",
     "K_FIT",
     "LogSingularityError",
-    "PhaseFunctionalResult",
     "PhaseTracker",
     "RefinementRequiredError",
     "Side",
@@ -75,8 +78,8 @@ _TAIL_POWERS = (1, 2, 3, 4)
 # truncated piece is O(|tau_floor| * residual winding) and far below the
 # quadrature tolerances for data satisfying the normalization check.
 _TAU_FLOOR = -40.0
-# Band of the slow variable on which the large-time expansions are
-# uniform; outside it they are still evaluated but flagged.
+# Band of the slow variable on which the wedge ledgers' large-time
+# expansions are uniform (predict's in_band column).
 EXPANSION_BAND = (0.05, 20.0)
 
 
@@ -86,10 +89,6 @@ class LogSingularityError(DomainError, ArithmeticError):
 
 class RefinementRequiredError(DomainError, RuntimeError):
     """Branch tracking hit an argument jump too large to unwrap safely."""
-
-
-class ExpansionBandWarning(UserWarning):
-    """Slow variable outside the band where the expansions are uniform."""
 
 
 @dataclass(frozen=True)
@@ -102,28 +101,6 @@ class ErrorOrder:
 
     t_exponent: float
     log_power: float
-
-
-@dataclass(frozen=True)
-class PhaseFunctionalResult:
-    """Large-time expansions of the scalar phase functionals at one
-    (alpha, s, t) point.
-
-    ``chi_origin_const`` holds the constant ``i h ln(s)^2 / (2 pi) + C`` of
-    the origin value (h is half the regularizing power of the tracker);
-    ``chi_saddle_const`` holds its stationary-point counterpart, larger by
-    the exact offset ``i h pi / 6``.  ``error_order`` is the expansion's
-    remainder.
-    """
-
-    nu_hat: complex
-    chi_at_origin: complex
-    chi_at_saddle: complex
-    chi_origin_const: complex
-    chi_saddle_const: complex
-    plateau: float
-    error_order: ErrorOrder
-    case: CaseTag
 
 
 class Side(Enum):
@@ -513,43 +490,6 @@ class PhaseTracker:
         """Large-time constant at the stationary point: the origin constant
         plus the exact dilogarithm offset i h pi / 6."""
         return self.chi_origin_const(s) + 1j * self.h * math.pi / 6.0
-
-    # -- result assembly -----------------------------------------------------------
-
-    def expansion(self, point: WedgePoint) -> PhaseFunctionalResult:
-        """Large-time expansions of nu_hat and chi_hat.
-
-        With r = (1-alpha)/(2-alpha) and L = ln 4st:
-        nu = nu_1 - h ln(xi) / pi and
-        chi(0) = -i h r^2 L^2 / (2 pi) - i r nu_1 L + chi_origin_const(s);
-        chi(-s) adds i h pi / 6.
-        """
-        alpha, s, ln_4st = point.alpha, point.s, point.ln_4st
-        if not EXPANSION_BAND[0] <= s <= EXPANSION_BAND[1]:
-            warnings.warn(
-                f"s={s:.3g} outside the uniform-expansion band {EXPANSION_BAND}",
-                ExpansionBandWarning,
-                stacklevel=2,
-            )
-        h, nu_one = self.h, self.nu_one
-        ratio = (1.0 - alpha) / (2.0 - alpha)
-        nu = nu_one - h * point.ln_xi / math.pi
-        chi0_s = self.chi_origin_const(s)
-        chi_origin = (
-            -1j * h * ratio**2 * ln_4st**2 / _TWO_PI
-            - 1j * ratio * nu_one * ln_4st
-            + chi0_s
-        )
-        return PhaseFunctionalResult(
-            nu_hat=complex(nu),
-            chi_at_origin=chi_origin,
-            chi_at_saddle=chi_origin + 1j * h * math.pi / 6.0,
-            chi_origin_const=chi0_s,
-            chi_saddle_const=self.chi_saddle_const(s),
-            plateau=self.plateau,
-            error_order=ErrorOrder((1.0 - alpha) / (alpha - 2.0), 1),
-            case=self.case,
-        )
 
 
 # -- module-level convenience API ------------------------------------------------

@@ -30,6 +30,10 @@ __all__ = [
     "fingerprint",
 ]
 
+# e-folds of an exponential tail that the finely stepped core of the Jost
+# sweep resolves (InitialProfile.core_halfwidth)
+_CORE_DECAY = 18.0
+
 
 class ProfileKind(str, Enum):
     """Shape family of the initial condition."""
@@ -136,6 +140,29 @@ class InitialProfile:
         q = np.where(x <= -self.radius, 0.0 + 0.0j, q)
         q = np.where(x >= self.radius, a + 0.0j, q)
         return q[0] if scalar else q
+
+    @property
+    def core_halfwidth(self) -> float:
+        """Half-width of the region where the profile actually varies.
+
+        The smoothed step approaches its levels like ``exp(-2 |x| / width)``
+        and the soliton snapshot like ``exp(-A |x|)``, so both cores end at
+        ``_CORE_DECAY / rate``: ``9 width`` and ``18 / A``, where the tails are
+        down by ``e^{-18}`` (1.5e-8).  At phase pi the snapshot
+        ``A / (1 + e^{-A x})`` is the smoothed step of width ``2 / A``.  The
+        pure and compact steps are constant outside a known support.
+        """
+        if self.kind is ProfileKind.PURE_STEP:
+            base = 1.0
+        elif self.kind is ProfileKind.SMOOTHED_STEP:
+            base = 0.5 * _CORE_DECAY * self.width
+        elif self.kind is ProfileKind.COMPACT_STEP:
+            base = self.width + 0.5
+        else:
+            base = _CORE_DECAY / self.amplitude
+        if self.bump_amplitude != 0:
+            base = max(base, abs(self.bump_center) + 7.0 * self.bump_width)
+        return min(self.radius, base)
 
     # -- identity -----------------------------------------------------------
 

@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .profiles import DomainError, InitialProfile, ProfileKind, fingerprint
+from .profiles import DomainError, InitialProfile, fingerprint
 
 __all__ = [
     "CaseTag",
@@ -55,7 +55,6 @@ __all__ = [
     "RootBracketError",
     "default_k_grid",
     "jost_at_origin",
-    "scattering_matrix",
     "scattering_grid",
     "small_k_data",
     "classify_case",
@@ -108,33 +107,6 @@ def default_k_grid(n_per_sign: int = 400, k_min: float = 1e-3, k_max: float = 1e
     return np.concatenate((-pos[::-1], pos))
 
 
-# e-folds of an exponential tail that the finely stepped core resolves
-_CORE_DECAY = 18.0
-
-
-def _core_halfwidth(profile: InitialProfile) -> float:
-    """Half-width of the region where the profile actually varies.
-
-    The smoothed step approaches its levels like ``exp(-2 |x| / width)``
-    and the soliton snapshot like ``exp(-A |x|)``, so both cores end at
-    ``_CORE_DECAY / rate``: ``9 width`` and ``18 / A``, where the tails are
-    down by ``e^{-18}`` (1.5e-8).  At phase pi the snapshot
-    ``A / (1 + e^{-A x})`` is the smoothed step of width ``2 / A``.  The
-    pure and compact steps are constant outside a known support.
-    """
-    if profile.kind is ProfileKind.PURE_STEP:
-        base = 1.0
-    elif profile.kind is ProfileKind.SMOOTHED_STEP:
-        base = 0.5 * _CORE_DECAY * profile.width
-    elif profile.kind is ProfileKind.COMPACT_STEP:
-        base = profile.width + 0.5
-    else:
-        base = _CORE_DECAY / profile.amplitude
-    if profile.bump_amplitude != 0:
-        base = max(base, abs(profile.bump_center) + 7.0 * profile.bump_width)
-    return min(profile.radius, base)
-
-
 def _layout(profile: InitialProfile, k_scale: float):
     """Core half-width and the step counts of one core half and one tail.
 
@@ -145,7 +117,7 @@ def _layout(profile: InitialProfile, k_scale: float):
     constant to that factor and the rule is all but exact, get a coarse
     grid (no tail when the core fills the radius).
     """
-    half = _core_halfwidth(profile)
+    half = profile.core_halfwidth
     dens_core = 48.0 * math.sqrt(1.0 + 0.5 * k_scale)
     dens_tail = 8.0 * math.sqrt(1.0 + 0.125 * k_scale)
     n_half = max(2, int(math.ceil(half * dens_core)))
@@ -368,13 +340,6 @@ def _s_entries(k, left, right):
         top = (right[1, 1] * left[0] - right[0, 1] * left[1]) / det
         bottom = (-right[1, 0] * left[0] + right[0, 0] * left[1]) / det
     return top, bottom, min_det
-
-
-def scattering_matrix(profile: InitialProfile, k: float) -> np.ndarray:
-    """Scattering matrix ``S(k) = Phi_right(0)^{-1} Phi_left(0)`` (2x2)."""
-    k = np.array([float(k)])
-    top, bottom, _ = _s_entries(k, *jost_at_origin(profile, k))
-    return np.array([top[:, 0], bottom[:, 0]])
 
 
 def scattering_grid(profile: InitialProfile, k_grid: np.ndarray):

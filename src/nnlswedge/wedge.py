@@ -57,7 +57,6 @@ __all__ = [
     "wedge_point",
     "amplitude_Q",
     "phase_coefficients",
-    "beta_gamma",
     "predict_q",
     "gen_as_predict",
     "guard_fast_phase",
@@ -156,8 +155,10 @@ class PhaseCoefficients:
 
     ``main`` is the plateau phase, ``forward`` / ``backward`` the phases of
     the two correction terms, and ``tilt`` the slow phase of the dressed
-    connection pair in :func:`beta_gamma`.  ``nu_s`` is the winding index at
-    which the frozen connection pair is dressed.  The frozen amplitudes go
+    connection pair of :class:`BetaGamma`.  ``nu_s`` is the winding index at
+    which the frozen connection pair is dressed; with the tilt's L ln L
+    coefficient h r/pi it gives the large-time winding index
+    h (r/pi) L + nu_s = nu_1 - h ln(xi) / pi.  The frozen amplitudes go
     with these ledgers, each times the slowly varying factor (ln t)**(h/2):
     ``beta_const`` / ``gamma_const`` of the dressed connection pair (with
     ``tilt``), ``amp_forward`` / ``amp_backward`` of the two +x correction
@@ -396,56 +397,42 @@ class BetaGamma:
     ``beta`` / ``gamma`` are the parametrix pair from the dressed reflection
     values, with ``nu`` and ``chi_saddle`` (``chi`` at the stationary point)
     by direct quadrature; their product equals ``nu`` identically.
-    ``beta_tilde`` / ``gamma_tilde`` absorb the phase-functional dressing.
-    The ``*_asymptotic`` entries re-evaluate the tilde pair from the frozen
-    large-time constants and the tilt ledger, times the slowly varying factor
-    (ln t)**(h/2) (the square root of ln t in the generic class).
-    ``degenerate`` marks reflectionless data, where every entry is exactly
-    zero.
+    ``beta_tilde`` / ``gamma_tilde`` absorb the phase-functional dressing;
+    their large-time forms are the frozen ``beta_const`` / ``gamma_const`` of
+    :class:`PhaseCoefficients` on its tilt ledger.  ``degenerate`` marks
+    reflectionless data, where every entry is exactly zero.
     """
 
     beta: complex
     gamma: complex
     beta_tilde: complex
     gamma_tilde: complex
-    beta_tilde_asymptotic: complex
-    gamma_tilde_asymptotic: complex
     nu: complex
     chi_saddle: complex
     degenerate: bool
 
 
-def _connection(sd: SpectralData, point: WedgePoint, pc: PhaseCoefficients) -> BetaGamma:
-    """Connection coefficients at ``point``, with the frozen pair of ``pc``
-    (the phase coefficients at the point's alpha and s) on the tilt ledger;
-    the all-zero record where the dressed reflection vanishes."""
+def _connection(sd: SpectralData, point: WedgePoint) -> BetaGamma:
+    """Connection coefficients at ``point`` from the direct-quadrature phase
+    functionals and the dressed reflection values; the all-zero record where
+    the dressed reflection vanishes."""
     tracker = tracker_for(sd)
     r1_dressed, r2_dressed = tracker.reflection_pair(point)
     if min(abs(r1_dressed), abs(r2_dressed)) < DEGENERATE_REFLECTION:
-        return BetaGamma(0j, 0j, 0j, 0j, 0j, 0j, 0j, 0j, degenerate=True)
+        return BetaGamma(0j, 0j, 0j, 0j, 0j, 0j, degenerate=True)
     nu = tracker.nu_hat(point)
     chi_saddle = tracker.chi_hat(-point.s, point)
     beta, gamma = _parametrix_pair(nu, r1_dressed, r2_dressed)
     beta_tilde, gamma_tilde = _dress(beta, gamma, nu, chi_saddle, point.alpha, point.s)
-    slow = pc.tilt.slow_phase(point.ln_4st)
-    root = point.ln_t ** (0.5 * pc.h)
     return BetaGamma(
         beta=beta,
         gamma=gamma,
         beta_tilde=beta_tilde,
         gamma_tilde=gamma_tilde,
-        beta_tilde_asymptotic=pc.beta_const * cmath.exp(1j * slow) * root,
-        gamma_tilde_asymptotic=pc.gamma_const * cmath.exp(-1j * slow) * root,
         nu=nu,
         chi_saddle=chi_saddle,
         degenerate=False,
     )
-
-
-def beta_gamma(sd: SpectralData, alpha: float, s: float, t: float) -> BetaGamma:
-    """Evaluate the connection coefficients at the +x wedge point (alpha, s, t),
-    with the same direct-quadrature inputs :func:`gen_as_predict` uses."""
-    return _connection(sd, wedge_point(alpha, s, t), phase_coefficients(sd, alpha, s))
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +586,7 @@ def gen_as_predict(sd: SpectralData, point: WedgePoint) -> AsymptoticPrediction:
     # the origin value first: a cell whose quadrature fails there never
     # pays for the saddle one
     chi_origin = tracker.chi_hat(0.0, point)
-    pair = _connection(sd, point, pc)
+    pair = _connection(sd, point)
     nu = tracker.nu_hat(point) if pair.degenerate else pair.nu
     delta_sq = cmath.exp(2.0 * (1j * nu * math.log(s) + chi_origin))
     if pair.degenerate:

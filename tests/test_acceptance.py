@@ -38,10 +38,11 @@ from nnlswedge.scattering import (
 )
 from nnlswedge.wedge import (
     Side,
+    _connection,
     amplitude_Q,
-    beta_gamma,
     gen_as_predict,
     matching_check,
+    phase_coefficients,
     predict_q,
     wedge_point,
 )
@@ -142,7 +143,7 @@ def test_criterion_04_connection_product_grid(sd_synth_i, sd_synth_ii):
     for sd in (sd_synth_i, sd_synth_ii):
         for s in np.geomspace(0.1, 10.0, 10):
             for t in np.geomspace(1e3, 1e9, 10):
-                bg = beta_gamma(sd, 0.65, float(s), float(t))
+                bg = _connection(sd, wedge_point(0.65, float(s), float(t)))
                 worst = max(worst, abs(bg.beta * bg.gamma - bg.nu))
     print(f"criterion 04: worst |beta*gamma - nu| = {worst:.2e} on 2x10x10")
     assert worst < 1e-10
@@ -182,8 +183,11 @@ def test_criterion_06_winding_expansion_rate(sd_synth_ii, sd_perturbed):
     notes = []
 
     def gap(sd, point):
-        tracker = tracker_for(sd)
-        return abs(tracker.nu_hat(point) - tracker.expansion(point).nu_hat)
+        # the expanded winding index nu_1 - h ln(xi) / pi, read off the wedge
+        # ledger as h (r/pi) L + nu_s
+        pc = phase_coefficients(sd, point.alpha, point.s)
+        expanded = pc.tilt.log_times_loglog * point.ln_4st + pc.nu_s
+        return abs(tracker_for(sd).nu_hat(point) - expanded)
 
     for alpha in (0.4, 0.6, 0.8):
         target = (alpha - 1.0) / (2.0 - alpha)

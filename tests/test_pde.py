@@ -372,6 +372,32 @@ def test_step_loop_memory_does_not_grow_with_steps(grid20):
     assert abs(peaks[1] - peaks[0]) < 16 * grid20.size
 
 
+def test_memory_does_not_grow_with_unequal_segments():
+    # every unequally spaced snapshot time starts a segment with a new step;
+    # only the current segment's six phi factors are kept, so 20 such times
+    # peak above one snapshot by the 19 extra snapshots and a little slack,
+    # not by six grid arrays per segment
+    grid = symmetric_grid(40.0, 0.025)
+    assert grid.size == 3201
+    q0 = 0.5 * (1.0 + np.tanh(grid.x))
+    t_final = 0.21
+    times = tuple(t_final * np.cumsum(np.arange(1, 21)) / 210.0)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for snapshot_times in ((), times):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            res = evolve(q0, grid, t_final, snapshot_times=snapshot_times)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            assert len(res.snapshots) == max(1, len(snapshot_times))
+            del res
+    finally:
+        tracemalloc.stop()
+    array = 16 * grid.size
+    assert peaks[1] - peaks[0] <= (19 + 3) * array, [peak / array for peak in peaks]
+
+
 def test_blow_up_guard_catches_the_pole(grid20, monkeypatch):
     # with carrier phase pi the exact solution has a finite-time pole at
     # (x, t) = (0, pi); the magnitude guard must abort on approach

@@ -25,7 +25,6 @@ import cmath
 import dataclasses
 import gc
 import math
-import warnings
 import weakref
 
 import numpy as np
@@ -37,7 +36,6 @@ from scipy.special import spence
 
 from nnlswedge import phases
 from nnlswedge.phases import (
-    ExpansionBandWarning,
     LogSingularityError,
     PhaseTracker,
     RefinementRequiredError,
@@ -53,7 +51,7 @@ from nnlswedge.scattering import (
     synthetic_case_ii,
 )
 from nnlswedge.specfun import QuadratureError, QuadratureSpec, Singularity, quad
-from nnlswedge.wedge import phase_coefficients
+from nnlswedge.wedge import phase_coefficients, predict_q
 
 # Frozen oracle values (30-digit arbitrary-precision quadrature against
 # exact rational spectral data; see module docstring for the formulas).
@@ -332,19 +330,40 @@ def test_real_part_plateaus_at_large_time(sd_synth_ii):
 # ---------------------------------------------------------------------------
 
 
+def _expansion(sd, point):
+    """Large-time forms of nu_hat, chi(0) and chi(-s) at ``point``, with
+    r = (1-alpha)/(2-alpha) and L = ln 4st: nu = nu_1 - h ln(xi) / pi, read off
+    the wedge ledger as h (r/pi) L + nu_s;
+    chi(0) = -i h r^2 L^2 / (2 pi) - i r nu_1 L + chi_origin_const(s);
+    chi(-s) = chi(0) + i h pi / 6."""
+    tracker = tracker_for(sd)
+    pc = phase_coefficients(sd, point.alpha, point.s)
+    ln_4st, h = point.ln_4st, tracker.h
+    ratio = (1.0 - point.alpha) / (2.0 - point.alpha)
+    nu = pc.tilt.log_times_loglog * ln_4st + pc.nu_s
+    chi_origin = (
+        -1j * h * ratio**2 * ln_4st**2 / (2.0 * math.pi)
+        - 1j * ratio * tracker.nu_one * ln_4st
+        + tracker.chi_origin_const(point.s)
+    )
+    return complex(nu), chi_origin, chi_origin + 1j * h * math.pi / 6.0
+
+
 def test_expansion_fields_and_convergence_generic(sd_pure_a2):
     tracker = tracker_for(sd_pure_a2)
     errors = {"nu": [], "chi0": [], "chis": []}
     for t in (1.0e3, 1.0e6):
         point = _point(0.7, 1.0, t)
-        expansion = tracker.expansion(point)
-        assert expansion.case is CaseTag.CASE_I
-        assert expansion.error_order.t_exponent == pytest.approx((1.0 - 0.7) / (0.7 - 2.0))
-        assert expansion.error_order.log_power == 1
-        assert expansion.chi_saddle_const - expansion.chi_origin_const == I_PI_6
-        errors["nu"].append(abs(tracker.nu_hat(point) - expansion.nu_hat))
-        errors["chi0"].append(abs(tracker.chi_hat(0.0, point) - expansion.chi_at_origin))
-        errors["chis"].append(abs(tracker.chi_hat(-point.s, point) - expansion.chi_at_saddle))
+        nu, chi_origin, chi_saddle = _expansion(sd_pure_a2, point)
+        assert tracker.case is CaseTag.CASE_I
+        # the plateau's remainder, which the expanded route records at +x
+        error_order = predict_q(sd_pure_a2, point).error_order
+        assert error_order.t_exponent == pytest.approx((1.0 - 0.7) / (0.7 - 2.0))
+        assert error_order.log_power == 1
+        assert tracker.chi_saddle_const(1.0) - tracker.chi_origin_const(1.0) == I_PI_6
+        errors["nu"].append(abs(tracker.nu_hat(point) - nu))
+        errors["chi0"].append(abs(tracker.chi_hat(0.0, point) - chi_origin))
+        errors["chis"].append(abs(tracker.chi_hat(-point.s, point) - chi_saddle))
     for history in errors.values():
         assert history[1] < history[0]
         assert history[1] < 0.3
@@ -356,11 +375,11 @@ def test_expansion_fields_and_convergence_degenerate(sd_synth_ii):
     errs_chi = []
     for t in (1.0e4, 1.0e8):
         point = _point(0.6, 1.0, t)
-        expansion = tracker.expansion(point)
-        assert expansion.nu_hat == pytest.approx(NU0_SYNTH_II, abs=1e-12)
-        assert expansion.chi_at_origin == expansion.chi_at_saddle
-        errs_nu.append(abs(tracker.nu_hat(point) - expansion.nu_hat))
-        errs_chi.append(abs(tracker.chi_hat(0.0, point) - expansion.chi_at_origin))
+        nu, chi_origin, chi_saddle = _expansion(sd_synth_ii, point)
+        assert nu == pytest.approx(NU0_SYNTH_II, abs=1e-12)
+        assert chi_origin == chi_saddle
+        errs_nu.append(abs(tracker.nu_hat(point) - nu))
+        errs_chi.append(abs(tracker.chi_hat(0.0, point) - chi_origin))
     assert errs_nu[1] < errs_nu[0]
     assert errs_chi[1] < errs_chi[0]
     assert errs_nu[1] < 0.01
@@ -368,8 +387,8 @@ def test_expansion_fields_and_convergence_degenerate(sd_synth_ii):
 
 
 def test_expansion_matches_coefficient_table(sd_synth_i, sd_synth_ii):
-    # the tracker's one expansion formula against the wedge ledgers:
-    # nu_hat = h (r/pi) L + nu_s, and 2 Re(nu) ln s + 2 Im chi(0) is the
+    # the wedge ledgers against the paper's forms: the ledger's winding
+    # index is nu_1 - h ln(xi) / pi, and 2 Re(nu) ln s + 2 Im chi(0) is the
     # main slow phase
     for sd in (sd_synth_i, sd_synth_ii):
         tracker = tracker_for(sd)
@@ -378,15 +397,11 @@ def test_expansion_matches_coefficient_table(sd_synth_i, sd_synth_ii):
                 pc = phase_coefficients(sd, alpha, s)
                 for t in (1.0e3, 1.0e8):
                     point = _point(alpha, s, t)
-                    ln_4st = point.ln_4st
-                    expansion = tracker.expansion(point)
-                    nu = pc.tilt.log_times_loglog * ln_4st + pc.nu_s
-                    assert abs(expansion.nu_hat - nu) <= 1e-13 * max(1.0, abs(nu))
-                    main = pc.main.slow_phase(ln_4st)
-                    slow = (
-                        2.0 * expansion.nu_hat.real * math.log(s)
-                        + 2.0 * expansion.chi_at_origin.imag
-                    )
+                    nu, chi_origin, _ = _expansion(sd, point)
+                    paper = tracker.nu_one - tracker.h * point.ln_xi / math.pi
+                    assert abs(nu - paper) <= 1e-13 * max(1.0, abs(paper))
+                    main = pc.main.slow_phase(point.ln_4st)
+                    slow = 2.0 * nu.real * math.log(s) + 2.0 * chi_origin.imag
                     assert abs(slow - main) <= 1e-13 * max(1.0, abs(main))
 
 
@@ -398,20 +413,11 @@ def test_expansion_error_is_first_order_generic(sd_perturbed):
         point = _point(0.6, 1.0, t)
         xis.append(point.xi)
         direct = tracker.nu_hat(point)
-        expansion = tracker.expansion(point).nu_hat
+        expansion = _expansion(sd_perturbed, point)[0]
         errs.append(abs(direct - expansion))
     assert errs[0] > errs[1] > errs[2]
     slope = (math.log(errs[0]) - math.log(errs[2])) / (math.log(xis[0]) - math.log(xis[2]))
     assert 0.6 < slope < 1.4
-
-
-def test_expansion_band_warning():
-    tracker = tracker_for(synthetic_case_i())
-    with pytest.warns(ExpansionBandWarning):
-        tracker.expansion(_point(0.5, 0.01, 1.0e4))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        tracker.expansion(_point(0.5, 1.0, 1.0e4))
 
 
 # ---------------------------------------------------------------------------

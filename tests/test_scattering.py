@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnlswedge import scattering
+from nnlswedge import profiles, scattering
 from nnlswedge.profiles import InitialProfile, ProfileKind
 from nnlswedge.scattering import (
     CaseClassificationError,
@@ -39,7 +39,6 @@ from nnlswedge.scattering import (
     load_spectral_data,
     save_spectral_data,
     scattering_grid,
-    scattering_matrix,
     synthetic_case_i,
     synthetic_case_ii,
 )
@@ -57,23 +56,31 @@ def pure_step_exact(amplitude: float, k: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+def _scattering_matrix(profile, k):
+    """S(k) = Phi_right(0)^{-1} Phi_left(0) (2x2) at one real k, from the
+    sweep's Jost matrices and the rows every grid run forms."""
+    k = np.array([float(k)])
+    top, bottom, _ = scattering._s_entries(k, *scattering.jost_at_origin(profile, k))
+    return np.array([top[:, 0], bottom[:, 0]])
+
+
 def test_pure_step_matrix_example():
     # A = 2, k = 1: S = [[2, i], [-i, 1]]
-    S = scattering_matrix(InitialProfile(ProfileKind.PURE_STEP, amplitude=2.0), 1.0)
+    S = _scattering_matrix(InitialProfile(ProfileKind.PURE_STEP, amplitude=2.0), 1.0)
     expect = np.array([[2.0, 1.0j], [-1.0j, 1.0]])
     assert np.max(np.abs(S - expect)) < 1e-10
 
 
 def test_pure_step_matrix_det_one():
-    S = scattering_matrix(InitialProfile(ProfileKind.PURE_STEP, amplitude=1.0), 0.37)
+    S = _scattering_matrix(InitialProfile(ProfileKind.PURE_STEP, amplitude=1.0), 0.37)
     assert abs(S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0] - 1.0) < 1e-10
 
 
 def test_reflection_example_at_negative_k():
     # A = 2, k = -1: r1 = b(-1)/a1(-1) = i/2, r2 = conj(b(1))/a2(-1) = i
     p = InitialProfile(ProfileKind.PURE_STEP, amplitude=2.0)
-    s_neg = scattering_matrix(p, -1.0)
-    s_pos = scattering_matrix(p, 1.0)
+    s_neg = _scattering_matrix(p, -1.0)
+    s_pos = _scattering_matrix(p, 1.0)
     r1 = s_neg[1, 0] / s_neg[0, 0]
     r2 = np.conj(s_pos[1, 0]) / s_neg[1, 1]
     assert abs(r1 - 0.5j) < 1e-10
@@ -141,7 +148,7 @@ def test_soliton_core_of_18_over_a_is_as_accurate_as_32_over_a(monkeypatch, ampl
         )
         errors = _soliton_errors(profile, k)
         with monkeypatch.context() as m:
-            m.setattr(scattering, "_CORE_DECAY", 32.0)
+            m.setattr(profiles, "_CORE_DECAY", 32.0)
             wide_steps = scattering.step_count(profile, k[-1])
             wide_errors = _soliton_errors(profile, k)
         assert scattering.step_count(profile, k[-1]) < wide_steps
