@@ -10,13 +10,14 @@ mirror-side magnitude dies like t^(-1/2).
 """
 
 from nnlswedge.scattering import synthetic_case_i, synthetic_case_ii
-from nnlswedge.wedge import matching_check
+from nnlswedge.wedge import matching_check, matching_ladder
 
-# Hold x^(2 - alpha)/(4t) fixed while alpha -> 1; each row uses the time
-# that keeps (1 - alpha) ln t pinned, so the limit is approached along
-# a controlled path.
+# Hold x^(2 - alpha)/(4t) fixed while alpha -> 1; matching_ladder builds
+# the rungs, each at the time that keeps (1 - alpha) ln t pinned, so the
+# limit is approached along a controlled path, and matching_check runs them.
 sd = synthetic_case_i()
-report = matching_check(sd, 1.0, [0.9, 0.99, 0.999], hold_product=1.0)
+mode, rungs = matching_ladder(1.0, [0.9, 0.99, 0.999], hold_product=1.0)
+report = matching_check(sd, mode, rungs)
 print(f"case {report.case}, s = {report.s}, mode = {report.mode}")
 print("alpha      ln t      phase residual")
 for row in report.rows:
@@ -34,6 +35,6 @@ print(f"mirror-side fitted t-exponent  {report.mirror_exponent:.4f}")
 # In the degenerate case the mirror-side amplitude also locks its sign:
 # the ratio against the direct side tends to -1.
 sd2 = synthetic_case_ii()
-report2 = matching_check(sd2, 1.0, [0.9, 0.99, 0.999], hold_product=1.0)
+report2 = matching_check(sd2, mode, rungs)
 print(f"degenerate-case mirror amplitude ratio "
       f"{report2.mirror_amplitude_ratio:.4f}")

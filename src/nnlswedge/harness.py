@@ -28,6 +28,7 @@ import numpy as np
 from .pde import (
     BoundaryDriftError,
     FieldBlowUpError,
+    SpatialGrid,
     evolve,
     interpolate_field,
     mirror_mass,
@@ -86,7 +87,9 @@ _MAX_FIELD_LEVEL = 1e4
 
 # Range accepted for each synthetic-family parameter (a zero coupling aside):
 # the closed forms multiply them with 1/k on grids down to k_min, and
-# d = 1e100 or k1 = 1e-300 overflow a double; 1e-50 .. 1e50 stays finite.
+# d = 1e100 or k1 = 1e-300 overflow a double; 1e-50 .. 1e50 stays finite on
+# the default grid.  Data that is still not finite on the [kgrid] nodes (a
+# tiny k_min) is refused when the family is built.
 _SYNTHETIC_RANGE = (1e-50, 1e50)
 
 # Largest Jost grid sweep accepted for a sampled profile, in Magnus steps
@@ -116,31 +119,29 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class WedgeBlock:
-    """The [wedge] keys and the cells they make: ``cells`` holds (t, point)
+    """The [wedge] ladder and the cells it makes: ``cells`` holds (t, point)
     per output row, in the order alpha, s, t, side (innermost), with the
     config's own t, which ``point.t`` = exp(ln t) need not reproduce."""
 
-    alphas: tuple[float, ...]
-    s_values: tuple[float, ...]
     t_ladder: tuple[float, ...]
-    sides: tuple[Side, ...]
     cells: tuple[tuple[float, WedgePoint], ...]
 
 
 @dataclass(frozen=True)
 class PdeBlock:
-    half_width: float
-    step: float
+    """The [pde] grid, built at load, with the ladder bound and the time step."""
+
+    grid: SpatialGrid
     t_final: float
     dt: float | None
 
 
 @dataclass(frozen=True)
 class MatchBlock:
-    s: float
-    alphas: tuple[float, ...]
-    hold_product: float | None
-    time: float | None
+    """The [match] ladder's mode and rungs, as ``matching_ladder`` returns them."""
+
+    mode: str
+    points: tuple[WedgePoint, ...]
 
 
 @dataclass(frozen=True)
@@ -159,11 +160,8 @@ class ExperimentConfig:
     """Validated experiment description (see docs/config-schema.md)."""
 
     profile: InitialProfile | None
-    synthetic_kind: str | None
-    synthetic_params: dict
-    kgrid_n: int
-    kgrid_min: float
-    kgrid_max: float
+    synthetic: SpectralData | None  # a synthetic family's data on k_grid
+    k_grid: np.ndarray
     wedge: WedgeBlock
     pde: PdeBlock | None
     match: MatchBlock | None
@@ -284,34 +282,28 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
 
     prof = values["profile"]
     del prof["kind"]
+    profile = synthetic = None
     if family == "sampled":
         if prof["amplitude"] > _MAX_FIELD_LEVEL:
             raise ConfigError(
                 f"profile.amplitude: {prof['amplitude']:g} above the ceiling of "
                 f"{_MAX_FIELD_LEVEL:g}"
             )
-        bump = abs(complex(prof["bump_amplitude_re"], prof["bump_amplitude_im"]))
-        if bump > _MAX_FIELD_LEVEL:
+        bump = complex(prof.pop("bump_amplitude_re"), prof.pop("bump_amplitude_im"))
+        if abs(bump) > _MAX_FIELD_LEVEL:
             raise ConfigError(
-                f"profile.bump_amplitude_re, bump_amplitude_im: modulus {bump:g} "
+                f"profile.bump_amplitude_re, bump_amplitude_im: modulus {abs(bump):g} "
                 f"above the ceiling of {_MAX_FIELD_LEVEL:g}"
             )
+        try:
+            profile = InitialProfile(kind=ProfileKind(kind), bump_amplitude=bump, **prof)
+        except ValueError as exc:
+            raise ConfigError(f"invalid [profile]: {exc}") from exc
     else:
         low, high = _SYNTHETIC_RANGE
         for key, value in prof.items():
             if value != 0.0 and not low <= abs(value) <= high:
                 raise ConfigError(f"profile.{key}: {value:g} outside [{low:g}, {high:g}]")
-    profile, synthetic_kind, synthetic_params = None, None, {}
-    try:
-        if family == "sampled":
-            bump = complex(prof.pop("bump_amplitude_re"), prof.pop("bump_amplitude_im"))
-            profile = InitialProfile(kind=ProfileKind(kind), bump_amplitude=bump, **prof)
-        else:
-            # the family checks its own parameters; 8 nodes make that cheap
-            _SYNTHETIC[kind](**prof, k_grid=default_k_grid(4))
-            synthetic_kind, synthetic_params = kind, prof
-    except ValueError as exc:
-        raise ConfigError(f"invalid [profile]: {exc}") from exc
 
     kgrid = values["kgrid"]
     kgrid_n, kgrid_min, kgrid_max = kgrid["n_per_sign"], kgrid["k_min"], kgrid["k_max"]
@@ -321,12 +313,19 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
         )
     if not 0 < kgrid_min < kgrid_max:
         raise ConfigError("kgrid: need 0 < k_min < k_max")
-    if profile is not None:
-        steps, nodes = step_count(profile, kgrid_max), 2 * int(kgrid_n)
-        if steps * nodes > _MAX_SWEEP_WORK:
+    k_grid = default_k_grid(int(kgrid_n), kgrid_min, kgrid_max)
+    if profile is None:
+        try:
+            # the family checks its parameters and its data on the grid
+            synthetic = _SYNTHETIC[kind](**prof, k_grid=k_grid)
+        except ValueError as exc:
+            raise ConfigError(f"invalid [profile]: {exc}") from exc
+    else:
+        steps = step_count(profile, k_grid[-1])
+        if steps * k_grid.size > _MAX_SWEEP_WORK:
             raise ConfigError(
-                f"kgrid: the Jost sweep would take {steps} steps x {nodes} k nodes "
-                f"= {steps * nodes:.3g}, over the budget of {_MAX_SWEEP_WORK:.3g}; "
+                f"kgrid: the Jost sweep would take {steps} steps x {k_grid.size} k nodes "
+                f"= {steps * k_grid.size:.3g}, over the budget of {_MAX_SWEEP_WORK:.3g}; "
                 "lower k_max or n_per_sign"
             )
 
@@ -344,28 +343,30 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
         except OverflowError:
             raise ConfigError(f"{cell}: its fast phase overflows a double") from None
         cells += [(t, replace(point, side=side)) for side in w["sides"]]
-    wedge = WedgeBlock(**w, cells=tuple(cells))
+    wedge = WedgeBlock(t_ladder=w["t_ladder"], cells=tuple(cells))
 
     pde = None
     if "pde" in parser:
-        pde = PdeBlock(**values["pde"])
+        p = values["pde"]
         try:
-            symmetric_grid(pde.half_width, pde.step)
-            resolve_dt(pde.dt, 0.0)
+            grid = symmetric_grid(p["half_width"], p["step"])
+            resolve_dt(p["dt"], 0.0)
         except ValueError as exc:
             raise ConfigError(f"invalid [pde]: {exc}") from exc
+        pde = PdeBlock(grid=grid, t_final=p["t_final"], dt=p["dt"])
 
     match = None
     if "match" in parser:
-        match = MatchBlock(**values["match"])
-        if (match.hold_product is None) == (match.time is None):
+        m = values["match"]
+        if (m["hold_product"] is None) == (m["time"] is None):
             raise ConfigError("match: set exactly one of hold_product / time")
         try:
-            matching_ladder(
-                match.s, match.alphas, t=match.time, hold_product=match.hold_product
+            mode, points = matching_ladder(
+                m["s"], m["alphas"], t=m["time"], hold_product=m["hold_product"]
             )
         except ValueError as exc:
             raise ConfigError(f"invalid [match]: {exc}") from exc
+        match = MatchBlock(mode=mode, points=points)
 
     for key, name in values["output"].items():
         if key != "directory" and (Path(name).is_absolute() or ".." in Path(name).parts):
@@ -375,11 +376,8 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
 
     return ExperimentConfig(
         profile=profile,
-        synthetic_kind=synthetic_kind,
-        synthetic_params=synthetic_params,
-        kgrid_n=int(kgrid_n),
-        kgrid_min=kgrid_min,
-        kgrid_max=kgrid_max,
+        synthetic=synthetic,
+        k_grid=k_grid,
         wedge=wedge,
         pde=pde,
         match=match,
@@ -406,22 +404,19 @@ def _write_report(path: Path, schema: str, lines) -> Path:
 
 def spectral_data_for(cfg: ExperimentConfig, *, force: bool = False) -> SpectralData:
     """Spectral data for the config: synthetic family or cached scattering run."""
-    k_grid = default_k_grid(cfg.kgrid_n, cfg.kgrid_min, cfg.kgrid_max)
-    if cfg.synthetic_kind is not None:
-        return _SYNTHETIC[cfg.synthetic_kind](**cfg.synthetic_params, k_grid=k_grid)
+    if cfg.synthetic is not None:
+        return cfg.synthetic
     cache = cfg.output.directory / cfg.output.cache
     cache.parent.mkdir(parents=True, exist_ok=True)
-    return compute_spectral_data(
-        cfg.profile, k_grid, cache_path=cache, force=force
-    )
+    return compute_spectral_data(cfg.profile, cfg.k_grid, cache_path=cache, force=force)
 
 
 def _tracked_data(cfg: ExperimentConfig) -> SpectralData:
     """Spectral data for a subcommand that builds a phase tracker, whose
     tail fit needs nodes with |k| >= K_FIT; checked before any scattering."""
-    if cfg.kgrid_max < K_FIT:
+    if cfg.k_grid[-1] < K_FIT:
         raise ConfigError(
-            f"kgrid.k_max = {cfg.kgrid_max:g} is below the phase tracker's "
+            f"kgrid.k_max = {cfg.k_grid[-1]:g} is below the phase tracker's "
             f"tail-fit window |k| >= {K_FIT:g}"
         )
     return spectral_data_for(cfg)
@@ -433,11 +428,11 @@ def _tracked_data(cfg: ExperimentConfig) -> SpectralData:
 
 def cmd_scatter(cfg: ExperimentConfig, *, force: bool = False) -> Path:
     """Compute (or reuse) the spectral cache; returns the cache path."""
-    cache = cfg.output.directory / cfg.output.cache
-    cache.parent.mkdir(parents=True, exist_ok=True)
     sd = spectral_data_for(cfg, force=force)
-    if cfg.synthetic_kind is not None:
+    cache = cfg.output.directory / cfg.output.cache
+    if cfg.synthetic is not None:
         # synthetic families bypass compute_spectral_data's own caching
+        cache.parent.mkdir(parents=True, exist_ok=True)
         save_spectral_data(sd, cache)
     return cache
 
@@ -511,7 +506,7 @@ def _validate_compare_geometry(cfg: ExperimentConfig):
         raise ConfigError(
             f"wedge ladder reaches t={w.t_ladder[-1]:g} beyond pde.t_final={p.t_final:g}"
         )
-    grid = symmetric_grid(p.half_width, p.step)
+    grid = p.grid
     q0 = cfg.profile.sample(grid.x)
     dt = resolve_dt(p.dt, float(np.max(np.abs(q0))))
     steps = w.t_ladder[-1] / dt
@@ -523,13 +518,13 @@ def _validate_compare_geometry(cfg: ExperimentConfig):
             "lower half_width, t_ladder or the grid resolution"
         )
     clearance = 4.0 * max(cfg.profile.width, 1.0)
-    xi_edge = WINDOW_FRACTION * cfg.kgrid_max
+    xi_edge = WINDOW_FRACTION * cfg.k_grid[-1]
     for t, point in w.cells:
         cell = f"(alpha={point.alpha:g}, s={point.s:g}, t={t:g})"
-        if point.x + clearance > p.half_width:
+        if point.x + clearance > grid.half_width:
             raise ConfigError(
                 f"wedge point x={point.x:.4g} {cell} too close to the "
-                f"boundary for half_width={p.half_width:g}"
+                f"boundary for half_width={grid.half_width:g}"
             )
         if not point.xi < xi_edge:
             raise ConfigError(
@@ -667,15 +662,7 @@ def cmd_match(cfg: ExperimentConfig) -> Path:
     """Write the straight-ray matching report of ``[match]``; returns its path."""
     if cfg.match is None:
         raise ConfigError("match needs a [match] section")
-    sd = _tracked_data(cfg)
-    m = cfg.match
-    report = matching_check(
-        sd,
-        m.s,
-        m.alphas,
-        t=m.time,
-        hold_product=m.hold_product,
-    )
+    report = matching_check(_tracked_data(cfg), cfg.match.mode, cfg.match.points)
     residuals = [row.phase_residual for row in report.rows]
     trend = "decreasing" if all(a > b for a, b in zip(residuals, residuals[1:])) else "mixed"
     # a row's fields in order are the header's columns

@@ -70,7 +70,7 @@ BLOW_UP_FACTOR = 1.0e3
 DRIFT_ABORT = 1.0e-3
 # points on the circle of each phi-function contour mean
 _CONTOUR_POINTS = 32
-# Largest grid symmetric_grid builds: an evolution peaks at ~31 complex
+# Largest grid symmetric_grid builds: an evolution peaks at ~34 complex
 # arrays of the grid size (~5 GB at this size), and each step costs eight
 # FFTs of the grid's length, ~220 ns per node-step on 16,801 nodes, so a
 # finer grid is far too slow to evolve anyway.

@@ -108,7 +108,8 @@ def default_k_grid(n_per_sign: int = 400, k_min: float = 1e-3, k_max: float = 1e
 
 
 def _layout(profile: InitialProfile, k_scale: float):
-    """Core half-width and the step counts of one core half and one tail.
+    """Core half-width, core and tail step densities, and the step counts of
+    one core half and one tail.
 
     The core (varying) region, out to where an exponential tail is down by
     ``e^{-18}``, is resolved with a density that grows like ``sqrt(k)`` --
@@ -122,13 +123,14 @@ def _layout(profile: InitialProfile, k_scale: float):
     dens_tail = 8.0 * math.sqrt(1.0 + 0.125 * k_scale)
     n_half = max(2, int(math.ceil(half * dens_core)))
     if half >= profile.radius:
-        return half, n_half, 0
-    return half, n_half, max(4, int(math.ceil((profile.radius - half) * dens_tail)))
+        return half, dens_core, dens_tail, n_half, 0
+    n_tail = max(4, int(math.ceil((profile.radius - half) * dens_tail)))
+    return half, dens_core, dens_tail, n_half, n_tail
 
 
 def step_count(profile: InitialProfile, k_scale: float) -> int:
     """Steps of the :func:`_step_edges` layout, without building it."""
-    _, n_half, n_tail = _layout(profile, k_scale)
+    *_, n_half, n_tail = _layout(profile, k_scale)
     return 2 * (n_half + n_tail)
 
 
@@ -140,7 +142,7 @@ def _step_edges(profile: InitialProfile, k_scale: float):
     exactly, so a jump of the pure step never sits inside a step.
     """
     radius = profile.radius
-    half, n_half, n_tail = _layout(profile, k_scale)
+    half, _, _, n_half, n_tail = _layout(profile, k_scale)
     left = np.linspace(-half, 0.0, n_half + 1)
     right = np.linspace(0.0, half, n_half + 1)
     if n_tail:
@@ -678,6 +680,9 @@ class SpectralData:
     assumption2_limit: float = 0.0
     unitarity_residual: float = 0.0
     symmetry_residual: float = 0.0
+    # the sweep's _layout at max |k| (core half-width, core and tail
+    # densities, core-half and tail step counts); None for closed-form data
+    layout: tuple | None = None
 
     def __post_init__(self) -> None:
         k = np.asarray(self.k_grid, dtype=float)
@@ -686,6 +691,9 @@ class SpectralData:
             arr = np.asarray(getattr(self, name), dtype=complex)
             if arr.shape != k.shape:
                 raise ValueError(f"{name} must match the k grid shape")
+            bad = ~np.isfinite(arr)
+            if bad.any():
+                raise ValueError(f"{name} is not finite at k = {float(k[np.argmax(bad)])}")
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "k_grid", k)
         if not self.amplitude > 0:
@@ -706,12 +714,13 @@ class SpectralData:
 # persistence
 # ---------------------------------------------------------------------------
 
-_SCHEMA = "spectral-data/1"
+_SCHEMA = "spectral-data/2"
 
 # the saved SpectralData fields, in file order after the schema
 _SAVED_FIELDS = (
     "amplitude", "k1", "case", "a2_at_zero", "a11", "a21", "profile_fingerprint",
-    "assumption2_limit", "unitarity_residual", "symmetry_residual", "k_grid", "a1", "a2", "b",
+    "assumption2_limit", "unitarity_residual", "symmetry_residual", "layout",
+    "k_grid", "a1", "a2", "b",
 )
 
 
@@ -738,6 +747,8 @@ def load_spectral_data(path) -> SpectralData:
     for name in ("a11", "a21"):
         if fields[name] is not None:
             fields[name] = complex(*fields[name])
+    if fields["layout"] is not None:
+        fields["layout"] = tuple(fields["layout"])
     for name in ("a1", "a2", "b"):
         fields[name] = np.array([complex(re, im) for re, im in fields[name]])
     return SpectralData(**fields)
@@ -761,13 +772,14 @@ def compute_spectral_data(
     small-k limits, classifies the case, locates the imaginary-axis
     transmission zero, and measures the winding of the reflection
     product.  Results are optionally cached as JSON; a cached file is
-    reused only when both its profile fingerprint and its k grid match
-    the request.  A cached file that does not load (another schema,
-    invalid JSON, missing fields) is a miss and is overwritten.
+    reused only when its profile fingerprint, its k grid and its step
+    layout all match the request.  A cached file that does not load
+    (another schema, invalid JSON, missing fields, data that is not
+    finite) is a miss and is overwritten.
     """
     fp = fingerprint(profile)
-    if k_grid is None:
-        k_grid = default_k_grid()
+    k_grid = default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)
+    layout = _layout(profile, float(np.max(np.abs(k_grid))))
     if cache_path is not None and not force:
         p = Path(cache_path)
         if p.exists():
@@ -780,6 +792,7 @@ def compute_spectral_data(
             if (
                 sd is not None
                 and sd.profile_fingerprint == fp
+                and sd.layout == layout
                 and np.array_equal(sd.k_grid, k_grid)
             ):
                 return sd
@@ -807,7 +820,7 @@ def compute_spectral_data(
             stacklevel=2,
         )
     sd = SpectralData(
-        k_grid=np.asarray(k_grid, dtype=float),
+        k_grid=k_grid,
         a1=a1,
         a2=a2,
         b=b,
@@ -821,6 +834,7 @@ def compute_spectral_data(
         assumption2_limit=limit,
         unitarity_residual=diag["unitarity_residual"],
         symmetry_residual=diag["symmetry_residual"],
+        layout=layout,
     )
     if cache_path is not None:
         save_spectral_data(sd, cache_path)
@@ -850,9 +864,11 @@ def synthetic_case_i(
         k_grid = default_k_grid()
     k = np.asarray(k_grid, dtype=float)
     _require_symmetric(k)
-    a1 = (k + 1j * d) * (k - 1j * k1) / k**2
-    a2 = (k - 1j * d) / (k - 1j * k1)
-    b = -1j * d / k
+    # data that overflows at tiny |k| is refused, naming the node, by SpectralData
+    with np.errstate(all="ignore"):
+        a1 = (k + 1j * d) * (k - 1j * k1) / k**2
+        a2 = (k - 1j * d) / (k - 1j * k1)
+        b = -1j * d / k
     return SpectralData(
         k_grid=k,
         a1=a1,
@@ -894,14 +910,16 @@ def synthetic_case_ii(
         k_grid = default_k_grid()
     k = np.asarray(k_grid, dtype=float)
     _require_symmetric(k)
-    a1 = (k - 1j * k1) / k
-    a2 = (
-        k
-        * (k - 1j * (pole - coupling))
-        * (k - 1j * (pole + coupling))
-        / ((k - 1j * k1) * (k - 1j * pole) ** 2)
-    )
-    b = np.full_like(k, coupling, dtype=complex) / (k - 1j * pole)
+    # data that overflows at tiny |k| is refused, naming the node, by SpectralData
+    with np.errstate(all="ignore"):
+        a1 = (k - 1j * k1) / k
+        a2 = (
+            k
+            * (k - 1j * (pole - coupling))
+            * (k - 1j * (pole + coupling))
+            / ((k - 1j * k1) * (k - 1j * pole) ** 2)
+        )
+        b = np.full_like(k, coupling, dtype=complex) / (k - 1j * pole)
     a11 = -1j * k1
     a21 = 1j * (pole**2 - coupling**2) / (k1 * pole**2)
     return SpectralData(

@@ -715,24 +715,18 @@ def matching_ladder(
     return mode, points
 
 
-def matching_check(
-    sd: SpectralData,
-    s: float,
-    alphas,
-    *,
-    t: float | None = None,
-    hold_product: float | None = None,
-) -> MatchingReport:
+def matching_check(sd: SpectralData, mode: str, points) -> MatchingReport:
     """Run a matching ladder in alpha toward the straight-ray regime.
 
-    Two ladder modes (see :func:`matching_ladder`): pass ``t`` to hold the
-    observation time fixed while alpha -> 1, or ``hold_product`` = c to keep
-    (1 - alpha) * ln t = c fixed, which sends t -> infinity along the ladder.
-    In fixed-product mode the phase residual decreases toward a finite limit
+    ``mode`` and ``points`` are what :func:`matching_ladder` returns: the
+    rungs share one s and either hold the observation time fixed while
+    alpha -> 1 (``"fixed-time"``) or keep (1 - alpha) * ln t = c fixed
+    (``"fixed-product"``), which sends t -> infinity along the ladder.  In
+    fixed-product mode the phase residual decreases toward a finite limit
     and the mirror magnitudes expose the straight-ray decay exponent; in
     fixed-time mode the residual itself tends to zero.
     """
-    mode, points = matching_ladder(s, alphas, t=t, hold_product=hold_product)
+    s = points[0].s
     tracker = tracker_for(sd)
     generic = sd.case is CaseTag.CASE_I
     if generic:

@@ -42,6 +42,7 @@ from nnlswedge.wedge import (
     amplitude_Q,
     gen_as_predict,
     matching_check,
+    matching_ladder,
     phase_coefficients,
     predict_q,
     wedge_point,
@@ -333,7 +334,7 @@ def test_criterion_09_wedge_stress():
 
 def test_criterion_10_matching_limit(sd_synth_i):
     report = matching_check(
-        sd_synth_i, 1.0, [0.9, 0.99, 0.999], hold_product=1.0
+        sd_synth_i, *matching_ladder(1.0, [0.9, 0.99, 0.999], hold_product=1.0)
     )
     residuals = [row.phase_residual for row in report.rows]
     assert all(a > b for a, b in zip(residuals, residuals[1:])), residuals
@@ -341,7 +342,7 @@ def test_criterion_10_matching_limit(sd_synth_i):
     assert report.oscillation_coefficient_limit == 4.0
     assert report.oscillation_coefficient_expected == 4.0
     off_scale = matching_check(
-        sd_synth_i, 0.8, [0.9, 0.99], hold_product=1.0
+        sd_synth_i, *matching_ladder(0.8, [0.9, 0.99], hold_product=1.0)
     )
     assert off_scale.oscillation_coefficient_limit == pytest.approx(
         4.0 * 0.8**2, rel=1e-14

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import collections
 import math
 import os
 import re
@@ -66,13 +67,14 @@ def _table(path):
 def test_load_config_defaults(tmp_path):
     ini = _write(tmp_path, "[profile]\nkind = pure-step\n")
     cfg = load_config(ini, out_dir=tmp_path / "out")
-    assert cfg.profile is not None and cfg.synthetic_kind is None
-    assert cfg.kgrid_n == 400
-    assert cfg.kgrid_min == 1e-3 and cfg.kgrid_max == 100.0
-    assert cfg.wedge.alphas == (0.5, 0.75, 0.9)
-    assert cfg.wedge.s_values == (1.0,)
+    assert cfg.profile is not None and cfg.synthetic is None
+    assert cfg.k_grid.size == 2 * 400
+    assert cfg.k_grid[400] == 1e-3 and cfg.k_grid[-1] == 100.0
+    points = [point for _, point in cfg.wedge.cells]
+    assert tuple(dict.fromkeys(point.alpha for point in points)) == (0.5, 0.75, 0.9)
+    assert tuple(dict.fromkeys(point.s for point in points)) == (1.0,)
     assert cfg.wedge.t_ladder == (1e4, 1e6, 1e8)
-    assert cfg.wedge.sides == (Side.PLUS_X, Side.MINUS_X)
+    assert tuple(dict.fromkeys(point.side for point in points)) == (Side.PLUS_X, Side.MINUS_X)
     assert cfg.pde is None and cfg.match is None
     assert cfg.output.directory == tmp_path / "out"
 
@@ -84,8 +86,9 @@ def test_load_config_synthetic_params(tmp_path):
     )
     cfg = load_config(ini)
     assert cfg.profile is None
-    assert cfg.synthetic_kind == "synthetic-case-ii"
-    assert cfg.synthetic_params == {"k1": 0.7, "pole": 1.0, "coupling": 0.25}
+    assert cfg.synthetic.profile_fingerprint == (
+        "synthetic-case-ii:k1=0.7:pole=1.0:coupling=0.25"
+    )
 
 
 @pytest.mark.parametrize(
@@ -890,11 +893,30 @@ def test_cli_rejects_non_finite_and_blank_values(
             "kgrid: the Jost sweep would take 6731658 steps x 800 k nodes = 5.39e+09, "
             "over the budget of 2.5e+08; lower k_max or n_per_sign",
         ),
+        # closed-form data that are not finite at the smallest nodes: case I's
+        # k**2 underflows below k ~ 1e-154, case II's k1 / k overflows below
+        # k ~ 1e-258; the first bad node is named, with no numpy warning
+        (
+            "kind = synthetic-case-i\n[kgrid]\nk_min = 1e-300\nn_per_sign = 40\n",
+            "invalid [profile]: a1 is not finite at k = -2.4244620170823408e-161",
+        ),
+        (
+            "kind = synthetic-case-ii\nk1 = 1e50\npole = 1e50\n"
+            "[kgrid]\nk_min = 1e-300\nn_per_sign = 40\n",
+            "invalid [profile]: a1 is not finite at k = -5.223345074266982e-262",
+        ),
     ],
-    ids=["case-i-negative-d", "case-ii-coupling-at-pole", "case-ii-tiny-pole", "sweep-work"],
+    ids=[
+        "case-i-negative-d",
+        "case-ii-coupling-at-pole",
+        "case-ii-tiny-pole",
+        "sweep-work",
+        "case-i-not-finite",
+        "case-ii-not-finite",
+    ],
 )
 def test_cli_rejects_bad_profiles_at_load(tmp_path, capsys, body, message):
-    # each is checked before any spectral data or sweep is computed
+    # each is refused at load, before any sweep is run or file written
     ini = _write(tmp_path, "[profile]\n" + body)
     with pytest.raises(SystemExit) as err:
         main(["predict", "--config", str(ini), "--out", str(tmp_path / "out")])
@@ -1024,10 +1046,10 @@ def test_domain_errors_share_one_base():
 def test_sweep_budget_counts_the_layout(tmp_path):
     # the count is the layout's own; the soliton bench config fits the budget
     cfg = load_config(_REPO / "bench" / "configs" / "soliton.ini", out_dir=tmp_path)
-    steps = step_count(cfg.profile, cfg.kgrid_max)
-    halves = _step_edges(cfg.profile, cfg.kgrid_max)
+    steps = step_count(cfg.profile, cfg.k_grid[-1])
+    halves = _step_edges(cfg.profile, cfg.k_grid[-1])
     assert steps == sum(edges.size - 1 for edges in halves) == 12_814
-    assert steps * 2 * cfg.kgrid_n <= _MAX_SWEEP_WORK
+    assert steps * cfg.k_grid.size <= _MAX_SWEEP_WORK
 
 
 def test_evolution_budget_refuses_a_days_long_compare(tmp_path):
@@ -1108,15 +1130,65 @@ def test_shipped_configs_load(tmp_path, name):
         _validate_compare_geometry(cfg)
 
 
+# an evolving soliton whose compare is cheap: 321 nodes x 600 steps
+_SOLITON_COMPARE = (
+    "[profile]\nkind = soliton-snapshot\namplitude = 1.0\n"
+    "phase = 3.141592653589793\n"
+    "[kgrid]\nn_per_sign = 60\n"
+    "[wedge]\nalphas = 0.75\nt_ladder = 3\nsides = +x\n"
+    "[pde]\nhalf_width = 16.0\nstep = 0.1\nt_final = 3.0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, commands",
+    [
+        (
+            "[profile]\nkind = synthetic-case-ii\n[wedge]\nalphas = 0.75\nt_ladder = 1e4\n"
+            "[pde]\nhalf_width = 16\nstep = 0.1\n[match]\nhold_product = 2\n",
+            ("scatter", "predict", "match"),
+        ),
+        (
+            _SOLITON_COMPARE + "[match]\nhold_product = 2\n",
+            ("scatter", "predict", "compare", "match"),
+        ),
+    ],
+    ids=["synthetic", "soliton"],
+)
+def test_each_config_object_is_built_once(tmp_path, monkeypatch, text, commands):
+    # load_config builds the k grid, the synthetic family's data, the [pde]
+    # grid and the [match] rungs as it validates them, and no subcommand
+    # builds any of them again
+    built = collections.Counter()
+
+    def counted(name, build):
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return build(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in (
+        (harness, "default_k_grid"),
+        (harness, "symmetric_grid"),
+        (harness, "matching_ladder"),
+        (wedge, "matching_ladder"),
+    ):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for kind, family in harness._SYNTHETIC.items():
+        monkeypatch.setitem(harness._SYNTHETIC, kind, counted("synthetic", family))
+    ini = _write(tmp_path, text)
+    expected = {"default_k_grid": 1, "symmetric_grid": 1, "matching_ladder": 1}
+    if "kind = synthetic" in text:
+        expected["synthetic"] = 1
+    for command in commands:
+        built.clear()
+        getattr(harness, f"cmd_{command}")(load_config(ini, out_dir=tmp_path / "out"))
+        assert dict(built) == expected, command
+
+
 def test_cli_compare_announces_all_reports(tmp_path, capsys):
-    ini = _write(
-        tmp_path,
-        "[profile]\nkind = soliton-snapshot\namplitude = 1.0\n"
-        "phase = 3.141592653589793\n"
-        "[kgrid]\nn_per_sign = 60\n"
-        "[wedge]\nalphas = 0.75\nt_ladder = 3\nsides = +x\n"
-        "[pde]\nhalf_width = 16.0\nstep = 0.1\nt_final = 3.0\n",
-    )
+    ini = _write(tmp_path, _SOLITON_COMPARE)
     out = tmp_path / "out"
     code = main(["compare", "--config", str(ini), "--out", str(out)])
     assert code == 0
@@ -1176,27 +1248,56 @@ def _config_text(draw):
     )
 
 
+# the case I config of test_cli_rejects_bad_profiles_at_load whose data are
+# not finite on its grid: a config error on every subcommand
+_OVERFLOWING_SYNTHETIC = (
+    "[profile]\nkind = synthetic-case-i\n[kgrid]\nk_min = 1e-300\nn_per_sign = 40\n"
+)
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# a compare the config gate runs only up to this many node-steps of evolution
+_GATE_EVOLVE_WORK = 1e6
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(_config_text())
 @example(_ZERO_MIRROR_MATCH)
+@example(_OVERFLOWING_SYNTHETIC)
+@example(_SOLITON_COMPARE)
 def test_drawn_configs_end_in_a_result_or_a_named_error(text):
-    # every draw loads or is a ConfigError; a cheap one (a synthetic family,
-    # or a sampled kind with n_per_sign <= 60, radius <= 40 and k_max <= 100)
-    # runs predict and match to exit code 0, 2 (config) or 3 (domain error)
+    # every draw loads, or is a ConfigError that every subcommand reports
+    # with exit code 2; a cheap one (a synthetic family, or a sampled kind
+    # with n_per_sign <= 60, radius <= 40 and k_max <= 100) runs predict and
+    # match to exit code 0, 2 (config) or 3 (domain error), and compare too
+    # where _validate_compare_geometry refuses it (exit code 2) or counts
+    # its evolution at no more than _GATE_EVOLVE_WORK node-steps
     with tempfile.TemporaryDirectory() as tmp:
         ini, out = _write(Path(tmp), text), Path(tmp) / "out"
+        argv = ["--config", str(ini), "--out", str(out)]
         try:
             cfg = load_config(ini, out_dir=out)
         except ConfigError:
+            for command in ("scatter", "predict", "compare", "match"):
+                assert _exit_code([command, *argv]) == 2, text
             return
         profile = cfg.profile
         if profile is not None and not (
-            cfg.kgrid_n <= 60 and profile.radius <= 40 and cfg.kgrid_max <= 100
+            cfg.k_grid.size <= 120 and profile.radius <= 40 and cfg.k_grid[-1] <= 100
         ):
             return
         for command in ("predict", "match"):
-            try:
-                code = main([command, "--config", str(ini), "--out", str(out)])
-            except SystemExit as exc:
-                code = exc.code
-            assert code in (0, 2, 3), text
+            assert _exit_code([command, *argv]) in (0, 2, 3), text
+        try:
+            grid, _, dt = _validate_compare_geometry(cfg)
+        except ConfigError:
+            assert _exit_code(["compare", *argv]) == 2, text
+            return
+        if grid.size * math.ceil(cfg.wedge.t_ladder[-1] / dt) <= _GATE_EVOLVE_WORK:
+            assert _exit_code(["compare", *argv]) in (0, 2, 3), text

@@ -804,9 +804,54 @@ def test_cache_miss_on_other_grid(tmp_path):
     assert load_spectral_data(path).k_grid.size == 800
 
 
+def test_cache_written_under_another_layout_misses(tmp_path, monkeypatch):
+    # a cache made by another core rule (here a shorter core) holds data of
+    # another step layout: it must be recomputed, not handed back
+    p = InitialProfile(ProfileKind.SMOOTHED_STEP, amplitude=1.0)
+    k = default_k_grid(20, 1e-2, 10.0)
+    path = tmp_path / "cache.json"
+    with monkeypatch.context() as patch:
+        patch.setattr(profiles, "_CORE_DECAY", 12.0)
+        old = compute_spectral_data(p, k, cache_path=path)
+    fresh = compute_spectral_data(p, k)
+    assert not np.array_equal(old.a1, fresh.a1)
+    back = compute_spectral_data(p, k, cache_path=path)
+    assert np.array_equal(back.a1, fresh.a1)
+    # the core half-widths 12 / 2 and 18 / 2, and the file is rewritten
+    assert old.layout[0] == 6.0 and fresh.layout[0] == 9.0
+    assert back.layout == fresh.layout == load_spectral_data(path).layout
+
+
+def test_non_finite_data_is_refused_and_a_cache_holding_it_misses(tmp_path):
+    sd = synthetic_case_i(k_grid=default_k_grid(20, 1e-2, 10.0))
+    a1 = sd.a1.copy()
+    a1[3] = complex(math.inf, 0.0)
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(sd, a1=a1)
+    assert str(err.value) == f"a1 is not finite at k = {float(sd.k_grid[3])!r}"
+    # a cache with an Infinity token loads as no data: a miss, recomputed
+    p = InitialProfile(ProfileKind.PURE_STEP, amplitude=1.0)
+    path = tmp_path / "cache.json"
+    k = default_k_grid(20, 1e-2, 10.0)
+    good = compute_spectral_data(p, k, cache_path=path)
+    payload = json.loads(path.read_text(encoding="ascii"))
+    payload["b"][5] = [math.inf, 0.0]
+    path.write_text(json.dumps(payload), encoding="ascii")
+    assert "Infinity" in path.read_text(encoding="ascii")
+    back = compute_spectral_data(p, k, cache_path=path)
+    assert np.array_equal(back.b, good.b)
+    assert "Infinity" not in path.read_text(encoding="ascii")
+
+
 @pytest.mark.parametrize(
     "content",
-    ['{"schema": "spectral-data/0"}', "not json", '{"schema": "spectral-data/1"}', "[1, 2]"],
+    [
+        '{"schema": "spectral-data/0"}',
+        "not json",
+        '{"schema": "spectral-data/1"}',
+        "[1, 2]",
+        '{"schema": "spectral-data/2"}',
+    ],
 )
 def test_unreadable_cache_is_a_miss(tmp_path, content):
     p = InitialProfile(ProfileKind.PURE_STEP, amplitude=1.0)
@@ -814,5 +859,5 @@ def test_unreadable_cache_is_a_miss(tmp_path, content):
     path.write_text(content, encoding="ascii")
     sd = compute_spectral_data(p, default_k_grid(100), cache_path=path)
     assert sd.k_grid.size == 200
-    assert json.loads(path.read_text(encoding="ascii"))["schema"] == "spectral-data/1"
+    assert json.loads(path.read_text(encoding="ascii"))["schema"] == "spectral-data/2"
     assert load_spectral_data(path).profile_fingerprint == sd.profile_fingerprint

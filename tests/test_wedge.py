@@ -617,7 +617,7 @@ def test_expanded_route_converges_to_exact_route(sd_i, sd_ii):
 
 
 def test_matching_fixed_product_generic(sd_i):
-    report = matching_check(sd_i, 1.0, [0.9, 0.99, 0.999], hold_product=1.0)
+    report = matching_check(sd_i, *matching_ladder(1.0, [0.9, 0.99, 0.999], hold_product=1.0))
     assert report.mode == "fixed-product"
     assert report.case is CaseTag.CASE_I
     residuals = [row.phase_residual for row in report.rows]
@@ -639,7 +639,7 @@ def test_matching_fixed_product_generic(sd_i):
 
 
 def test_matching_fixed_time_contrast(sd_i):
-    report = matching_check(sd_i, 1.0, [0.9, 0.99, 0.999], t=1.0e8)
+    report = matching_check(sd_i, *matching_ladder(1.0, [0.9, 0.99, 0.999], t=1.0e8))
     assert report.mode == "fixed-time"
     residuals = [row.phase_residual for row in report.rows]
     # at fixed time the residual collapses as alpha -> 1 (not necessarily
@@ -651,7 +651,7 @@ def test_matching_fixed_time_contrast(sd_i):
 
 
 def test_matching_degenerate_ratio(sd_ii):
-    report = matching_check(sd_ii, 0.8, [0.9, 0.99, 0.999], hold_product=1.0)
+    report = matching_check(sd_ii, *matching_ladder(0.8, [0.9, 0.99, 0.999], hold_product=1.0))
     residuals = [row.phase_residual for row in report.rows]
     assert all(a > b for a, b in zip(residuals, residuals[1:]))
     assert report.oscillation_coefficient_limit == pytest.approx(2.56, rel=1e-14)
@@ -664,15 +664,15 @@ def test_matching_degenerate_ratio(sd_ii):
 
 def test_matching_validation(sd_i, sd_refl):
     with pytest.raises(ValueError):
-        matching_check(sd_i, 1.0, [0.9], hold_product=1.0, t=1.0e6)
+        matching_ladder(1.0, [0.9], hold_product=1.0, t=1.0e6)
     with pytest.raises(ValueError):
-        matching_check(sd_i, 1.0, [])
+        matching_ladder(1.0, [])
     with pytest.raises(ValueError):
-        matching_check(sd_i, 1.0, [1.5], t=1.0e6)
+        matching_ladder(1.0, [1.5], t=1.0e6)
     with pytest.raises(ValueError):
-        matching_check(sd_i, 1.0, [0.9])  # no mode selected
+        matching_ladder(1.0, [0.9])  # no mode selected
     # reflectionless data has no explicit mirror term and no ratio
-    report = matching_check(sd_refl, 1.0, [0.9, 0.99], hold_product=1.0)
+    report = matching_check(sd_refl, *matching_ladder(1.0, [0.9, 0.99], hold_product=1.0))
     assert report.mirror_amplitude_ratio is None
     assert all(row.mirror_log_magnitude is None for row in report.rows)
 
