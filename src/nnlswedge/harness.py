@@ -94,10 +94,10 @@ _SYNTHETIC_RANGE = (1e-50, 1e50)
 
 # Largest Jost grid sweep accepted for a sampled profile, in Magnus steps
 # (``scattering.step_count`` at k_max) times k nodes.  The sweep's time grows
-# linearly in both (1.1-1.3 ms per node per sign on the smoothed step,
-# 1.8-2.4 ms on the soliton, whose 12,814 steps x 800 nodes = 1.0e7 is the
-# benchmark's largest; 2-vCPU host, both halves swept at once), so the
-# budget, ~24x that, allows about 20 s of sweeping.
+# linearly in both (0.5-0.8 ms per node per sign on the smoothed step,
+# 0.9-1.2 ms on the soliton, whose 12,814 steps x 800 nodes = 1.0e7 is the
+# benchmark's largest; 5 runs each, 2-vCPU host, both halves swept at once),
+# so the budget, ~24x that, allows about 10 s of sweeping.
 _MAX_SWEEP_WORK = 2.5e8
 
 # Largest evolution accepted by ``compare``, in grid nodes times ETDRK4 steps

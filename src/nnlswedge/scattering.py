@@ -26,6 +26,15 @@ Every sweep runs in two independent halves, each from its outer end to
 (:func:`_sweep_halves`).  On POSIX a forked child integrates the right half
 while the caller integrates the left, and its result comes back
 bit-identical through a pipe.  Elsewhere both halves run in turn.
+
+Within a half (:func:`_sweep`) the step generators and their exponentials
+are formed a block of steps at a time, ~4,096 complex entries per block,
+and the solution columns then cross the block's steps in order.  The
+exponential's ``cosh`` and ``sinh`` come from the real ``cos`` and ``sin``
+of ``Im lam`` wherever ``|Re lam| < 2^-28``, where libm's ``cosh`` and
+``sinh`` of ``Re lam`` are exactly 1 and ``Re lam`` (:func:`_cosh_sinh`).
+Both give the bits of a step-by-step sweep with numpy's complex ``cosh``
+and ``sinh``; only the time changes.
 """
 
 from __future__ import annotations
@@ -157,22 +166,69 @@ _SQRT3_12 = math.sqrt(3.0) / 12.0
 _SQRT3_6 = math.sqrt(3.0) / 6.0
 
 
+# |Re lam| below which libm's cosh and sinh of Re lam are exactly 1 and Re lam
+_EXACT_RE = 2.0**-28
+
+# complex entries in one block of the step generators that _sweep forms at once
+_BLOCK_ENTRIES = 4096
+
+
+def _cosh_sinh(lam):
+    """``cosh(lam)`` and ``sinh(lam)``, bit-equal to numpy's complex ufuncs.
+
+    With ``lam = x + i y`` those take libm's ``cosh(x) cos(y) + i sinh(x)
+    sin(y)`` and ``sinh(x) cos(y) + i cosh(x) sin(y)``.  Where ``|x| < 2^-28``
+    and ``y`` is finite, libm's ``cosh(x)`` is exactly 1 and ``sinh(x)``
+    exactly ``x``, so the real ``cos`` and ``sin`` of ``y`` give the same
+    bits at a fraction of the cost; every other entry goes to the complex
+    ufuncs.
+    """
+    x, y = lam.real, lam.imag
+    narrow = np.abs(x) < _EXACT_RE
+    narrow &= np.isfinite(y)
+    if narrow.all():
+        return _cosh_sinh_narrow(x, y)
+    if not narrow.any():
+        return np.cosh(lam), np.sinh(lam)
+    c, s = np.empty_like(lam), np.empty_like(lam)
+    wide = ~narrow
+    c[wide], s[wide] = np.cosh(lam[wide]), np.sinh(lam[wide])
+    c[narrow], s[narrow] = _cosh_sinh_narrow(x[narrow], y[narrow])
+    return c, s
+
+
+def _cosh_sinh_narrow(x, y):
+    """``cos(y) + i x sin(y)`` and ``x cos(y) + i sin(y)``."""
+    c, s = np.empty(y.shape, dtype=complex), np.empty(y.shape, dtype=complex)
+    np.cos(y, out=c.real)
+    np.sin(y, out=s.imag)
+    np.multiply(x, s.imag, out=c.imag)
+    np.multiply(x, c.real, out=s.real)
+    return c, s
+
+
 def _expm_traceless(o11, o12, o21):
     """Entries of ``exp([[o11, o12], [o21, -o11]])`` via cosh/sinhc.
 
     For a traceless generator, ``exp(O) = cosh(lam) I + sinhc(lam) O``
     with ``lam^2 = o11^2 + o12 o21``; the even functions are insensitive
     to the square-root branch, and a series handles small ``|lam|``.
-    ``o12`` and ``o21`` are overwritten with the off-diagonal entries.
+    ``cosh`` and ``sinh`` come from :func:`_cosh_sinh`, which takes the
+    real ``cos`` and ``sin`` of ``Im lam`` wherever ``|Re lam| < 2^-28``
+    (every entry on a real wavenumber and a real profile) and gives the
+    bits of the complex ufuncs everywhere.  The arguments may have any
+    common shape; ``o12`` and ``o21`` are overwritten with the off-diagonal
+    entries.
     """
     lam2 = o11 * o11 + o12 * o21
     lam = np.sqrt(lam2)
-    c = np.cosh(lam)
-    s = np.sinh(lam)
-    small = np.nonzero(np.abs(lam) < 1e-4)
-    lam[small] = 1.0  # no 0/0 below; the series overwrites these entries
+    c, s = _cosh_sinh(lam)
+    small = np.abs(lam) < 1e-4
+    series = small.any()
+    if series:
+        lam[small] = 1.0  # no 0/0 below; the series overwrites these entries
     s /= lam
-    if small[0].size:
+    if series:
         lam2 = lam2[small]
         c[small] = 1.0 + lam2 * (0.5 + lam2 / 24.0)
         s[small] = 1.0 + lam2 * (1.0 / 6.0 + lam2 / 120.0)
@@ -194,6 +250,11 @@ def _sweep(profile, k, edges, top, bottom, *, rescale=False):
     renormalized per element after every step; the logs of the removed
     factors, each less the step's free growth ``|h| Im k``, are summed per
     column into ``logs`` (else 0).
+
+    The generators and their exponentials are formed for a block of steps
+    at once, up to :data:`_BLOCK_ENTRIES` complex entries (one step at
+    least); the columns then cross the block's steps one by one.  Every
+    entry rounds as it would in a sweep that forms each step on its own.
     """
     x_starts, h_steps = edges[:-1], np.diff(edges)
     xg1 = x_starts + _GAUSS_C1 * h_steps
@@ -204,31 +265,46 @@ def _sweep(profile, k, edges, top, bottom, *, rescale=False):
     qm2_all = np.conj(profile.sample(-xg2))
     mik = -1j * k
     growth = np.ascontiguousarray(k.imag)  # a strided view costs more per step
+    # the k-dependent terms of each step length, which uniform segments repeat
+    lengths, length_of = np.unique(h_steps, return_inverse=True)
+    mik_h = np.array([mik * h for h in lengths])
+    mik_hh = np.array([_SQRT3_6 * h * h * mik for h in lengths])
     logs = 0.0
-    # the k-dependent terms of one step length; a uniform segment repeats it
-    by_h = {}
-    for i in range(x_starts.size):
-        h = h_steps[i]
-        q1, q2 = q1_all[i], q2_all[i]
-        qm1, qm2 = qm1_all[i], qm2_all[i]
-        terms = by_h.get(h)
-        if terms is None:
-            terms = by_h[h] = (mik * h, _SQRT3_6 * h * h * mik, abs(h) * growth)
-        mik_h, mik_hh, free_growth = terms
-        # a sum rounds the same in either order, so the scalar parts add in place
-        o11 = mik_h + _SQRT3_12 * h * h * (q1 * qm2 - q2 * qm1)
-        o12 = mik_hh * (q1 - q2)
-        o12 += 0.5 * h * (q1 + q2)
-        o21 = mik_hh * (qm1 - qm2)
-        o21 += -0.5 * h * (qm1 + qm2)
+    rows = max(1, _BLOCK_ENTRIES // k.size)
+    column = (-1,) + (1,) * k.ndim  # one step per row, broadcast along k
+    for start in range(0, h_steps.size, rows):
+        block = slice(start, start + rows)
+        h = h_steps[block]
+        q1, q2, qm1, qm2 = q1_all[block], q2_all[block], qm1_all[block], qm2_all[block]
+        # the block's per-step scalars.  A product of two samples is formed
+        # as a numpy scalar, since an array product may fuse a multiply-add
+        # and round differently; a product with a real factor, a sum and a
+        # difference round the same either way
+        cross = np.array([a * b - c * d for a, b, c, d in zip(q1, qm2, q2, qm1)])
+        c11 = (_SQRT3_12 * h * h * cross).reshape(column)
+        d12, s12 = (q1 - q2).reshape(column), (0.5 * h * (q1 + q2)).reshape(column)
+        d21, s21 = (qm1 - qm2).reshape(column), (-0.5 * h * (qm1 + qm2)).reshape(column)
+        # a column entry multiplies its row as the step's scalar would the
+        # step's array, with the operands in the same order
+        which = length_of[block]
+        o11 = mik_h.take(which, axis=0)
+        o11 += c11
+        hh = mik_hh.take(which, axis=0)
+        o12 = hh * d12
+        o12 += s12
+        o21 = np.multiply(hh, d21, out=hh)
+        o21 += s21
         e11, e12, e21, e22 = _expm_traceless(o11, o12, o21)
-        top, bottom = e11 * top + e12 * bottom, e21 * top + e22 * bottom
         if rescale:
-            scale = np.maximum(np.abs(top), np.abs(bottom))
-            scale = np.where(scale > 0, scale, 1.0)
-            top /= scale
-            bottom /= scale
-            logs = logs + (np.log(scale) - free_growth)
+            free_growth = np.abs(h.reshape(column)) * growth
+        for i in range(e11.shape[0]):
+            top, bottom = e11[i] * top + e12[i] * bottom, e21[i] * top + e22[i] * bottom
+            if rescale:
+                scale = np.maximum(np.abs(top), np.abs(bottom))
+                scale = np.where(scale > 0, scale, 1.0)
+                top /= scale
+                bottom /= scale
+                logs = logs + (np.log(scale) - free_growth[i])
     return top, bottom, logs
 
 
@@ -447,21 +523,24 @@ def _extrapolate_to_zero(k_nodes: np.ndarray, values: np.ndarray) -> complex:
     return complex(coef_re[0], coef_im[0])
 
 
+# RK4 step counts of the k = 0 auxiliary route, coarse and fine (twice as many)
+_A2_ZERO_STEPS = (2400, 4800)
+
+
 def small_k_data(
     profile: InitialProfile, k_grid: np.ndarray, a1: np.ndarray, a2: np.ndarray
 ) -> SmallKData:
     """Small-k limits from the auxiliary system and from grid extrapolation.
 
     The auxiliary route integrates the k = 0 system with 2400 and 4800 RK4
-    steps and Richardson-extrapolates; the grid route fits a quartic through
-    the ten nodes nearest k = 0, five per sign.
+    steps (:data:`_A2_ZERO_STEPS`) and Richardson-extrapolates; the grid
+    route fits a quartic through the ten nodes nearest k = 0, five per sign.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     order = np.argsort(np.abs(k_grid), kind="stable")
     sel = order[:10]
     kn = k_grid[sel]
-    coarse = _a2_zero_ode(profile, 2400)
-    fine = _a2_zero_ode(profile, 4800)
+    coarse, fine = (_a2_zero_ode(profile, n) for n in _A2_ZERO_STEPS)
     richardson = (16.0 * fine - coarse) / 15.0
     step_err = abs(fine - coarse) / 15.0
     return SmallKData(
@@ -618,6 +697,18 @@ def find_k1(profile: InitialProfile) -> float:
     return 0.5 * (bracket[0] + bracket[1])
 
 
+def _limit_rules() -> dict:
+    """The rules that make ``k1`` and ``a2(0)``, as a cache records them:
+    :func:`find_k1`'s refinement constants and the k = 0 route's steps."""
+    return {
+        "k1_cheb_nodes": _K1_CHEB_NODES.tolist(),
+        "k1_confirm": _K1_CONFIRM,
+        "k1_sweep_nodes": _K1_SWEEP_NODES,
+        "k1_xtol": _K1_XTOL,
+        "a2_zero_steps": list(_A2_ZERO_STEPS),
+    }
+
+
 # ---------------------------------------------------------------------------
 # admissibility of the reflection product near k = 0
 # ---------------------------------------------------------------------------
@@ -683,6 +774,8 @@ class SpectralData:
     # the sweep's _layout at max |k| (core half-width, core and tail
     # densities, core-half and tail step counts); None for closed-form data
     layout: tuple | None = None
+    # the rules that made k1 and a2(0) (_limit_rules); None for closed-form data
+    limit_rules: dict | None = None
 
     def __post_init__(self) -> None:
         k = np.asarray(self.k_grid, dtype=float)
@@ -714,13 +807,13 @@ class SpectralData:
 # persistence
 # ---------------------------------------------------------------------------
 
-_SCHEMA = "spectral-data/2"
+_SCHEMA = "spectral-data/3"
 
 # the saved SpectralData fields, in file order after the schema
 _SAVED_FIELDS = (
     "amplitude", "k1", "case", "a2_at_zero", "a11", "a21", "profile_fingerprint",
     "assumption2_limit", "unitarity_residual", "symmetry_residual", "layout",
-    "k_grid", "a1", "a2", "b",
+    "limit_rules", "k_grid", "a1", "a2", "b",
 )
 
 
@@ -772,14 +865,16 @@ def compute_spectral_data(
     small-k limits, classifies the case, locates the imaginary-axis
     transmission zero, and measures the winding of the reflection
     product.  Results are optionally cached as JSON; a cached file is
-    reused only when its profile fingerprint, its k grid and its step
-    layout all match the request.  A cached file that does not load
+    reused only when its profile fingerprint, its k grid, its step layout
+    and the rules that make ``k1`` and ``a2(0)`` (:func:`_limit_rules`)
+    all match the request.  A cached file that does not load
     (another schema, invalid JSON, missing fields, data that is not
     finite) is a miss and is overwritten.
     """
     fp = fingerprint(profile)
     k_grid = default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)
     layout = _layout(profile, float(np.max(np.abs(k_grid))))
+    rules = _limit_rules()
     if cache_path is not None and not force:
         p = Path(cache_path)
         if p.exists():
@@ -793,6 +888,7 @@ def compute_spectral_data(
                 sd is not None
                 and sd.profile_fingerprint == fp
                 and sd.layout == layout
+                and sd.limit_rules == rules
                 and np.array_equal(sd.k_grid, k_grid)
             ):
                 return sd
@@ -835,6 +931,7 @@ def compute_spectral_data(
         unitarity_residual=diag["unitarity_residual"],
         symmetry_residual=diag["symmetry_residual"],
         layout=layout,
+        limit_rules=rules,
     )
     if cache_path is not None:
         save_spectral_data(sd, cache_path)

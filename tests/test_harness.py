@@ -1236,6 +1236,12 @@ def _config_text(draw):
     if family == "sampled":
         sections["profile"]["phase"] = "3.0"  # a soliton at phase 0 has a pole
         sections["kgrid"] = {"n_per_sign": "40"}
+        if draw(st.booleans()):
+            # a ladder within t_final on a coarse grid, which compare can
+            # evolve within _GATE_EVOLVE_WORK unless a redraw below moves it
+            t_ladder = draw(st.sampled_from(["1.5", "1, 2", "2.5"]))
+            sections["wedge"] = {"t_ladder": t_ladder}
+            sections["pde"] = {"half_width": "16", "step": "0.1", "t_final": "2.5"}
     for name, keys in {**_CONFIG_KEYS, "profile": _CONFIG_KEYS["profile"][family]}.items():
         section = sections.setdefault(name, {})
         for key in draw(st.lists(st.sampled_from(sorted(keys)), unique=True, max_size=2)):

@@ -561,6 +561,27 @@ _KERNEL_PROFILES = {
 }
 
 
+def _complex_grid(re, im):
+    """Every ``re + i im``, signed zeros kept (``1j * im`` would drop them)."""
+    z = np.empty((re.size, im.size), dtype=complex)
+    z.real, z.imag = re[:, None], im[None]
+    return z.ravel()
+
+
+# Re lam on both sides of 2^-28 and out to 2^-20, signed zeros, and finite
+# and non-finite imaginary parts
+_THRESHOLD = 2.0**-28
+_EDGE_RE = np.concatenate(
+    (
+        _THRESHOLD * (1.0 + np.arange(-6, 7) * 2.0**-50),
+        [np.nextafter(_THRESHOLD, 0.0), _THRESHOLD, np.nextafter(_THRESHOLD, 1.0)],
+        2.0 ** np.arange(-27.0, -19.0),
+        [0.0, -0.0, 1e-300, 1e-12, 0.5],
+    )
+)
+_EDGE_IM = np.array([0.0, -0.0, 1e-300, 0.3, -2.5, 40.0])
+
+
 def test_expm_traceless_is_bit_equal_to_its_reference():
     # all entries (zero and both sides of the |lam| = 1e-4 switch included),
     # only series entries, and none
@@ -568,18 +589,58 @@ def test_expm_traceless_is_bit_equal_to_its_reference():
     scale = np.concatenate((np.geomspace(1e-9, 1e2, 60), [0.0, 9.9e-5, 1e-4, 1.01e-4]))
     draw = lambda: scale * (rng.normal(size=scale.size) + 1j * rng.normal(size=scale.size))
     o11, o12, o21 = draw(), draw(), draw()
-    for sel in (slice(None), slice(0, 20), slice(40, 60)):
-        want = _expm_traceless_reference(o11[sel], o12[sel], o21[sel])
-        got = scattering._expm_traceless(o11[sel].copy(), o12[sel].copy(), o21[sel].copy())
-        _assert_bit_equal(got, want)
+    # lam across |Re lam| = 2^-28 (and on to 2^-20), purely real and purely
+    # imaginary: with o12 = o21 = 0, lam = sqrt(o11^2) is within a few ulps
+    # of o11; and signed zeros in every generator entry
+    edge = _complex_grid(_EDGE_RE, _EDGE_IM)
+    near = (edge, np.zeros_like(edge), np.zeros_like(edge))
+    signed = np.array([complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0, 0.3, -0.3)])
+    zeros = tuple(np.array(np.meshgrid(signed, signed, signed)).reshape(3, -1))
+    lam = np.sqrt(near[0] * near[0] + near[1] * near[2])
+    assert np.any(np.abs(lam.real) < _THRESHOLD) and np.any(np.abs(lam.real) >= _THRESHOLD)
+    assert np.any((lam.real >= _THRESHOLD) & (lam.real < 2.0**-26))
+    for entries, parts in (
+        ((o11, o12, o21), (slice(None), slice(0, 20), slice(40, 60))),
+        (near, (slice(None), np.abs(lam.real) < _THRESHOLD, np.abs(lam.real) >= _THRESHOLD)),
+        (zeros, (slice(None),)),
+    ):
+        for sel in parts:
+            args = tuple(o[sel] for o in entries)
+            want = _expm_traceless_reference(*args)
+            got = scattering._expm_traceless(*(o.copy() for o in args))
+            _assert_bit_equal(got, want)
+
+
+def test_cosh_sinh_is_bit_equal_to_the_complex_ufuncs():
+    # every Re lam of _EDGE_RE with either sign, against every Im lam of
+    # _EDGE_IM and the non-finite ones, which go to the complex ufuncs, as a
+    # whole array and as its narrow and wide parts alone
+    re = np.concatenate((_EDGE_RE, -_EDGE_RE, [math.inf, math.nan]))
+    im = np.concatenate((_EDGE_IM, -_EDGE_IM, [math.inf, -math.inf, math.nan]))
+    lam = _complex_grid(re, im)
+    narrow = (np.abs(lam.real) < _THRESHOLD) & np.isfinite(lam.imag)
+    with np.errstate(all="ignore"):
+        for sel in (slice(None), narrow, ~narrow):
+            want = (np.cosh(lam[sel]), np.sinh(lam[sel]))
+            _assert_bit_equal(scattering._cosh_sinh(lam[sel]), want)
+
+
+def _join_rows(h_steps):
+    """Rows of a block that holds the tail's last steps and the core's first
+    (every change of step length in ``h_steps``, which starts with a tail)."""
+    change = np.flatnonzero(np.abs(np.diff(h_steps)) > 1e-9 * np.abs(h_steps[1:]))
+    return int(change[-1]) + 2
 
 
 @pytest.mark.parametrize("k_min", [1e-3, 1e-7])
 @pytest.mark.parametrize("name", list(_KERNEL_PROFILES))
-def test_sweep_is_bit_equal_to_its_reference(name, k_min):
+def test_sweep_is_bit_equal_to_its_reference(monkeypatch, name, k_min):
     # every 16th edge of each half keeps its core and tails, and the right
     # half's negative steps; k_min = 1e-7 puts many entries on the
-    # small-|lam| series
+    # small-|lam| series.  Each sweep runs with blocks of one step, with
+    # blocks that hold the tail's last steps and the core's first, and with
+    # the default cap; k has shape (nk,) and (1, nk), on the real axis (an
+    # odd nk too) and on the imaginary one
     profile = _KERNEL_PROFILES[name]
     k = default_k_grid(k_min=k_min)
     halves = [edges[::16] for edges in scattering._step_edges(profile, k[-1])]
@@ -591,17 +652,20 @@ def test_sweep_is_bit_equal_to_its_reference(name, k_min):
     ]
     imag = 1j * np.geomspace(0.05, 8.0, 64)[None]
     imag_start = (np.ones_like(imag), 0.5 * profile.amplitude / (1j * imag))
+    odd = k[None, ::3]
+    odd_start = (np.ones_like(odd), 0.5 * profile.amplitude / (1j * odd))
+    default = scattering._BLOCK_ENTRIES
     for edges, start in zip(halves, starts):
         steps = (edges[:-1], np.diff(edges))
-        for rescale in (False, True):
-            _assert_bit_equal(
-                scattering._sweep(profile, k, edges, *start, rescale=rescale),
-                _sweep_reference(profile, k, *steps, *start, rescale=rescale),
-            )
-        _assert_bit_equal(
-            scattering._sweep(profile, imag, edges, *imag_start, rescale=True),
-            _sweep_reference(profile, imag, *steps, *imag_start, rescale=True),
-        )
+        runs = [(k, start, False), (k, start, True), (imag, imag_start, True)]
+        runs.append((odd, odd_start, False))
+        for kk, begin, rescale in runs:
+            want = _sweep_reference(profile, kk, *steps, *begin, rescale=rescale)
+            for cap in (kk.size, _join_rows(steps[1]) * kk.size, default):
+                monkeypatch.setattr(scattering, "_BLOCK_ENTRIES", cap)
+                _assert_bit_equal(
+                    scattering._sweep(profile, kk, edges, *begin, rescale=rescale), want
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -822,6 +886,24 @@ def test_cache_written_under_another_layout_misses(tmp_path, monkeypatch):
     assert back.layout == fresh.layout == load_spectral_data(path).layout
 
 
+def test_cache_written_under_other_k1_rules_misses(tmp_path, monkeypatch):
+    # a cache made with other refinement nodes for the k1 search holds a k1
+    # of those rules: it must be recomputed, not handed back
+    p = InitialProfile(ProfileKind.SMOOTHED_STEP, amplitude=1.0)
+    k = default_k_grid(20, 1e-2, 10.0)
+    path = tmp_path / "cache.json"
+    with monkeypatch.context() as patch:
+        patch.setattr(scattering, "_K1_CHEB_NODES", np.linspace(0.0, 1.0, 4))
+        old = compute_spectral_data(p, k, cache_path=path)
+    fresh = compute_spectral_data(p, k)
+    assert old.k1 != fresh.k1 and old.layout == fresh.layout
+    back = compute_spectral_data(p, k, cache_path=path)
+    assert back.k1 == fresh.k1
+    assert back.limit_rules == fresh.limit_rules == load_spectral_data(path).limit_rules
+    assert fresh.limit_rules["k1_cheb_nodes"] == scattering._K1_CHEB_NODES.tolist()
+    assert fresh.limit_rules["a2_zero_steps"] == [2400, 4800]
+
+
 def test_non_finite_data_is_refused_and_a_cache_holding_it_misses(tmp_path):
     sd = synthetic_case_i(k_grid=default_k_grid(20, 1e-2, 10.0))
     a1 = sd.a1.copy()
@@ -851,6 +933,7 @@ def test_non_finite_data_is_refused_and_a_cache_holding_it_misses(tmp_path):
         '{"schema": "spectral-data/1"}',
         "[1, 2]",
         '{"schema": "spectral-data/2"}',
+        '{"schema": "spectral-data/3"}',
     ],
 )
 def test_unreadable_cache_is_a_miss(tmp_path, content):
@@ -859,5 +942,5 @@ def test_unreadable_cache_is_a_miss(tmp_path, content):
     path.write_text(content, encoding="ascii")
     sd = compute_spectral_data(p, default_k_grid(100), cache_path=path)
     assert sd.k_grid.size == 200
-    assert json.loads(path.read_text(encoding="ascii"))["schema"] == "spectral-data/2"
+    assert json.loads(path.read_text(encoding="ascii"))["schema"] == "spectral-data/3"
     assert load_spectral_data(path).profile_fingerprint == sd.profile_fingerprint
