@@ -100,12 +100,12 @@ _SYNTHETIC_RANGE = (1e-50, 1e50)
 # so the budget, ~24x that, allows about 10 s of sweeping.
 _MAX_SWEEP_WORK = 2.5e8
 
-# Largest evolution accepted by ``compare``, in grid nodes times ETDRK4 steps
-# to the last ladder time.  A step costs eight FFTs of the grid's length,
-# measured at ~200 ns per node-step on 3,201 nodes and ~220 ns on 16,801
-# (smoothed step, median of 3 runs of 200 steps, 2-vCPU host), so the budget
-# allows 3 to 4 minutes of stepping.  The soliton bench config needs 3,201
-# nodes x 700 steps = 2.2e6.
+# Largest evolution a [pde] section may ask of ``compare``, in grid nodes
+# times ETDRK4 steps to the last ladder time.  A step costs eight FFTs of the
+# grid's length, measured at ~200 ns per node-step on 3,201 nodes and ~220 ns
+# on 16,801 (smoothed step, median of 3 runs of 200 steps, 2-vCPU host), so
+# the budget allows 3 to 4 minutes of stepping.  The soliton bench config
+# needs 3,201 nodes x 700 steps = 2.2e6.
 _MAX_EVOLVE_WORK = 1e9
 
 
@@ -129,11 +129,12 @@ class WedgeBlock:
 
 @dataclass(frozen=True)
 class PdeBlock:
-    """The [pde] grid, built at load, with the ladder bound and the time step."""
+    """The [pde] grid, the initial field sampled on it and the time step
+    resolved from that field, all built at load."""
 
     grid: SpatialGrid
-    t_final: float
-    dt: float | None
+    q0: np.ndarray
+    dt: float
 
 
 @dataclass(frozen=True)
@@ -345,16 +346,6 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
         cells += [(t, replace(point, side=side)) for side in w["sides"]]
     wedge = WedgeBlock(t_ladder=w["t_ladder"], cells=tuple(cells))
 
-    pde = None
-    if "pde" in parser:
-        p = values["pde"]
-        try:
-            grid = symmetric_grid(p["half_width"], p["step"])
-            resolve_dt(p["dt"], 0.0)
-        except ValueError as exc:
-            raise ConfigError(f"invalid [pde]: {exc}") from exc
-        pde = PdeBlock(grid=grid, t_final=p["t_final"], dt=p["dt"])
-
     match = None
     if "match" in parser:
         m = values["match"]
@@ -373,6 +364,50 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
             raise ConfigError(f"output.{key}: {name!r} must stay inside the output directory")
     directory = values["output"]["directory"] if out_dir is None else out_dir
     output = OutputBlock(**{**values["output"], "directory": Path(directory)})
+
+    # [pde] last: its checks sample the field and read every wedge cell
+    pde = None
+    if "pde" in parser:
+        p = values["pde"]
+        try:
+            grid = symmetric_grid(p["half_width"], p["step"])
+            resolve_dt(p["dt"], 0.0)
+        except ValueError as exc:
+            raise ConfigError(f"invalid [pde]: {exc}") from exc
+        if profile is None:
+            raise ConfigError("[pde] needs a sampled profile, not a synthetic family")
+        t_last = wedge.t_ladder[-1]
+        if t_last > p["t_final"] * (1.0 + 1e-12):
+            raise ConfigError(
+                f"wedge ladder reaches t={t_last:g} beyond pde.t_final={p['t_final']:g}"
+            )
+        # outside the try: a SolitonPoleError is a domain error, not a config error
+        q0 = profile.sample(grid.x)
+        dt = resolve_dt(p["dt"], float(np.max(np.abs(q0))))
+        steps = t_last / dt
+        steps = math.ceil(steps) if math.isfinite(steps) else steps  # a tiny dt overflows
+        if grid.size * steps > _MAX_EVOLVE_WORK:
+            raise ConfigError(
+                f"pde: the evolution would take {grid.size} nodes x {steps:.0f} steps "
+                f"= {grid.size * steps:.3g}, over the budget of {_MAX_EVOLVE_WORK:.3g}; "
+                "lower half_width, t_ladder or the grid resolution"
+            )
+        clearance = 4.0 * max(profile.width, 1.0)
+        xi_edge = WINDOW_FRACTION * k_grid[-1]
+        for t, point in wedge.cells:
+            cell = f"(alpha={point.alpha:g}, s={point.s:g}, t={t:g})"
+            if point.x + clearance > grid.half_width:
+                raise ConfigError(
+                    f"wedge point x={point.x:.4g} {cell} too close to the "
+                    f"boundary for half_width={grid.half_width:g}"
+                )
+            if not point.xi < xi_edge:
+                raise ConfigError(
+                    f"wedge point {cell} has slow variable xi={point.xi:.4g} "
+                    f"outside the spectral window xi < {xi_edge:.4g} "
+                    f"({WINDOW_FRACTION:g} * kgrid.k_max)"
+                )
+        pde = PdeBlock(grid=grid, q0=q0, dt=dt)
 
     return ExperimentConfig(
         profile=profile,
@@ -493,48 +528,6 @@ _COMPARE_HEADER = (
 )
 
 
-def _validate_compare_geometry(cfg: ExperimentConfig):
-    """Refuse a compare the config alone rules out; return the grid, the
-    sampled initial field and the resolved dt the budget counted, which
-    ``cmd_compare`` evolves."""
-    if cfg.profile is None:
-        raise ConfigError("compare needs a sampled profile, not a synthetic family")
-    if cfg.pde is None:
-        raise ConfigError("compare needs a [pde] section")
-    w, p = cfg.wedge, cfg.pde
-    if w.t_ladder and w.t_ladder[-1] > p.t_final * (1.0 + 1e-12):
-        raise ConfigError(
-            f"wedge ladder reaches t={w.t_ladder[-1]:g} beyond pde.t_final={p.t_final:g}"
-        )
-    grid = p.grid
-    q0 = cfg.profile.sample(grid.x)
-    dt = resolve_dt(p.dt, float(np.max(np.abs(q0))))
-    steps = w.t_ladder[-1] / dt
-    steps = math.ceil(steps) if math.isfinite(steps) else steps  # a tiny dt overflows
-    if grid.size * steps > _MAX_EVOLVE_WORK:
-        raise ConfigError(
-            f"pde: the evolution would take {grid.size} nodes x {steps:.0f} steps "
-            f"= {grid.size * steps:.3g}, over the budget of {_MAX_EVOLVE_WORK:.3g}; "
-            "lower half_width, t_ladder or the grid resolution"
-        )
-    clearance = 4.0 * max(cfg.profile.width, 1.0)
-    xi_edge = WINDOW_FRACTION * cfg.k_grid[-1]
-    for t, point in w.cells:
-        cell = f"(alpha={point.alpha:g}, s={point.s:g}, t={t:g})"
-        if point.x + clearance > grid.half_width:
-            raise ConfigError(
-                f"wedge point x={point.x:.4g} {cell} too close to the "
-                f"boundary for half_width={grid.half_width:g}"
-            )
-        if not point.xi < xi_edge:
-            raise ConfigError(
-                f"wedge point {cell} has slow variable xi={point.xi:.4g} "
-                f"outside the spectral window xi < {xi_edge:.4g} "
-                f"({WINDOW_FRACTION:g} * kgrid.k_max)"
-            )
-    return grid, q0, dt
-
-
 def _wrap_phase(value: float) -> float:
     return math.remainder(value, 2.0 * math.pi)
 
@@ -546,7 +539,9 @@ def cmd_compare(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
     abort mid-ladder is not fatal: rows for unreached times carry NaN
     evolution columns and the summary flags the run as partial.
     """
-    grid, q0, dt = _validate_compare_geometry(cfg)
+    if cfg.pde is None:
+        raise ConfigError("compare needs a [pde] section")
+    grid, q0, dt = cfg.pde.grid, cfg.pde.q0, cfg.pde.dt
     sd = _tracked_data(cfg)
     level = amplitude_Q(sd)
     w = cfg.wedge

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import collections
+import functools
 import math
 import os
 import re
@@ -22,7 +23,6 @@ from nnlswedge.harness import (
     _MAX_EVOLVE_WORK,
     _MAX_SWEEP_WORK,
     ConfigError,
-    _validate_compare_geometry,
     cmd_compare,
     cmd_match,
     cmd_predict,
@@ -456,30 +456,56 @@ def test_cli_rejects_grid_short_of_tail_window(tmp_path, capsys, command):
 # compare
 
 
-def test_compare_geometry_rejections(tmp_path):
+def _assert_refused_at_load(tmp_path, capsys, body, message):
+    """Every subcommand refuses the config ``body`` with exit code 2 and the
+    config error ``message``, and writes no file."""
+    ini, out = _write(tmp_path, body), tmp_path / "out"
+    for command in ("scatter", "predict", "compare", "match"):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--config", str(ini), "--out", str(out)])
+        assert err.value.code == 2, command
+        assert capsys.readouterr().err == f"config error: {message}\n", command
+    assert not out.exists()
+
+
+def test_compare_geometry_rejections(tmp_path, capsys):
+    # a [pde] section that compare could not evolve is refused at load
     soliton = "[profile]\nkind = soliton-snapshot\nphase = 3.14159265\n"
     base = "[wedge]\nalphas = 0.75\nt_ladder = 3, 4\n"
     pde = "[pde]\nhalf_width = 16\nstep = 0.05\nt_final = 4\n"
     cases = [
         # synthetic families cannot be sampled on a grid
-        "[profile]\nkind = synthetic-case-i\n" + base + pde,
-        # no [pde] section at all
-        soliton + base,
+        (
+            "[profile]\nkind = synthetic-case-i\n" + base + pde,
+            "[pde] needs a sampled profile, not a synthetic family",
+        ),
         # ladder reaches past the evolution horizon
-        soliton + base + "[pde]\nhalf_width = 16\nstep = 0.05\nt_final = 3.5\n",
+        (
+            soliton + base + "[pde]\nhalf_width = 16\nstep = 0.05\nt_final = 3.5\n",
+            "wedge ladder reaches t=4 beyond pde.t_final=3.5",
+        ),
         # wedge point too close to the boundary
-        soliton + base + "[pde]\nhalf_width = 8\nstep = 0.05\nt_final = 4\n",
+        (
+            soliton + base + "[pde]\nhalf_width = 8\nstep = 0.05\nt_final = 4\n",
+            "wedge point x=7.3 (alpha=0.75, s=1, t=3) too close to the boundary "
+            "for half_width=8",
+        ),
         # slow variable xi = 54.5 beyond half the k window (edge 100)
-        "[profile]\nkind = smoothed-step\n"
-        "[wedge]\nalphas = 0.9\ns_values = 100\nt_ladder = 2\nsides = +x\n"
-        "[pde]\nhalf_width = 450\nstep = 0.5\nt_final = 2\n",
+        (
+            "[profile]\nkind = smoothed-step\n"
+            "[wedge]\nalphas = 0.9\ns_values = 100\nt_ladder = 2\nsides = +x\n"
+            "[pde]\nhalf_width = 450\nstep = 0.5\nt_final = 2\n",
+            "wedge point (alpha=0.9, s=100, t=2) has slow variable xi=54.46 outside the "
+            "spectral window xi < 50 (0.5 * kgrid.k_max)",
+        ),
     ]
-    for body in cases:
-        cfg = load_config(_write(tmp_path, body), out_dir=tmp_path / "out")
-        with pytest.raises(ConfigError):
-            cmd_compare(cfg)
-    # every rejection comes before any scattering run
-    assert not (tmp_path / "out" / "spectra.json").exists()
+    for body, message in cases:
+        _assert_refused_at_load(tmp_path, capsys, body, message)
+    # with no [pde] section at all only compare refuses, before any scattering run
+    cfg = load_config(_write(tmp_path, soliton + base), out_dir=tmp_path / "out")
+    with pytest.raises(ConfigError, match=r"^compare needs a \[pde\] section$"):
+        cmd_compare(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_abort_yields_partial_report(tmp_path, monkeypatch):
@@ -1052,25 +1078,30 @@ def test_sweep_budget_counts_the_layout(tmp_path):
     assert steps * cfg.k_grid.size <= _MAX_SWEEP_WORK
 
 
-def test_evolution_budget_refuses_a_days_long_compare(tmp_path):
+def test_evolution_budget_refuses_a_days_long_compare(tmp_path, capsys):
     # 800,001 nodes x 2e6 steps of the default dt 0.005 = 1.6e12 node-steps,
     # days of stepping: refused before any sweep or step
     body = (
         "[profile]\nkind = smoothed-step\n[wedge]\nt_ladder = 1e4\n"
         "[pde]\nhalf_width = 20000\nstep = 0.05\nt_final = 1e4\n"
     )
-    cfg = load_config(_write(tmp_path, body), out_dir=tmp_path / "out")
-    with pytest.raises(
-        ConfigError,
-        match=r"800001 nodes x 2000000 steps = 1.6e\+12, over the budget of 1e\+09",
-    ):
-        cmd_compare(cfg)
-    assert not (tmp_path / "out" / "spectra.json").exists()
+    advice = "lower half_width, t_ladder or the grid resolution"
+    _assert_refused_at_load(
+        tmp_path,
+        capsys,
+        body,
+        "pde: the evolution would take 800001 nodes x 2000000 steps = 1.6e+12, "
+        f"over the budget of 1e+09; {advice}",
+    )
     # the count honours [pde] dt: the bench soliton at dt = 1e-8
     soliton = (_REPO / "bench" / "configs" / "soliton.ini").read_text(encoding="ascii")
-    cfg = load_config(_write(tmp_path, soliton + "dt = 1e-8\n"), out_dir=tmp_path / "out")
-    with pytest.raises(ConfigError, match=r"3201 nodes x 350000000 steps"):
-        _validate_compare_geometry(cfg)
+    _assert_refused_at_load(
+        tmp_path,
+        capsys,
+        soliton + "dt = 1e-8\n",
+        "pde: the evolution would take 3201 nodes x 350000000 steps = 1.12e+12, "
+        f"over the budget of 1e+09; {advice}",
+    )
 
 
 @pytest.mark.parametrize(
@@ -1090,23 +1121,25 @@ def test_evolution_budget_keeps_the_tier1_and_bench_compares(tmp_path, pde, t_la
         f"[wedge]\nalphas = 0.75\nt_ladder = {t_ladder}\n[pde]\n{pde}"
     )
     cfg = load_config(_write(tmp_path, body), out_dir=tmp_path / "out")
-    grid, q0, dt = _validate_compare_geometry(cfg)
-    assert np.array_equal(q0, cfg.profile.sample(grid.x))
-    assert dt == harness.resolve_dt(cfg.pde.dt, float(np.max(np.abs(q0))))
+    grid, q0, dt = cfg.pde.grid, cfg.pde.q0, cfg.pde.dt
+    assert q0.tobytes() == cfg.profile.sample(grid.x).tobytes()
+    assert dt == harness.resolve_dt(None, float(np.max(np.abs(q0))))
     steps = math.ceil(cfg.wedge.t_ladder[-1] / dt)
     assert grid.size * steps <= 2.3e6 < _MAX_EVOLVE_WORK
 
 
-def test_evolution_budget_leaves_predict_alone(tmp_path):
-    # predict never evolves: a [pde] section whose evolution to the default
-    # ladder's t = 1e8 would be far over the budget changes nothing
-    ini = _write(
+def test_evolution_budget_refuses_every_subcommand(tmp_path, capsys):
+    # the budget is checked at load: a [pde] section whose evolution to the
+    # default ladder's t = 1e8 would be far over it fails predict too,
+    # though predict never evolves
+    _assert_refused_at_load(
         tmp_path,
-        "[profile]\nkind = synthetic-case-i\n[wedge]\nalphas = 0.75\n"
+        capsys,
+        "[profile]\nkind = smoothed-step\n[wedge]\nalphas = 0.75\n"
         "[pde]\nhalf_width = 40\nt_final = 1e8\n",
+        "pde: the evolution would take 4001 nodes x 20000000000 steps = 8e+13, "
+        "over the budget of 1e+09; lower half_width, t_ladder or the grid resolution",
     )
-    assert load_config(ini).wedge.t_ladder == (1e4, 1e6, 1e8)
-    assert main(["predict", "--config", str(ini), "--out", str(tmp_path / "out")]) == 0
 
 
 def _readme_minimal_config() -> str:
@@ -1127,7 +1160,10 @@ def test_shipped_configs_load(tmp_path, name):
         path = _REPO / "bench" / "configs" / name
     cfg = load_config(path, out_dir=tmp_path / "out")
     if name == "soliton.ini":
-        _validate_compare_geometry(cfg)
+        # the field compare evolves, sampled once at load, and its time step
+        q0 = cfg.pde.q0
+        assert q0.tobytes() == cfg.profile.sample(cfg.pde.grid.x).tobytes()
+        assert cfg.pde.dt == harness.resolve_dt(None, float(np.max(np.abs(q0))))
 
 
 # an evolving soliton whose compare is cheap: 321 nodes x 600 steps
@@ -1145,7 +1181,7 @@ _SOLITON_COMPARE = (
     [
         (
             "[profile]\nkind = synthetic-case-ii\n[wedge]\nalphas = 0.75\nt_ladder = 1e4\n"
-            "[pde]\nhalf_width = 16\nstep = 0.1\n[match]\nhold_product = 2\n",
+            "[match]\nhold_product = 2\n",
             ("scatter", "predict", "match"),
         ),
         (
@@ -1157,9 +1193,11 @@ _SOLITON_COMPARE = (
 )
 def test_each_config_object_is_built_once(tmp_path, monkeypatch, text, commands):
     # load_config builds the k grid, the synthetic family's data, the [pde]
-    # grid and the [match] rungs as it validates them, and no subcommand
-    # builds any of them again
+    # grid, field and time step and the [match] rungs as it validates them,
+    # and no subcommand builds any of them again: compare evolves the field
+    # and the step the config holds
     built = collections.Counter()
+    evolved = []
 
     def counted(name, build):
         def wrapper(*args, **kwargs):
@@ -1168,6 +1206,12 @@ def test_each_config_object_is_built_once(tmp_path, monkeypatch, text, commands)
 
         return wrapper
 
+    def evolve(q0, grid, t_final, **kwargs):
+        evolved.append((q0, grid, kwargs["dt"]))
+        return real_evolve(q0, grid, t_final, **kwargs)
+
+    real_evolve = harness.evolve
+    monkeypatch.setattr(harness, "evolve", evolve)
     for module, name in (
         (harness, "default_k_grid"),
         (harness, "symmetric_grid"),
@@ -1178,13 +1222,22 @@ def test_each_config_object_is_built_once(tmp_path, monkeypatch, text, commands)
     for kind, family in harness._SYNTHETIC.items():
         monkeypatch.setitem(harness._SYNTHETIC, kind, counted("synthetic", family))
     ini = _write(tmp_path, text)
-    expected = {"default_k_grid": 1, "symmetric_grid": 1, "matching_ladder": 1}
+    expected = {"default_k_grid": 1, "matching_ladder": 1}
     if "kind = synthetic" in text:
         expected["synthetic"] = 1
+    if "[pde]" in text:
+        expected["symmetric_grid"] = 1
     for command in commands:
         built.clear()
-        getattr(harness, f"cmd_{command}")(load_config(ini, out_dir=tmp_path / "out"))
+        evolved.clear()
+        cfg = load_config(ini, out_dir=tmp_path / "out")
+        getattr(harness, f"cmd_{command}")(cfg)
         assert dict(built) == expected, command
+        if command == "compare":
+            [(q0, grid, dt)] = evolved
+            assert q0 is cfg.pde.q0 and grid is cfg.pde.grid and dt == cfg.pde.dt
+        else:
+            assert evolved == [], command
 
 
 def test_cli_compare_announces_all_reports(tmp_path, capsys):
@@ -1237,15 +1290,27 @@ def _config_text(draw):
         sections["profile"]["phase"] = "3.0"  # a soliton at phase 0 has a pole
         sections["kgrid"] = {"n_per_sign": "40"}
         if draw(st.booleans()):
-            # a ladder within t_final on a coarse grid, which compare can
-            # evolve within _GATE_EVOLVE_WORK unless a redraw below moves it
+            # a ladder on a coarse grid, which compare can evolve within
+            # _GATE_EVOLVE_WORK unless a redraw below moves it
             t_ladder = draw(st.sampled_from(["1.5", "1, 2", "2.5"]))
             sections["wedge"] = {"t_ladder": t_ladder}
-            sections["pde"] = {"half_width": "16", "step": "0.1", "t_final": "2.5"}
+            sections["pde"] = {"half_width": "16", "step": "0.1"}
     for name, keys in {**_CONFIG_KEYS, "profile": _CONFIG_KEYS["profile"][family]}.items():
         section = sections.setdefault(name, {})
+        if name == "pde":
+            if not section:
+                continue  # only a cheap ladder above comes with a [pde] section
+            # t_final at the end of the drawn ladder, unless that is no list
+            # of numbers: an earlier t_final is refused at load
+            try:
+                end = max(map(float, sections["wedge"]["t_ladder"].replace(",", " ").split()))
+                section["t_final"] = repr(end)
+            except ValueError:
+                pass
         for key in draw(st.lists(st.sampled_from(sorted(keys)), unique=True, max_size=2)):
             edge = draw(st.sampled_from([False] * 5 + [True]))
+            if name == "pde" and key == "t_final" and not edge:
+                continue  # kept at the ladder's end
             section[key] = draw(_value_text(keys[key], edge))
     return "".join(
         f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
@@ -1281,9 +1346,16 @@ def test_drawn_configs_end_in_a_result_or_a_named_error(text):
     # every draw loads, or is a ConfigError that every subcommand reports
     # with exit code 2; a cheap one (a synthetic family, or a sampled kind
     # with n_per_sign <= 60, radius <= 40 and k_max <= 100) runs predict and
-    # match to exit code 0, 2 (config) or 3 (domain error), and compare too
-    # where _validate_compare_geometry refuses it (exit code 2) or counts
-    # its evolution at no more than _GATE_EVOLVE_WORK node-steps
+    # match to exit code 0, 2 (config) or 3 (domain error), and compare too:
+    # to exit code 2 without a [pde] section, and like the others where
+    # the evolution takes no more than _GATE_EVOLVE_WORK node-steps
+    _check_drawn_config(text)
+
+
+@functools.cache
+def _check_drawn_config(text):
+    """The gate's checks on one config text; the draws repeat some texts,
+    and a text that passed is not run again (a failure is not cached)."""
     with tempfile.TemporaryDirectory() as tmp:
         ini, out = _write(Path(tmp), text), Path(tmp) / "out"
         argv = ["--config", str(ini), "--out", str(out)]
@@ -1300,10 +1372,8 @@ def test_drawn_configs_end_in_a_result_or_a_named_error(text):
             return
         for command in ("predict", "match"):
             assert _exit_code([command, *argv]) in (0, 2, 3), text
-        try:
-            grid, _, dt = _validate_compare_geometry(cfg)
-        except ConfigError:
+        pde = cfg.pde
+        if pde is None:
             assert _exit_code(["compare", *argv]) == 2, text
-            return
-        if grid.size * math.ceil(cfg.wedge.t_ladder[-1] / dt) <= _GATE_EVOLVE_WORK:
+        elif pde.grid.size * math.ceil(cfg.wedge.t_ladder[-1] / pde.dt) <= _GATE_EVOLVE_WORK:
             assert _exit_code(["compare", *argv]) in (0, 2, 3), text
