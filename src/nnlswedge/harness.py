@@ -146,17 +146,6 @@ class MatchBlock:
 
 
 @dataclass(frozen=True)
-class OutputBlock:
-    directory: Path
-    cache: str
-    predictions: str
-    comparison: str
-    summary: str
-    matching: str
-    snapshots: str
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description (see docs/config-schema.md)."""
 
@@ -166,14 +155,23 @@ class ExperimentConfig:
     wedge: WedgeBlock
     pde: PdeBlock | None
     match: MatchBlock | None
-    output: OutputBlock
+    out_dir: Path  # where every subcommand writes its files, under fixed names
+
+
+# the files the subcommands write into the output directory
+_CACHE = "spectra.json"
+_PREDICTIONS = "predictions.csv"
+_COMPARISON = "comparison.csv"
+_SUMMARY = "comparison-summary.txt"
+_MATCHING = "matching.csv"
+_SNAPSHOTS = "snapshots.csv"
 
 
 # Every key the config accepts, with its default, per section.  The
 # [profile] keys depend on the kind's family: the sampled kinds share one set,
 # each synthetic family has its own, and ``kind`` itself is accepted by all.
 # A default's type says how a value is parsed: a float (or ``None``, unset) is
-# a number, a tuple is a list of its element type, a string is kept verbatim.
+# a number, a tuple is a list of its element type.
 _CONFIG_KEYS = {
     "profile": {
         "sampled": {
@@ -203,28 +201,15 @@ _CONFIG_KEYS = {
         "hold_product": None,
         "time": None,
     },
-    "output": {
-        "directory": "out",
-        "cache": "spectra.json",
-        "predictions": "predictions.csv",
-        "comparison": "comparison.csv",
-        "summary": "comparison-summary.txt",
-        "matching": "matching.csv",
-        "snapshots": "snapshots.csv",
-    },
 }
 
 
 def _parse_value(raw: str | None, default, what: str):
     """One config value, parsed by the type of its default; absent or blank
-    numbers take the default, blank strings and lists, repeated list values
-    and non-finite numbers are errors."""
-    if raw is None or (raw == "" and not isinstance(default, (str, tuple))):
+    numbers take the default, blank lists, repeated list values and
+    non-finite numbers are errors."""
+    if raw is None or (raw == "" and not isinstance(default, tuple)):
         return default
-    if isinstance(default, str):
-        if not raw:
-            raise ConfigError(f"{what}: empty")
-        return raw
     if isinstance(default, tuple):
         tokens = raw.replace(",", " ").split()
         try:
@@ -246,9 +231,9 @@ def _parse_value(raw: str | None, default, what: str):
     return values if isinstance(default, tuple) else values[0]
 
 
-def load_config(path, *, out_dir=None) -> ExperimentConfig:
-    """Parse and validate an experiment config file; ``out_dir`` overrides
-    the output directory."""
+def load_config(path, *, out_dir="out") -> ExperimentConfig:
+    """Parse and validate an experiment config file; the subcommands write
+    into ``out_dir``."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -269,11 +254,12 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
         raise ConfigError(f"profile.kind must be one of {kinds}, got {kind!r}")
     family = kind if kind in _SYNTHETIC else "sampled"
 
-    schema = {**_CONFIG_KEYS, "profile": {"kind": kind, **_CONFIG_KEYS["profile"][family]}}
+    schema = {**_CONFIG_KEYS, "profile": _CONFIG_KEYS["profile"][family]}
     values = {}
     for name, keys in schema.items():
         section = parser[name] if name in parser else {}
-        unknown = set(section) - set(keys)
+        given = set(section) - {"kind"} if name == "profile" else set(section)
+        unknown = given - set(keys)
         if unknown:
             raise ConfigError(f"unknown [{name}] keys: {sorted(unknown)}")
         values[name] = {
@@ -282,7 +268,6 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
         }
 
     prof = values["profile"]
-    del prof["kind"]
     profile = synthetic = None
     if family == "sampled":
         if prof["amplitude"] > _MAX_FIELD_LEVEL:
@@ -359,12 +344,6 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
             raise ConfigError(f"invalid [match]: {exc}") from exc
         match = MatchBlock(mode=mode, points=points)
 
-    for key, name in values["output"].items():
-        if key != "directory" and (Path(name).is_absolute() or ".." in Path(name).parts):
-            raise ConfigError(f"output.{key}: {name!r} must stay inside the output directory")
-    directory = values["output"]["directory"] if out_dir is None else out_dir
-    output = OutputBlock(**{**values["output"], "directory": Path(directory)})
-
     # [pde] last: its checks sample the field and read every wedge cell
     pde = None
     if "pde" in parser:
@@ -416,7 +395,7 @@ def load_config(path, *, out_dir=None) -> ExperimentConfig:
         wedge=wedge,
         pde=pde,
         match=match,
-        output=output,
+        out_dir=Path(out_dir),
     )
 
 
@@ -430,20 +409,22 @@ def _fmt(value) -> str:
 
 
 def _write_report(path: Path, schema: str, lines) -> Path:
-    """Write a report: the line ``# schema: nnlswedge-<schema> v1``, then
-    ``lines``, making the parent directory."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write a report: the line ``# schema: nnlswedge-<schema> v1``, then ``lines``."""
     path.write_text("\n".join([f"# schema: nnlswedge-{schema} v1", *lines, ""]), encoding="ascii")
     return path
 
 
 def spectral_data_for(cfg: ExperimentConfig, *, force: bool = False) -> SpectralData:
-    """Spectral data for the config: synthetic family or cached scattering run."""
+    """Spectral data for the config: synthetic family or cached scattering run.
+
+    Every subcommand calls this first, once its own checks have passed, so
+    this is where the output directory is made."""
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.synthetic is not None:
         return cfg.synthetic
-    cache = cfg.output.directory / cfg.output.cache
-    cache.parent.mkdir(parents=True, exist_ok=True)
-    return compute_spectral_data(cfg.profile, cfg.k_grid, cache_path=cache, force=force)
+    return compute_spectral_data(
+        cfg.profile, cfg.k_grid, cache_path=cfg.out_dir / _CACHE, force=force
+    )
 
 
 def _tracked_data(cfg: ExperimentConfig) -> SpectralData:
@@ -464,10 +445,9 @@ def _tracked_data(cfg: ExperimentConfig) -> SpectralData:
 def cmd_scatter(cfg: ExperimentConfig, *, force: bool = False) -> Path:
     """Compute (or reuse) the spectral cache; returns the cache path."""
     sd = spectral_data_for(cfg, force=force)
-    cache = cfg.output.directory / cfg.output.cache
+    cache = cfg.out_dir / _CACHE
     if cfg.synthetic is not None:
         # synthetic families bypass compute_spectral_data's own caching
-        cache.parent.mkdir(parents=True, exist_ok=True)
         save_spectral_data(sd, cache)
     return cache
 
@@ -513,8 +493,7 @@ def cmd_predict(cfg: ExperimentConfig) -> Path:
     """Write the expanded-prediction table of the config's cells; returns its path."""
     sd = _tracked_data(cfg)
     rows = [_predict_row(sd, t, point) for t, point in cfg.wedge.cells]
-    path = cfg.output.directory / cfg.output.predictions
-    return _write_report(path, "predictions", [_PREDICT_HEADER, *rows])
+    return _write_report(cfg.out_dir / _PREDICTIONS, "predictions", [_PREDICT_HEADER, *rows])
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +577,7 @@ def cmd_compare(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
         cell = [expanded.regime, _fmt(alpha), _fmt(s), _fmt(t), side.value]
         rows.append(",".join(cell + [_fmt(v) for v in values]))
         groups.setdefault((alpha, s, side), []).append((t, gap_pde, plateau_gap))
-    path = cfg.output.directory / cfg.output.comparison
-    _write_report(path, "comparison", [*head, _COMPARE_HEADER, *rows])
+    path = _write_report(cfg.out_dir / _COMPARISON, "comparison", [*head, _COMPARE_HEADER, *rows])
 
     # summary: per (alpha, s, side) fitted decay exponents of the gaps
     lines = [f"plateau_modulus={_fmt(level)}"]
@@ -633,13 +611,10 @@ def cmd_compare(cfg: ExperimentConfig) -> tuple[Path, Path, Path]:
     # is not directly demonstrable and consumers must use the fitted
     # exponents instead
     lines.append(f"fallback_fitted_exponents={'yes' if len(snapshots) < 3 else 'no'}")
-    summary_path = _write_report(
-        cfg.output.directory / cfg.output.summary, "comparison-summary", lines
-    )
+    summary_path = _write_report(cfg.out_dir / _SUMMARY, "comparison-summary", lines)
 
     # raw evolved fields, for reproducibility and plotting
-    snap_path = cfg.output.directory / cfg.output.snapshots
-    snap_path.parent.mkdir(parents=True, exist_ok=True)
+    snap_path = cfg.out_dir / _SNAPSHOTS
     write_snapshots_csv(run, snap_path)
     return path, summary_path, snap_path
 
@@ -681,8 +656,7 @@ def cmd_match(cfg: ExperimentConfig) -> Path:
             f"abs={_fmt(abs(ratio))} arg={_fmt(cmath.phase(ratio))}"
         )
     head = f"# mode={report.mode} case={report.case.value} s={_fmt(report.s)}"
-    path = cfg.output.directory / cfg.output.matching
-    return _write_report(path, "matching", [head, _MATCH_HEADER, *rows, *tail])
+    return _write_report(cfg.out_dir / _MATCHING, "matching", [head, _MATCH_HEADER, *rows, *tail])
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +680,7 @@ def main(argv=None) -> int:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment config (INI)")
-        p.add_argument("--out", default=None, help="output directory override")
+        p.add_argument("--out", default="out", help="output directory (default: out)")
         if name == "scatter":
             p.add_argument(
                 "--force", action="store_true", help="recompute, ignore cache"

@@ -88,7 +88,9 @@ class LogSingularityError(DomainError, ArithmeticError):
 
 
 class RefinementRequiredError(DomainError, RuntimeError):
-    """Branch tracking hit an argument jump too large to unwrap safely."""
+    """The spectral grid does not resolve the phase functionals: branch
+    tracking hit an argument jump too large to unwrap safely, or the spline
+    through the data is not finite on some interval."""
 
 
 @dataclass(frozen=True)
@@ -193,32 +195,35 @@ def _tail_moment(n: int, k_edge: float) -> float:
 class _NotAKnotSpline:
     """Not-a-knot cubic spline, built in numpy, through the columns of ``y`` (n, m) at n >= 4
     increasing nodes ``x``: ``CubicSpline``'s end rows, node slopes d from one tridiagonal
-    (Thomas) sweep, and ``c[:, j, i]`` = (c3, c2, c1, c0) of column j in powers of u - x[i]."""
+    (Thomas) sweep, and ``c[:, j, i]`` = (c3, c2, c1, c0) of column j in powers of u - x[i].
+    Coefficients that overflow a double are left non-finite, with no warning."""
 
     def __init__(self, x, y):
         x, y = np.asarray(x, dtype=float), np.asarray(y).reshape(len(x), -1)
         if x.size < 4 or not (np.diff(x) > 0.0).all() or not np.isfinite(np.r_[x, y.ravel()]).all():
             raise ValueError("need >= 4 finite, strictly increasing nodes and finite data")
-        dx = np.diff(x)
-        h = dx[:, None]
-        s = np.diff(y, axis=0) / h
-        # equation i reads lower[i-1] d[i-1] + diag[i] d[i] + upper[i] d[i+1]
-        diag = np.r_[dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]]
-        upper, lower = np.r_[x[2] - x[0], dx[:-1]], np.r_[dx[1:], x[-1] - x[-3]]
-        d = np.empty_like(s, shape=y.shape)
-        d[0] = ((dx[0] + 2.0 * upper[0]) * dx[1] * s[0] + dx[0] ** 2 * s[1]) / upper[0]
-        d[1:-1] = 3.0 * (h[1:] * s[:-1] + h[:-1] * s[1:])
-        d[-1] = (dx[-1] ** 2 * s[-2] + (2.0 * lower[-1] + dx[-1]) * dx[-2] * s[-1]) / lower[-1]
-        for i in range(1, x.size):
-            w = lower[i - 1] / diag[i - 1]
-            diag[i] -= w * upper[i - 1]
-            d[i] -= w * d[i - 1]
-        d[-1] /= diag[-1]
-        for i in range(x.size - 2, -1, -1):
-            d[i] = (d[i] - upper[i] * d[i + 1]) / diag[i]
-        t = (d[:-1] + d[1:] - 2.0 * s) / h
+        with np.errstate(over="ignore", invalid="ignore"):
+            dx = np.diff(x)
+            h = dx[:, None]
+            s = np.diff(y, axis=0) / h
+            # equation i reads lower[i-1] d[i-1] + diag[i] d[i] + upper[i] d[i+1]
+            diag = np.r_[dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]]
+            upper, lower = np.r_[x[2] - x[0], dx[:-1]], np.r_[dx[1:], x[-1] - x[-3]]
+            d = np.empty_like(s, shape=y.shape)
+            d[0] = ((dx[0] + 2.0 * upper[0]) * dx[1] * s[0] + dx[0] ** 2 * s[1]) / upper[0]
+            d[1:-1] = 3.0 * (h[1:] * s[:-1] + h[:-1] * s[1:])
+            d[-1] = (dx[-1] ** 2 * s[-2] + (2.0 * lower[-1] + dx[-1]) * dx[-2] * s[-1]) / lower[-1]
+            for i in range(1, x.size):
+                w = lower[i - 1] / diag[i - 1]
+                diag[i] -= w * upper[i - 1]
+                d[i] -= w * d[i - 1]
+            d[-1] /= diag[-1]
+            for i in range(x.size - 2, -1, -1):
+                d[i] = (d[i] - upper[i] * d[i + 1]) / diag[i]
+            t = (d[:-1] + d[1:] - 2.0 * s) / h
+            c = np.stack([t / h, (s - d[:-1]) / h - t, d[:-1], y[:-1]])
         self.x = x
-        self.c = np.stack([t / h, (s - d[:-1]) / h - t, d[:-1], y[:-1]]).transpose(0, 2, 1)
+        self.c = c.transpose(0, 2, 1)
 
     def __call__(self, u, derivative: int = 0, cols=slice(None)):
         """Value (0) or first derivative (1) at u: shape (cols,) + u.shape."""
@@ -288,7 +293,15 @@ class PhaseTracker:
         b_mirror = np.conj(sd.b[::-1][neg])  # conj(b(-k)) at the same nodes
         s1 = np.append((sd.b[neg] / sd.a1[neg]) / kneg, s1_zero)
         s2 = np.append(kneg * (b_mirror / sd.a2[neg]), s2_zero)
-        self._spline = _NotAKnotSpline(np.append(kneg, 0.0), np.stack([log_p, s1, s2], axis=1))
+        nodes = np.append(kneg, 0.0)
+        self._spline = _NotAKnotSpline(nodes, np.stack([log_p, s1, s2], axis=1))
+        finite = np.isfinite(self._spline.c).all(axis=(0, 1))
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise RefinementRequiredError(
+                f"phase spline is not finite on [{nodes[i]:.17g}, {nodes[i + 1]:.17g}]; "
+                f"the spectral grid's k_min = {-kneg[-1]:g} is too small"
+            )
 
         # Algebraic tail of L = ln W fitted on the outermost window.
         window = kneg <= -K_FIT
