@@ -237,7 +237,8 @@ def load_config(path, *, out_dir="out") -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no interpolation: a '%' is a character of the value, never a reference
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     try:
         parser.read(path)
     except configparser.Error as exc:

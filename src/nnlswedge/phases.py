@@ -28,8 +28,9 @@ elementary form.
 
 Integrals that reach the spectral origin are computed in the variable
 ``tau = ln(-k)``; this absorbs the logarithmic growth of the integrand
-into a bounded factor ``u d/du ln W(u)`` and turns endpoint log
-singularities into the quadrature module's log-at-left-end form.
+into a bounded factor ``u d/du ln W(u)``.  The one endpoint log
+singularity, at the stationary point, is shifted to 0 and mapped away by
+``v = span e^w``.
 
 The tracker evaluates the functionals at a point by direct quadrature
 (:meth:`PhaseTracker.nu_hat`, :meth:`PhaseTracker.chi_hat`) and supplies the
@@ -50,7 +51,7 @@ import numpy as np
 
 from .profiles import DomainError
 from .scattering import CaseTag, SpectralData, _extrapolate_to_zero, _rotation_too_large
-from .specfun import QuadratureSpec, Singularity, quad
+from .specfun import quad
 
 __all__ = [
     "ErrorOrder",
@@ -78,6 +79,10 @@ _TAIL_POWERS = (1, 2, 3, 4)
 # truncated piece is O(|tau_floor| * residual winding) and far below the
 # quadrature tolerances for data satisfying the normalization check.
 _TAU_FLOOR = -40.0
+# Lower cutoff of the exponential substitution v = span e^w that maps the
+# log-singular endpoint v = 0 away: the omitted mass scales like w e^w
+# below the cut, ~1e-18 at w = -45.
+_LOG_LEFT_WMIN = -45.0
 # Band of the slow variable on which the wedge ledgers' large-time
 # expansions are uniform (predict's in_band column).
 EXPANSION_BAND = (0.05, 20.0)
@@ -433,28 +438,25 @@ class PhaseTracker:
 
         if at_saddle:
             # Shift the integration variable so the logarithmic endpoint
-            # sits exactly at 0, where the singular map is lossless:
-            # ln(-xi + e^(ln xi + v)) = ln(xi) + ln(expm1(v)).
-            def integrand(v):
-                grow = np.exp(v)
-                return (ln_xi + np.log(np.expm1(v))) * self._g0(-xi * grow)
+            # sits exactly at v = 0, where the map v = span e^w is lossless:
+            # ln(-xi + e^(ln xi + v)) = ln(xi) + ln(expm1(v)), dv = v dw.
+            span = ln_edge - ln_xi
 
-            lo, hi = 0.0, ln_edge - ln_xi
-            kind = Singularity.LOG_AT_LEFT_END
+            def integrand(w):
+                v = span * np.exp(w)
+                return (ln_xi + np.log(np.expm1(v))) * self._g0(-xi * np.exp(v)) * v
+
+            lo, hi = _LOG_LEFT_WMIN, 0.0
         else:
 
             def integrand(tau):
                 return np.log(z_hat + np.exp(tau)) * self._g0(-np.exp(tau))
 
             lo, hi = ln_xi, ln_edge
-            kind = Singularity.NONE
 
         # Tolerances are bounded below by the C^1 smoothness of the splined
         # data: the panel error estimate saturates near 1e-10.
-        spec = QuadratureSpec(
-            atol=1e-10, rtol=1e-9, max_subdivisions=600, singularity=kind
-        )
-        mid = quad(integrand, lo, hi, spec).value
+        mid = quad(integrand, lo, hi, atol=1e-10, rtol=1e-9, max_subdivisions=600).value
         value = self._chi_values[key] = scale_term + 1j / _TWO_PI * (tail - mid)
         return value
 
@@ -469,8 +471,8 @@ class PhaseTracker:
         def integrand(tau):
             return self._log_pn(-np.exp(tau)).imag
 
-        spec = QuadratureSpec(atol=5e-10, rtol=1e-9, max_subdivisions=800)
-        mid = quad(integrand, _TAU_FLOOR, math.log(self.k_edge), spec).value
+        ln_k = math.log(self.k_edge)
+        mid = quad(integrand, _TAU_FLOOR, ln_k, atol=5e-10, rtol=1e-9, max_subdivisions=800).value
         return (tail + float(mid)) / _TWO_PI
 
     @cached_property
@@ -481,7 +483,6 @@ class PhaseTracker:
         integral is carried by the i h ln(s)^2 / (2 pi) term of
         :meth:`chi_origin_const`."""
         ln_k = math.log(self.k_edge)
-        spec = QuadratureSpec(atol=5e-10, rtol=1e-9, max_subdivisions=800)
 
         def outer(tau):
             return tau * self._g0(-np.exp(tau))
@@ -490,8 +491,8 @@ class PhaseTracker:
             u = -np.exp(tau)
             return tau * (u * self._log_pn(u, 1))
 
-        mid = -quad(outer, 0.0, ln_k, spec).value
-        inner_val = quad(inner, _TAU_FLOOR, 0.0, spec).value
+        mid = -quad(outer, 0.0, ln_k, atol=5e-10, rtol=1e-9, max_subdivisions=800).value
+        inner_val = quad(inner, _TAU_FLOOR, 0.0, atol=5e-10, rtol=1e-9, max_subdivisions=800).value
         return 1j / _TWO_PI * (self._tail_chi(0.0) + mid + inner_val)
 
     def chi_origin_const(self, s: float) -> complex:

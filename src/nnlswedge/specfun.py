@@ -1,8 +1,8 @@
 """Quadrature kernel for the asymptotic pipeline.
 
 This module provides an adaptive complex-valued Gauss--Kronrod (G7/K15)
-integrator on finite intervals, with explicit support for an integrable
-logarithmic singularity at the left endpoint.
+integrator on finite intervals.  An integrand with an endpoint singularity
+maps it away itself before calling :func:`quad`.
 
 All integrands passed to :func:`quad` must be elementwise: they take a
 one-dimensional numpy array of points and return an array of the same
@@ -14,15 +14,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .profiles import DomainError
 
 __all__ = [
-    "Singularity",
-    "QuadratureSpec",
     "QuadResult",
     "QuadratureError",
     "quad",
@@ -76,40 +73,6 @@ _WEIGHTS_K = np.concatenate((_WK[:7], _WK[::-1]))
 _GAUSS_IDX = slice(1, 15, 2)  # positions of the embedded Gauss-7 nodes
 _WEIGHTS_G = np.concatenate((_WG[:3], _WG[::-1]))
 
-# Exponential substitution window for the log-singular endpoint: the
-# omitted mass scales like w*exp(w) below the cut, ~1e-18 at w = -45.
-_LOG_LEFT_WMIN = -45.0
-
-
-class Singularity(str, Enum):
-    """Endpoint behaviour the integrator should account for."""
-
-    NONE = "none"
-    LOG_AT_LEFT_END = "log-at-left-end"
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and subdivision budget for :func:`quad`.
-
-    ``atol``/``rtol`` bound the *global* error estimate; subdivision
-    stops once ``sum(err) <= max(atol, rtol * |integral|)``.
-    """
-
-    atol: float = 1e-10
-    rtol: float = 1e-9
-    max_subdivisions: int = 240
-    singularity: Singularity = Singularity.NONE
-
-    def __post_init__(self) -> None:
-        if self.atol < 0 or self.rtol < 0:
-            raise ValueError("tolerances must be non-negative")
-        if self.atol == 0 and self.rtol == 0:
-            raise ValueError("at least one of atol/rtol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
 @dataclass(frozen=True)
 class QuadResult:
     """Outcome of an adaptive quadrature: value, error bound, effort."""
@@ -141,7 +104,9 @@ def _gk15(f, a, b):
     return val_k, np.hypot(diff.real, diff.imag)
 
 
-def _adaptive(f, a: float, b: float, spec: QuadratureSpec) -> QuadResult:
+def _adaptive(
+    f, a: float, b: float, atol: float, rtol: float, max_subdivisions: int
+) -> QuadResult:
     """Globally adaptive bisection driven by the worst-panel error.
 
     Each integrand call bisects the worst panel and, speculatively, the
@@ -161,10 +126,10 @@ def _adaptive(f, a: float, b: float, spec: QuadratureSpec) -> QuadResult:
     next_id = 1
     splits = 0
     while True:
-        tol = max(spec.atol, spec.rtol * abs(total))
+        tol = max(atol, rtol * abs(total))
         if total_err <= tol:
             return QuadResult(total, total_err, splits, evals)
-        if splits >= spec.max_subdivisions:
+        if splits >= max_subdivisions:
             raise QuadratureError(
                 f"quadrature did not converge after {splits} subdivisions: "
                 f"estimate {total!r}, error {total_err:.3e}, tol {tol:.3e}, "
@@ -201,35 +166,22 @@ def _adaptive(f, a: float, b: float, spec: QuadratureSpec) -> QuadResult:
         next_id += 2
 
 
-def quad(f, a: float, b: float, spec: QuadratureSpec | None = None) -> QuadResult:
+def quad(
+    f, a: float, b: float, *, atol: float, rtol: float, max_subdivisions: int
+) -> QuadResult:
     """Integrate ``f`` over the finite interval ``[a, b]`` adaptively.
 
-    With ``singularity = LOG_AT_LEFT_END`` the substitution
-    ``zeta = a + (b-a) e^w`` renders an integrable ``log(zeta - a)``
-    endpoint singularity smooth.  A non-finite endpoint raises ValueError.
+    Subdivision stops once the global error estimate is at most
+    ``max(atol, rtol * |integral|)``; after ``max_subdivisions`` splits
+    without that, :class:`QuadratureError` is raised.  A non-finite
+    endpoint raises ValueError.
 
     ``f`` must be elementwise.  It is called on batches of up to 60 points:
     the Gauss-Kronrod nodes of the children of the panel being split and,
     speculatively, of the panel next in line, which the loop may never
     split.  So ``f`` sees points whose values are never used, and
     ``QuadResult.evaluations`` counts them too.
-
-    Returns a :class:`QuadResult`; raises :class:`QuadratureError` if the
-    subdivision budget is exhausted.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("quadrature needs a finite interval")
-    if a == b:
-        return QuadResult(0.0 + 0.0j, 0.0, 0, 0)
-    if spec.singularity is Singularity.LOG_AT_LEFT_END:
-        span = b - a
-
-        def mapped(w, _f=f, _a=a, _span=span):
-            w = np.asarray(w)
-            scale = _span * np.exp(w)
-            return _f(_a + scale) * scale
-
-        return _adaptive(mapped, _LOG_LEFT_WMIN, 0.0, spec)
-    return _adaptive(f, a, b, spec)
+    return _adaptive(f, a, b, atol, rtol, max_subdivisions)

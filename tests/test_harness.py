@@ -808,6 +808,10 @@ def test_cli_has_no_tol_flag(tmp_path, capsys):
             "profile.bump_amplitude_re, bump_amplitude_im: modulus 1e+300 "
             "above the ceiling of 10000",
         ),
+        # no interpolation: '50%' is no syntax error, and '%(k_min)s' is not
+        # k_min's value
+        ("[kgrid]\nk_max = 50%\n", [], "kgrid.k_max: not a number: '50%'"),
+        ("[kgrid]\nk_max = %(k_min)s\n", [], "kgrid.k_max: not a number: '%(k_min)s'"),
     ],
     ids=[
         "pde-dt",
@@ -825,6 +829,8 @@ def test_cli_has_no_tol_flag(tmp_path, capsys):
         "soliton-amplitude-overflow",
         "synthetic-d-overflow",
         "bump-overflow",
+        "kgrid-percent",
+        "kgrid-interpolation",
     ],
 )
 def test_cli_rejects_bad_numbers_as_config_errors(tmp_path, capsys, body, extra, message):

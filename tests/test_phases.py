@@ -50,7 +50,7 @@ from nnlswedge.scattering import (
     synthetic_case_i,
     synthetic_case_ii,
 )
-from nnlswedge.specfun import QuadratureError, QuadratureSpec, Singularity, quad
+from nnlswedge.specfun import QuadratureError, quad
 from nnlswedge.wedge import phase_coefficients, predict_q
 
 # Frozen oracle values (30-digit arbitrary-precision quadrature against
@@ -279,25 +279,26 @@ def test_chi_split_matches_naive_quadrature(sd_pure_a1, sd_synth_ii):
         scale = math.exp((alpha - 1.0) * _point(alpha, s, t).ln_x)  # x**(alpha-1)
         z_hat = z * scale
         edge = tracker.k_edge / scale  # slow-variable grid edge
-        spec = QuadratureSpec(atol=1e-9, rtol=1e-8, max_subdivisions=2000)
+        tols = dict(atol=1e-9, rtol=1e-8, max_subdivisions=2000)
 
         def derivative(zeta):  # d/dzeta of the tracked log in slow units
             u = scale * np.asarray(zeta, dtype=float)
             return tracker._g0(u) / np.asarray(zeta, dtype=float)
 
         if z == -s:
-            def flipped(v):
-                v = np.asarray(v, dtype=float)
-                return np.log(v) * derivative(-s - v)
+            span = edge - s
 
-            spec = dataclasses.replace(spec, singularity=Singularity.LOG_AT_LEFT_END)
-            mid = quad(flipped, 0.0, edge - s, spec).value
+            def flipped(w):  # v = span e^w on [0, edge - s], log-singular at v = 0
+                v = span * np.exp(w)
+                return np.log(v) * derivative(-s - v) * v
+
+            mid = quad(flipped, -45.0, 0.0, **tols).value
         else:
             def direct(zeta):
                 zeta = np.asarray(zeta, dtype=float)
                 return np.log(z - zeta) * derivative(zeta)
 
-            mid = quad(direct, -edge, -s, spec).value
+            mid = quad(direct, -edge, -s, **tols).value
         tail = tracker._tail_chi(z_hat) - math.log(scale) * tracker._tail_l(-tracker.k_edge)
         return 1j / (2.0 * math.pi) * (tail + mid)
 
@@ -430,9 +431,13 @@ def _delta0(tracker, xi):
     """Modulation factor of the straight-ray region by direct quadrature of
     the tracker's ln W over [xi, k_edge] plus its fitted tail."""
     tracker._check_window(xi)
-    spec = QuadratureSpec(atol=1e-10, rtol=1e-9, max_subdivisions=600)
     mid = -quad(
-        lambda tau: tracker.log_w(-np.exp(tau)), math.log(xi), math.log(tracker.k_edge), spec
+        lambda tau: tracker.log_w(-np.exp(tau)),
+        math.log(xi),
+        math.log(tracker.k_edge),
+        atol=1e-10,
+        rtol=1e-9,
+        max_subdivisions=600,
     ).value
     return cmath.exp(-1j * (tracker._tail_log_integral() + mid) / (2.0 * math.pi))
 

@@ -17,15 +17,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nnlswedge import specfun
-from nnlswedge.specfun import (
-    QuadratureError,
-    QuadratureSpec,
-    Singularity,
-    quad,
-)
+from nnlswedge.specfun import QuadratureError, quad
 from nnlswedge.wedge import _rgamma
 
-LOG_LEFT = QuadratureSpec(singularity=Singularity.LOG_AT_LEFT_END)
+# tolerances and subdivision budget of the closed-form checks
+_TOLS = dict(atol=1e-10, rtol=1e-9, max_subdivisions=240)
+
+
+def _log_left(f, a, b):
+    """``f`` on [a, b] through v = a + (b - a) e^w on w in [-45, 0], which
+    maps an integrable log singularity at v = a away."""
+    span = b - a
+
+    def mapped(w):
+        scale = span * np.exp(w)
+        return f(a + scale) * scale
+
+    return mapped, -45.0, 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +50,7 @@ def test_weights_sum_to_interval_length():
 
 def test_linear_moment():
     # integral of zeta on [0, 1] = 1/2
-    res = quad(lambda z: z, 0.0, 1.0)
+    res = quad(lambda z: z, 0.0, 1.0, **_TOLS)
     assert abs(res.value - 0.5) < 1e-14
 
 
@@ -53,16 +61,16 @@ def test_degree_five_polynomial_exact():
     def p(z):
         return 3 - 2 * z + 5 * z**2 + z**3 - 4 * z**4 + 2 * z**5
 
-    res = quad(p, -1.0, 2.0)
+    res = quad(p, -1.0, 2.0, **_TOLS)
     assert abs(res.value - 19.35) < 1e-12
 
 
 def test_log_singularity_left_end():
     # integral of ln(v) on [0, 1] = -1 (antiderivative v ln v - v)
-    res = quad(np.log, 0.0, 1.0, LOG_LEFT)
+    res = quad(*_log_left(np.log, 0.0, 1.0), **_TOLS)
     assert abs(res.value - (-1.0)) < 1e-10
     # integral of v ln(v) on [0, 1] = -1/4
-    res = quad(lambda v: v * np.log(v), 0.0, 1.0, LOG_LEFT)
+    res = quad(*_log_left(lambda v: v * np.log(v), 0.0, 1.0), **_TOLS)
     assert abs(res.value - (-0.25)) < 1e-10
 
 
@@ -73,26 +81,28 @@ def test_log_singularity_written_in_native_variable():
         lambda z: np.log(np.maximum(-z, 1e-300)),
         -1.0,
         0.0,
-        QuadratureSpec(atol=1e-8, rtol=1e-8, max_subdivisions=2000),
+        atol=1e-8,
+        rtol=1e-8,
+        max_subdivisions=2000,
     )
     assert abs(res.value - (-1.0)) < 1e-7
 
 
 def test_complex_integrand():
     # integral of exp(i v) on [0, pi/2] = sin + i(1 - cos) at pi/2 = 1 + i
-    res = quad(lambda v: np.exp(1j * v), 0.0, math.pi / 2)
+    res = quad(lambda v: np.exp(1j * v), 0.0, math.pi / 2, **_TOLS)
     assert abs(res.value - (1.0 + 1.0j)) < 1e-12
 
 
 def test_nonintegrable_singularity_raises():
     with pytest.raises(QuadratureError):
-        quad(lambda z: 1.0 / z, 0.0, 1.0, QuadratureSpec(max_subdivisions=60))
+        quad(lambda z: 1.0 / z, 0.0, 1.0, atol=1e-10, rtol=1e-9, max_subdivisions=60)
 
 
 def test_infinite_endpoint_raises():
     for a, b in ((-np.inf, -1.0), (0.0, np.inf), (0.0, np.nan)):
         with pytest.raises(ValueError, match="finite interval"):
-            quad(lambda z: z, a, b)
+            quad(lambda z: z, a, b, **_TOLS)
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +119,17 @@ def _reference_gk15(f, a, b):
     return val_k, abs(val_k - val_g)
 
 
-def _reference_adaptive(f, a, b, spec):
+def _reference_adaptive(f, a, b, atol, rtol, max_subdivisions):
     """Sequential adaptive GK15: each popped panel's two children are
     evaluated in two integrand calls, in the order they are used."""
     val, err = _reference_gk15(f, a, b)
     heap = [(-err, 0, a, b, val, err)]
     total, total_err, evals, next_id, splits = val, err, 15, 1, 0
     while True:
-        tol = max(spec.atol, spec.rtol * abs(total))
+        tol = max(atol, rtol * abs(total))
         if total_err <= tol:
             return specfun.QuadResult(total, total_err, splits, evals)
-        if splits >= spec.max_subdivisions:
+        if splits >= max_subdivisions:
             raise QuadratureError(
                 f"quadrature did not converge after {splits} subdivisions: "
                 f"estimate {total!r}, error {total_err:.3e}, tol {tol:.3e}, "
@@ -143,7 +153,7 @@ def _reference_adaptive(f, a, b, spec):
         next_id += 2
 
 
-def _run(adaptive, f, a, b, spec):
+def _run(adaptive, f, a, b, tols):
     """(value, error, subdivisions) or the QuadratureError text, and the
     sizes of the arrays ``f`` was called on."""
     sizes = []
@@ -154,23 +164,23 @@ def _run(adaptive, f, a, b, spec):
 
     with mock.patch.object(specfun, "_adaptive", adaptive):
         try:
-            res = quad(counted, a, b, spec)
+            res = quad(counted, a, b, **tols)
         except QuadratureError as exc:
             return str(exc), sizes
     assert res.evaluations == sum(sizes)
     return (res.value, res.error, res.subdivisions), sizes
 
 
-def _assert_same_as_reference(f, a, b, spec):
+def _assert_same_as_reference(f, a, b, tols):
     """The batched loop's outcome equals the reference's exactly; returns
     it, with both loops' integrand call counts."""
-    got, sizes = _run(specfun._adaptive, f, a, b, spec)
-    want, ref_sizes = _run(_reference_adaptive, f, a, b, spec)
+    got, sizes = _run(specfun._adaptive, f, a, b, tols)
+    want, ref_sizes = _run(_reference_adaptive, f, a, b, tols)
     assert got == want
     return got, len(sizes), len(ref_sizes)
 
 
-_TIGHT = QuadratureSpec(atol=1e-13, rtol=1e-12, max_subdivisions=2000)
+_TIGHT = dict(atol=1e-13, rtol=1e-12, max_subdivisions=2000)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
@@ -213,14 +223,10 @@ def test_batched_loop_matches_reference_on_oscillations(a, width, omega):
 )
 def test_batched_loop_matches_reference_with_a_log_endpoint(a, width, omega):
     # ln(v) is singular at a = 0 and smooth for a > 0
-    spec = QuadratureSpec(
-        atol=1e-13, rtol=1e-12, max_subdivisions=2000, singularity=Singularity.LOG_AT_LEFT_END
-    )
-
     def f(v):
         return np.log(v) * np.exp(1j * omega * v)
 
-    _, calls, ref_calls = _assert_same_as_reference(f, a, a + width, spec)
+    _, calls, ref_calls = _assert_same_as_reference(*_log_left(f, a, a + width), _TIGHT)
     assert calls < ref_calls
 
 
@@ -228,8 +234,8 @@ def test_batched_loop_matches_reference_with_a_log_endpoint(a, width, omega):
 @given(b=st.floats(1e-3, 10.0), budget=st.integers(1, 300))
 @example(b=1.0, budget=60)
 def test_batched_loop_matches_reference_when_the_budget_runs_out(b, budget):
-    spec = QuadratureSpec(max_subdivisions=budget)
-    got, *_ = _assert_same_as_reference(lambda z: 1.0 / z, 0.0, b, spec)
+    tols = {**_TOLS, "max_subdivisions": budget}
+    got, *_ = _assert_same_as_reference(lambda z: 1.0 / z, 0.0, b, tols)
     assert got.startswith(f"quadrature did not converge after {budget} subdivisions")
 
 
@@ -248,7 +254,7 @@ def _step_on_three_ulps(a):
     return f, a, b
 
 
-_UNREACHABLE = QuadratureSpec(atol=1e-300, rtol=1e-300)
+_UNREACHABLE = {**_TOLS, "atol": 1e-300, "rtol": 1e-300}
 
 
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
